@@ -11,7 +11,6 @@ subdivision bounds control.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +24,6 @@ DEPTH_CAP = 30
 
 #: Junction points produced by adjacent maps must agree this closely.
 JUNCTION_TOLERANCE = 1e-9
-
-#: Point-count threshold separating brute-force from tree-based distances.
-#: Both paths are exact; the tree just avoids the quadratic memory traffic.
-BRUTE_FORCE_LIMIT = 20_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,37 +133,20 @@ def chaos_game(zipper, count, seed, burn_in=64):
     return out
 
 
-def _directed_max_min(a, b, chunk=2048):
-    """max over rows of a of the min distance to rows of b (brute force)."""
-    b_sq = np.sum(b**2, axis=1)
-    worst = 0.0
-    for start in range(0, a.shape[0], chunk):
-        block = a[start : start + chunk]
-        # expanded square form; the row term is added after the min
-        cross = block @ (-2.0 * b.T)
-        cross += b_sq[None, :]
-        mins = cross.min(axis=1) + np.sum(block**2, axis=1)
-        worst = max(worst, float(mins.max()))
-    return math.sqrt(max(worst, 0.0))
-
-
 def hausdorff_distance(a, b):
     """Symmetric Hausdorff distance between two finite point sets.
 
-    Exact brute force below :data:`BRUTE_FORCE_LIMIT` total points, exact
-    tree-based nearest neighbours beyond.
+    Exact nearest neighbours from a k-d tree on each side.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.shape[0] + b.shape[0] <= BRUTE_FORCE_LIMIT:
-        return max(_directed_max_min(a, b), _directed_max_min(b, a))
+    # scipy.spatial is imported here, not at module level, because every
+    # CLI command imports this module and only the residual checks need it.
     from scipy.spatial import cKDTree
 
-    tree_a = cKDTree(a)
-    tree_b = cKDTree(b)
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
     return max(
-        float(tree_b.query(a, k=1)[0].max()),
-        float(tree_a.query(b, k=1)[0].max()),
+        float(cKDTree(b).query(a, k=1)[0].max()),
+        float(cKDTree(a).query(b, k=1)[0].max()),
     )
 
 

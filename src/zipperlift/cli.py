@@ -148,6 +148,8 @@ def _cmd_lift(args):
 
 
 def _cmd_render(args):
+    if args.chaos and args.points < 1:
+        raise InvalidConfig(f"--points must be at least 1, got {args.points}")
     zipper, line = _resolve_system(args)
     if args.lifted:
         target = smooth_zipper(zipper, line, build_lift(zipper, line))
@@ -170,11 +172,7 @@ def _cmd_render(args):
         export_csv(polyline, args.csv)
         written.append(args.csv)
     if args.chaos:
-        from .attractor import Polyline
-
-        points = chaos_game(target, args.points, args.seed)
-        export_csv(Polyline(points=points, params=None, mesh_bound=polyline.mesh_bound),
-                   args.chaos)
+        export_csv(chaos_game(target, args.points, args.seed), args.chaos)
         written.append(args.chaos)
     print("wrote " + " ".join(written))
     return 0

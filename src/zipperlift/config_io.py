@@ -221,7 +221,12 @@ def build_system(config):
 
 
 def format_number(value):
-    """Shortest decimal that round-trips to the same float."""
+    """Shortest decimal that round-trips to the same float.
+
+    Integral values below 1e16 in magnitude, ``-0.0`` included, print as
+    integers; everything else prints as ``repr``.  The CSV/SVG row writer
+    applies exactly this rule to whole columns at once.
+    """
     value = float(value)
     if value == 0.0:
         return "0"
@@ -230,28 +235,82 @@ def format_number(value):
     return repr(value)
 
 
-def export_csv(polyline, path):
-    """Write a polyline as CSV with header ``t,x1,...,xd``.
+#: Rows formatted and written per block.  It bounds the text and the string
+#: objects alive at once, independent of the polyline's length.
+_BLOCK_ROWS = 4096
 
-    The ``t`` column is present exactly when the polyline carries
-    parameters.  Numbers use shortest round-trip decimals and rows end with
-    a bare newline, so identical input gives identical bytes.
+
+def _column_text(values):
+    """:func:`format_number` of every entry of a 1-D float array."""
+    floats = values.tolist()
+    text = list(map(repr, floats))
+    integral = (values == np.trunc(values)) & (np.abs(values) < 1e16)
+    for k in np.flatnonzero(integral).tolist():
+        text[k] = str(int(floats[k]))
+    return text
+
+
+def _block_text(columns, row_sep):
+    """One block of rows: entries joined by commas, rows by ``row_sep``.
+
+    A column bitwise equal to its left neighbour reuses the neighbour's
+    strings instead of formatting them again.
     """
-    points = polyline.points
-    dim = points.shape[1]
-    columns = [f"x{j + 1}" for j in range(dim)]
-    lines = []
-    if polyline.params is not None:
-        lines.append(",".join(["t"] + columns))
-        for t, row in zip(polyline.params, points):
-            lines.append(",".join([format_number(t)] + [format_number(v) for v in row]))
+    texts = []
+    for j, column in enumerate(columns):
+        if j and np.array_equal(column.view(np.int64), columns[j - 1].view(np.int64)):
+            texts.append(texts[-1])
+        else:
+            texts.append(_column_text(column))
+    width = 2 * len(texts)
+    parts = [","] * (width * len(texts[0]))
+    for j, text in enumerate(texts):
+        parts[2 * j :: width] = text
+    parts[width - 1 :: width] = [row_sep] * len(texts[0])
+    parts[-1] = ""
+    return "".join(parts)
+
+
+def _write_rows(handle, blocks, row_sep):
+    """Write float rows as text, one block of rows at a time.
+
+    ``blocks`` yields, per block, a list of equal-length 1-D float columns.
+    Rows are separated by ``row_sep``, with none after the last row.  Only
+    one block's strings are alive at a time.
+    """
+    lead = ""
+    for columns in blocks:
+        handle.write(lead)
+        handle.write(_block_text(columns, row_sep))
+        lead = row_sep
+
+
+def export_csv(data, path):
+    """Write a polyline, or an ``(N, d)`` array of points, as CSV.
+
+    The header is ``t,x1,...,xd``; the ``t`` column is present exactly when
+    ``data`` is a polyline that carries parameters.  Numbers use shortest
+    round-trip decimals (:func:`format_number`) and rows end with a bare
+    newline, so identical input gives identical bytes.  Rows are written in
+    blocks, so memory stays bounded whatever the row count.
+    """
+    if isinstance(data, np.ndarray):
+        points, params = np.asarray(data, dtype=float), None
     else:
-        lines.append(",".join(columns))
-        for row in points:
-            lines.append(",".join(format_number(v) for v in row))
-    data = "\n".join(lines) + "\n"
+        points, params = data.points, data.params
+    columns = [points[:, j] for j in range(points.shape[1])]
+    names = [f"x{j + 1}" for j in range(len(columns))]
+    if params is not None:
+        columns.insert(0, params)
+        names.insert(0, "t")
+    blocks = (
+        [column[start : start + _BLOCK_ROWS] for column in columns]
+        for start in range(0, points.shape[0], _BLOCK_ROWS)
+    )
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(data)
+        handle.write(",".join(names) + "\n")
+        _write_rows(handle, blocks, "\n")
+        handle.write("\n")
 
 
 @dataclass(frozen=True)
@@ -290,7 +349,8 @@ def export_svg(polyline, spec, path):
 
     The drawing fits the data bounding box with a 5% margin and flips the
     vertical axis into mathematical orientation.  Output bytes are
-    deterministic for identical input.
+    deterministic for identical input, and the points are written in blocks
+    like CSV rows.
     """
     axes = _projected_axes(polyline.points.shape[1], spec.projection)
     xs = polyline.points[:, axes[0]]
@@ -303,18 +363,21 @@ def export_svg(polyline, spec, path):
         pad = 0.05 * span if span > 0.0 else 0.5
         bounds.append((low - pad, high + pad))
         spans.append(span + 2.0 * pad)
-    px = (xs - bounds[0][0]) / spans[0] * spec.width
-    py = spec.height - (ys - bounds[1][0]) / spans[1] * spec.height
-    points = " ".join(
-        f"{format_number(x)},{format_number(y)}" for x, y in zip(px, py)
-    )
-    document = (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">\n'
-        f'  <polyline fill="none" stroke="black" '
-        f'stroke-width="{format_number(spec.stroke_width)}" points="{points}"/>\n'
-        "</svg>\n"
+    blocks = (
+        [
+            (xs[start : start + _BLOCK_ROWS] - bounds[0][0]) / spans[0] * spec.width,
+            spec.height
+            - (ys[start : start + _BLOCK_ROWS] - bounds[1][0]) / spans[1] * spec.height,
+        ]
+        for start in range(0, xs.shape[0], _BLOCK_ROWS)
     )
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(document)
+        handle.write(
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
+            f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">\n'
+            f'  <polyline fill="none" stroke="black" '
+            f'stroke-width="{format_number(spec.stroke_width)}" points="'
+        )
+        _write_rows(handle, blocks, " ")
+        handle.write('"/>\n</svg>\n')

@@ -82,6 +82,28 @@ def test_render_lifted_and_chaos(tmp_path):
     assert chaos.read_text().startswith("x1,x2\n")
 
 
+def test_render_single_chaos_point(tmp_path):
+    chaos = tmp_path / "one.csv"
+    code = main([
+        "render", "--example1", "p=0.3", "--depth", "4",
+        "--svg", str(tmp_path / "curve.svg"), "--chaos", str(chaos), "--points", "1",
+    ])
+    assert code == 0
+    lines = chaos.read_text().splitlines()
+    assert lines[0] == "x1,x2" and len(lines) == 2
+
+
+def test_render_rejects_no_chaos_points_before_writing(tmp_path, capsys):
+    svg = tmp_path / "curve.svg"
+    code = main([
+        "render", "--example1", "p=0.3", "--depth", "4",
+        "--svg", str(svg), "--chaos", str(tmp_path / "none.csv"), "--points", "0",
+    ])
+    assert code == 2
+    assert "--points" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_render_deterministic(tmp_path):
     outputs = []
     for name in ("one", "two"):

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,3 +154,81 @@ def test_render_spec_validation():
         RenderSpec(depth=31)
     with pytest.raises(ValueError):
         RenderSpec(width=0)
+
+
+#: Values where the integer rule, the ``repr`` fallback and signed zero meet.
+ADVERSARIAL = [
+    0.0, -0.0, 1.0, -1.0, 1e15, 9999999999999998.0, 1e16, -1e16,
+    5e-324, 1e-5, 0.1 + 0.2, math.nan, math.inf, -math.inf,
+]
+
+
+def _reference_csv(names, table):
+    rows = [",".join(names)]
+    rows += [",".join(format_number(v) for v in row) for row in table]
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 8193])
+def test_export_csv_matches_format_number(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    values = np.resize(ADVERSARIAL, rows)
+    x2 = rng.permutation(values)
+    # equal to its left neighbour in the first block only
+    x3 = x2.copy()
+    x3[4096:] = rng.normal(size=max(rows - 4096, 0))
+    table = np.column_stack([values, x2, x3, rng.normal(size=rows) * 1e3])
+    path = tmp_path / "rows.csv"
+    export_csv(table, path)
+    assert path.read_text() == _reference_csv(["x1", "x2", "x3", "x4"], table)
+
+
+@pytest.mark.parametrize("rows", [2, 4097])
+def test_export_csv_params_column_matches_format_number(tmp_path, rows):
+    params = np.sort(np.resize(ADVERSARIAL[:11], rows))  # the finite values
+    points = np.column_stack([params, np.resize(ADVERSARIAL, rows)])
+    polyline = Polyline(points=points, params=params, mesh_bound=0.0)
+    path = tmp_path / "graph.csv"
+    export_csv(polyline, path)
+    expected = _reference_csv(["t", "x1", "x2"], np.column_stack([params, points]))
+    assert path.read_text() == expected
+
+
+def test_export_svg_projection_matches_format_number(tmp_path):
+    rng = np.random.default_rng(3)
+    points = rng.normal(size=(4097, 3))
+    points[::7, 2] = 0.25  # repeated and integral canvas coordinates
+    spec = RenderSpec(projection=(0, 2))
+    path = tmp_path / "proj.svg"
+    export_svg(Polyline(points=points, params=None, mesh_bound=0.0), spec, path)
+    xs, ys = points[:, 0], points[:, 2]
+    bounds, spans = [], []
+    for coords in (xs, ys):
+        low, high = float(coords.min()), float(coords.max())
+        pad = 0.05 * (high - low)
+        bounds.append(low - pad)
+        spans.append(high - low + 2.0 * pad)
+    px = (xs - bounds[0]) / spans[0] * spec.width
+    py = spec.height - (ys - bounds[1]) / spans[1] * spec.height
+    expected = " ".join(f"{format_number(x)},{format_number(y)}" for x, y in zip(px, py))
+    text = path.read_text()
+    assert text.split('points="')[1].split('"')[0] == expected
+    assert text.endswith('"/>\n</svg>\n')
+
+
+def test_export_streams_in_bounded_memory(tmp_path):
+    zipper, line = build_example1(Example1Config(p=0.3))
+    polyline = refine(product_zipper(zipper, line), 16, line=line)
+    exports = {
+        "curve.csv": lambda path: export_csv(polyline, path),
+        "curve.svg": lambda path: export_svg(polyline, RenderSpec(depth=16), path),
+    }
+    for name, export in exports.items():
+        path = tmp_path / name
+        tracemalloc.start()
+        try:
+            export(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4, name
