@@ -57,6 +57,7 @@ from .smoothing import (
     SmoothLift,
     build_lift,
     eval_g,
+    eval_g_many,
     inverse_design,
     node_integrals,
     smooth_zipper,

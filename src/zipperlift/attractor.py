@@ -39,19 +39,26 @@ class Polyline:
     mesh_bound: float
 
     def __post_init__(self):
-        points = np.array(self.points, dtype=float)
+        points = _read_only(self.points)
         if points.ndim != 2 or points.shape[0] < 2:
             raise ValueError(f"polyline needs at least two points, got {points.shape}")
-        points.setflags(write=False)
         object.__setattr__(self, "points", points)
         if self.params is not None:
-            params = np.array(self.params, dtype=float)
+            params = _read_only(self.params)
             if params.shape != (points.shape[0],):
                 raise ValueError("params must match the number of points")
             if np.any(np.diff(params) < 0.0):
                 raise ValueError("params must be non-decreasing")
-            params.setflags(write=False)
             object.__setattr__(self, "params", params)
+
+
+def _read_only(values):
+    """Float array that no one can write: a copy unless it already is one."""
+    array = np.asarray(values, dtype=float)
+    if array.flags.writeable:
+        array = array.copy()
+        array.setflags(write=False)
+    return array
 
 
 def refine(zipper, depth, line=None, depth_cap=DEPTH_CAP):
@@ -104,6 +111,10 @@ def refine(zipper, depth, line=None, depth_cap=DEPTH_CAP):
 
     contraction = max(zipper.linear_norms)
     mesh_bound = zipper.diameter_bound * contraction**depth
+    # the arrays are this function's own, so Polyline need not copy them
+    points.setflags(write=False)
+    if params is not None:
+        params.setflags(write=False)
     return Polyline(points=points, params=params, mesh_bound=mesh_bound)
 
 

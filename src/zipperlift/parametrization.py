@@ -8,6 +8,9 @@ descends through interval addresses: each digit picks the subinterval
 containing t, pulls t back through that interval map, and applies the
 matching spatial map on the way out.  The descent stops once the product
 of contraction factors certifies the requested accuracy.
+
+The same batched descent, with other steps, linear parts and gains,
+evaluates the integral curve g (see :mod:`zipperlift.smoothing`).
 """
 
 from __future__ import annotations
@@ -69,156 +72,107 @@ def address_of(t, line, depth):
     return Address(tuple(digits), orientation, u)
 
 
-def _node_row(zipper, line, u):
-    """Vertex row for an exact node hit, or None."""
-    index = int(np.searchsorted(line.nodes, u))
-    if index < line.nodes.size and line.nodes[index] == u:
-        return zipper.vertices[index]
-    return None
+def _matvec(linear, rows):
+    """Row-wise ``linear @ row``, bit-identical to the scalar product (BLAS
+    per row); ``einsum`` sums in another order and is not."""
+    return (linear @ rows[:, :, None])[:, :, 0]
 
 
-def _contraction_data(zipper):
+def _descend(ts, line, linears, local, gains, node_rows, tail_row, reach, tol,
+             max_depth):
+    """Certified interval descent of a batch of parameters, shared by f and g.
+
+    Digit k of a point's residual parameter u adds ``linear @ local(k, u)``
+    (one row per point) to its offset, right-multiplies ``linear`` by
+    ``linears[k]`` and its radius factor by ``gains[k]``.  A point ends at
+    ``linear @ node_rows[j] + offset`` with radius 0 when u hits node j, else
+    at ``linear @ tail_row + offset`` once ``factor * reach <= tol``.  No
+    point's result depends on the batch.  Returns ``(values, bounds, depths)``.
+    """
+    ts = np.asarray(ts, dtype=float).ravel()
+    inside = (ts >= 0.0) & (ts <= 1.0)
+    if not np.all(inside):
+        raise OutOfDomain(f"parameter {float(ts[np.argmin(inside)])!r} outside [0, 1]")
+    nodes = line.nodes
+    # interval map k pulls u back to (u - t_k) / q_k, or where it reverses
+    # to (u - t_{k+1}) / -q_k: the same float as (t_{k+1} - u) / q_k
+    starts = np.where(line.signature, nodes[1:], nodes[:-1])
+    scales = np.where(line.signature, -line.ratios, line.ratios)
+    count, n = ts.size, tail_row.size
+    values = np.empty((count, n))
+    bounds = np.zeros(count)
+    depths = np.zeros(count, dtype=int)
+    # state of the points still descending; ``pending`` indexes the outputs
+    pending = np.arange(count)
+    u = ts.copy()
+    linear = np.broadcast_to(np.eye(n), (count, n, n)).copy()
+    offset = np.zeros((count, n))
+    factor = np.ones(count)
+    depth = 0
+    while pending.size:
+        # u <= 1 = t_m, so ``slot`` indexes a node; off the nodes, u lies
+        # strictly inside interval ``slot - 1``
+        slot = np.searchsorted(nodes, u)
+        hit = nodes[slot] == u
+        done = hit | (factor * reach <= tol)
+        if done.any():
+            out = pending[done]
+            ends = np.where(hit[done, None], node_rows[slot[done]], tail_row)
+            values[out] = _matvec(linear[done], ends) + offset[done]
+            bounds[out] = np.where(hit[done], 0.0, factor[done] * reach)
+            depths[out] = depth
+            going = ~done
+            pending, u, slot = pending[going], u[going], slot[going]
+            linear, offset, factor = linear[going], offset[going], factor[going]
+            if not pending.size:
+                break
+        if depth >= max_depth:
+            raise ToleranceUnreachable(f"tolerance {tol:g} not reached within {max_depth} digits")
+        digits = slot - 1
+        offset += _matvec(linear, local(digits, u))
+        linear = linear @ linears[digits]
+        factor *= gains[digits]
+        # u is off the nodes, so the quotient is positive; only rounding can
+        # carry it past 1
+        u = np.minimum((u - starts[digits]) / scales[digits], 1.0)
+        depth += 1
+    return values, bounds, depths
+
+
+def _descend_f(ts, zipper, line, tol, max_depth):
+    check_pairing(zipper, line)
     norms = np.array(zipper.linear_norms)
     if norms.max() >= 1.0:
         raise ValueError(
             "parametrization evaluation needs every map to contract; "
             f"worst operator norm is {norms.max():.6g}"
         )
-    return norms, zipper.diameter_bound
+    linears = np.array([mp.linear for mp in zipper.maps])
+    translations = np.array([mp.translation for mp in zipper.maps])
+    return _descend(
+        ts, line, linears, lambda digits, u: translations[digits], norms,
+        zipper.vertices, zipper.vertices[0], zipper.diameter_bound, tol, max_depth,
+    )
+
+
+def eval_f_many(ts, zipper, line, tol=1e-9, max_depth=MAX_DEPTH):
+    """Evaluate the parametrization at an array of parameters.
+
+    Returns ``(values, bounds)`` with ``values`` of shape (N, n) and
+    per-point certified error radii.  Bit-identical to :func:`eval_f` on
+    each entry in every dimension, whatever the batch.
+    """
+    return _descend_f(ts, zipper, line, tol, max_depth)[:2]
 
 
 def eval_f(t, zipper, line, tol=1e-9, max_depth=MAX_DEPTH):
     """Evaluate the parametrization at ``t`` with guaranteed accuracy ``tol``.
 
-    Digits are consumed until the accumulated contraction product times the
-    attractor reach bound drops below ``tol``; an exact node hit on the way
-    terminates with an exact vertex image and a zero bound.  Otherwise the
-    returned point is the digit-map image of the first vertex and the bound
-    is the contraction product times the reach bound (always <= ``tol``).
+    An exact node hit gives the vertex image with bound 0; otherwise the
+    value is the digit-map image of the first vertex and the bound, the
+    contraction product times the reach bound, is at most ``tol``.
     """
-    if not 0.0 <= t <= 1.0:
-        raise OutOfDomain(f"parameter {t!r} outside [0, 1]")
-    check_pairing(zipper, line)
-    norms, diameter = _contraction_data(zipper)
-    n = zipper.dimension
-    linear = np.eye(n)
-    offset = np.zeros(n)
-    factor = 1.0
-    depth = 0
-    u = float(t)
-    while True:
-        anchor_row = _node_row(zipper, line, u)
-        if anchor_row is not None:
-            value = linear @ anchor_row + offset
-            value.setflags(write=False)
-            return ParamEvaluation(value, 0.0, depth)
-        if factor * diameter <= tol:
-            value = linear @ zipper.vertices[0] + offset
-            value.setflags(write=False)
-            return ParamEvaluation(value, factor * diameter, depth)
-        if depth >= max_depth:
-            raise ToleranceUnreachable(
-                f"tolerance {tol:g} not reached within {max_depth} digits"
-            )
-        index = line.interval_of(u)
-        spatial = zipper.maps[index - 1]
-        offset = linear @ spatial.translation + offset
-        linear = linear @ spatial.linear
-        factor *= norms[index - 1]
-        u = float(line.inverse(index, u))
-        depth += 1
-
-
-def eval_f_many(ts, zipper, line, tol=1e-9, max_depth=MAX_DEPTH):
-    """Vectorized :func:`eval_f` over an array of parameters.
-
-    Returns ``(values, bounds)`` with ``values`` of shape (N, n) and
-    per-point certified error radii.  Bit-identical to the scalar evaluator
-    on each entry.
-    """
-    ts = np.asarray(ts, dtype=float).ravel()
-    if ts.size == 0:
-        return np.zeros((0, zipper.dimension)), np.zeros(0)
-    if float(ts.min()) < 0.0 or float(ts.max()) > 1.0:
-        raise OutOfDomain("parameters must lie in [0, 1]")
-    check_pairing(zipper, line)
-    norms, diameter = _contraction_data(zipper)
-    n = zipper.dimension
-    m = zipper.map_count
-    count = ts.size
-    nodes = line.nodes
-
-    u = ts.copy()
-    linear = np.broadcast_to(np.eye(n), (count, n, n)).copy()
-    offset = np.zeros((count, n))
-    factor = np.ones(count)
-    anchor_index = np.full(count, -1, dtype=int)
-    active = np.ones(count, dtype=bool)
-
-    level = 0
-    while active.any():
-        hit = active & np.isin(u, nodes)
-        if hit.any():
-            anchor_index[hit] = np.searchsorted(nodes, u[hit])
-            active[hit] = False
-        certified = active & (factor * diameter <= tol)
-        active[certified] = False
-        if not active.any():
-            break
-        if level >= max_depth:
-            raise ToleranceUnreachable(
-                f"tolerance {tol:g} not reached within {max_depth} digits"
-            )
-        intervals = np.searchsorted(nodes, u, side="right") - 1
-        np.clip(intervals, 0, m - 1, out=intervals)
-        for k in range(m):
-            mask = active & (intervals == k)
-            if not mask.any():
-                continue
-            spatial = zipper.maps[k]
-            offset[mask] += np.einsum("pij,j->pi", linear[mask], spatial.translation)
-            linear[mask] = linear[mask] @ spatial.linear
-            factor[mask] *= norms[k]
-            if line.signature[k]:
-                u[mask] = np.clip((nodes[k + 1] - u[mask]) / line.ratios[k], 0.0, 1.0)
-            else:
-                u[mask] = np.clip((u[mask] - nodes[k]) / line.ratios[k], 0.0, 1.0)
-        level += 1
-
-    anchors = np.empty((count, n))
-    anchors[:] = zipper.vertices[0]
-    finished = anchor_index >= 0
-    anchors[finished] = zipper.vertices[anchor_index[finished]]
-    values = np.einsum("pij,pj->pi", linear, anchors) + offset
-    bounds = np.where(finished, 0.0, factor * diameter)
-    return values, bounds
-
-
-def eval_f_at_address(zipper, line, address):
-    """Evaluate the parametrization at an explicit interval address.
-
-    Exact (zero bound) when the anchor is a node of the line zipper;
-    otherwise returns the digit-map image of the first vertex with the
-    usual contraction-product error radius.  Useful for checking that the
-    two addresses of a boundary parameter agree.
-    """
-    check_pairing(zipper, line)
-    norms, diameter = _contraction_data(zipper)
-    n = zipper.dimension
-    linear = np.eye(n)
-    offset = np.zeros(n)
-    factor = 1.0
-    for digit in address.digits:
-        spatial = zipper.maps[digit - 1]
-        offset = linear @ spatial.translation + offset
-        linear = linear @ spatial.linear
-        factor *= norms[digit - 1]
-    anchor_row = _node_row(zipper, line, address.anchor)
-    if anchor_row is not None:
-        value = linear @ anchor_row + offset
-        bound = 0.0
-    else:
-        value = linear @ zipper.vertices[0] + offset
-        bound = factor * diameter
+    values, bounds, depths = _descend_f([t], zipper, line, tol, max_depth)
+    value = values[0]
     value.setflags(write=False)
-    return ParamEvaluation(value, bound, len(address.digits))
+    return ParamEvaluation(value, float(bounds[0]), int(depths[0]))

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, OutOfDomain, ToleranceUnreachable
+from .errors import DegenerateInput
 from .geometry import AffineMap, solve_linear
-from .parametrization import MAX_DEPTH
+from .parametrization import MAX_DEPTH, _descend
 from .zipper import check_pairing, similarity_decomposition, validate_zipper
 
 
@@ -145,69 +145,45 @@ def smooth_zipper(zipper, line, lift):
     )
 
 
-def _sup_integral_bound(zipper):
-    """Certified bound on sup |g| over [0, 1].
+def _descend_g(ts, zipper, line, lift, tol, max_depth):
+    check_pairing(zipper, line)
+    decomposition = similarity_decomposition(zipper)
+    g_nodes, nodes, zero = lift.node_integrals, line.nodes, np.zeros(zipper.dimension)
+    scaled = np.array([q * part.linear_part for part, q in zip(decomposition, line.ratios)])
+    offsets = np.array([part.offset for part in decomposition])
+    # orientation-reversing intervals subtract the rescaled total integral
+    shifts = np.array([a @ lift.h if bit else zero for a, bit in zip(scaled, zipper.signature)])
 
-    |g(t)| <= sup |f| <= reach of the attractor around the origin, which is
-    exactly the zipper's cached reach bound (the first vertex is the origin
-    for every lift).
+    def local(digits, u):
+        return g_nodes[digits] + offsets[digits] * (u - nodes[digits])[:, None] - shifts[digits]
+
+    # |g| <= sup |f| <= the reach of the attractor around z_0 = 0
+    return _descend(
+        ts, line, scaled, local, line.ratios * np.array(zipper.linear_norms),
+        g_nodes, zero, zipper.diameter_bound, tol, max_depth,
+    )
+
+
+def eval_g_many(ts, zipper, line, lift, tol=1e-9, max_depth=MAX_DEPTH):
+    """Evaluate the integral curve at an array of parameters.
+
+    Returns ``(values, bounds)`` like :func:`eval_f_many`; bit-identical to
+    :func:`eval_g` on each entry.
     """
-    return zipper.diameter_bound
+    return _descend_g(ts, zipper, line, lift, tol, max_depth)[:2]
 
 
 def eval_g(t, zipper, line, lift, tol=1e-9, max_depth=MAX_DEPTH):
     """Evaluate the integral curve at ``t`` with guaranteed accuracy ``tol``.
 
-    Descends the same interval addresses as the parametrization, but each
-    digit contributes a closed-form affine part plus a rescaled call of g
-    on [0, 1]; the rescaling gains a factor q_i |A_i| per digit, so the
-    descent stops once the accumulated factor times a precomputed bound on
-    sup |g| drops below ``tol``.  Node hits terminate exactly through the
-    solved node integrals.
+    Each digit contributes a closed-form affine part plus g on [0, 1]
+    rescaled by q_i A_i, so the bound is the product of the q_i |A_i| times
+    a bound on sup |g|.  Node hits end exactly at the solved node integrals.
     """
-    if not 0.0 <= t <= 1.0:
-        raise OutOfDomain(f"parameter {t!r} outside [0, 1]")
-    check_pairing(zipper, line)
-    decomposition = similarity_decomposition(zipper)
-    norms = np.array(zipper.linear_norms)
-    sup_g = _sup_integral_bound(zipper)
-    g_nodes = lift.node_integrals
-    nodes = line.nodes
-    n = zipper.dimension
-
-    linear = np.eye(n)
-    offset = np.zeros(n)
-    factor = 1.0
-    depth = 0
-    u = float(t)
-    while True:
-        index = int(np.searchsorted(nodes, u))
-        if index < nodes.size and nodes[index] == u:
-            value = linear @ g_nodes[index] + offset
-            value.setflags(write=False)
-            return GEvaluation(value, 0.0, depth)
-        if factor * sup_g <= tol:
-            offset.setflags(write=False)
-            return GEvaluation(offset, factor * sup_g, depth)
-        if depth >= max_depth:
-            raise ToleranceUnreachable(
-                f"tolerance {tol:g} not reached within {max_depth} digits"
-            )
-        i = line.interval_of(u)
-        part = decomposition[i - 1]
-        width = line.ratios[i - 1]
-        scaled = width * part.linear_part
-        if zipper.signature[i - 1]:
-            # orientation-reversing interval: the affine part uses the exit
-            # vertex and subtracts the rescaled total integral
-            local = g_nodes[i - 1] + part.offset * (u - nodes[i - 1]) - scaled @ lift.h
-        else:
-            local = g_nodes[i - 1] + part.offset * (u - nodes[i - 1])
-        offset = offset + linear @ local
-        linear = linear @ scaled
-        factor *= width * norms[i - 1]
-        u = float(line.inverse(i, u))
-        depth += 1
+    values, bounds, depths = _descend_g([t], zipper, line, lift, tol, max_depth)
+    value = values[0]
+    value.setflags(write=False)
+    return GEvaluation(value, float(bounds[0]), int(depths[0]))
 
 
 def inverse_design(q1, q2, x1, g1, g2):

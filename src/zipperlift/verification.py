@@ -12,16 +12,15 @@ map families contract eventually.  Every check returns a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotNormalized, ZeroTangent
 from .geometry import eventual_contraction_scan
-from .parametrization import eval_f_many
-from .smoothing import eval_g
-from .zipper import check_pairing
+from .parametrization import _matvec, eval_f_many
+from .smoothing import eval_g_many
+from .zipper import check_pairing, similarity_decomposition
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,12 @@ class VerificationReport:
             "tolerance": self.tolerance,
             "details": [[a, b] for a, b in self.details],
         }
+
+
+def _row_norms(rows):
+    """Norm of each row, bit-identical to ``np.linalg.norm(row)``; the
+    ``axis=1`` form sums in another order and is not."""
+    return np.sqrt(np.vecdot(rows, rows))
 
 
 def _worst_offenders(locations, errors, keep=5):
@@ -118,35 +123,24 @@ def integral_residual(zipper, line, lift, samples=1000, tol=1e-9, seed=0):
     equal the node integral plus the chord term plus the rescaled value at
     t (minus the rescaled total on orientation-reversing intervals).
     """
-    from .zipper import similarity_decomposition
-
     check_pairing(zipper, line)
     decomposition = similarity_decomposition(zipper)
     rng = np.random.default_rng(seed)
     ts = rng.uniform(0.0, 1.0, int(samples))
     worst_errors = np.zeros(ts.size)
-    g_values = [eval_g(t, zipper, line, lift, tol=tol).value for t in ts]
+    g_values, _ = eval_g_many(ts, zipper, line, lift, tol=tol)
     for index in range(1, zipper.map_count + 1):
         part = decomposition[index - 1]
         width = line.ratios[index - 1]
         g_node = lift.node_integrals[index - 1]
-        for j, t in enumerate(ts):
-            s = float(line.forward(index, t))
-            lhs = eval_g(s, zipper, line, lift, tol=tol).value
-            if zipper.signature[index - 1]:
-                rhs = (
-                    g_node
-                    + part.offset * width * (1.0 - t)
-                    + width * (part.linear_part @ (g_values[j] - lift.h))
-                )
-            else:
-                rhs = (
-                    g_node
-                    + part.offset * width * t
-                    + width * (part.linear_part @ g_values[j])
-                )
-            error = float(np.linalg.norm(lhs - rhs))
-            worst_errors[j] = max(worst_errors[j], error)
+        lhs, _ = eval_g_many(line.forward(index, ts), zipper, line, lift, tol=tol)
+        if zipper.signature[index - 1]:
+            local_ts, local_g = 1.0 - ts, g_values - lift.h
+        else:
+            local_ts, local_g = ts, g_values
+        rhs = (g_node + part.offset * width * local_ts[:, None]
+               + width * _matvec(part.linear_part, local_g))
+        np.maximum(worst_errors, _row_norms(lhs - rhs), out=worst_errors)
     max_error = float(worst_errors.max())
     tolerance = 2.0 * tol
     return VerificationReport(
@@ -169,12 +163,12 @@ def quadrature_check(zipper, line, lift, panel_ladder=(256, 1024, 4096),
     inside the convergence envelope, so only the rung maxima are compared.
     """
     ts = np.linspace(0.0, 1.0, int(grid))
+    direct, _ = eval_g_many(ts, zipper, line, lift, tol=g_tol)
     errors = np.zeros((len(panel_ladder), ts.size))
     for row, panels in enumerate(panel_ladder):
         for col, t in enumerate(ts):
             oracle = quadrature_g(t, zipper, line, panels, f_tol=f_tol)
-            direct = eval_g(float(t), zipper, line, lift, tol=g_tol).value
-            errors[row, col] = np.linalg.norm(oracle - direct)
+            errors[row, col] = np.linalg.norm(oracle - direct[col])
     tolerance = max(1e-6, coefficient * float(panel_ladder[-1]) ** (-exponent))
     max_error = float(errors[-1].max())
     clipped = np.maximum(errors.max(axis=1), floor)
@@ -213,11 +207,10 @@ def derivative_check(zipper, line, lift, sample_count=100,
     bounds = np.array([10.0 * d**holder_exponent for d in deltas])
     errors = np.zeros((ts.size, len(deltas)))
     for col, delta in enumerate(deltas):
-        for j, t in enumerate(ts):
-            upper = eval_g(t + delta, zipper, line, lift, tol=g_tol).value
-            lower = eval_g(t - delta, zipper, line, lift, tol=g_tol).value
-            diff = (upper - lower) / (2.0 * delta)
-            errors[j, col] = np.linalg.norm(diff - f_values[j])
+        upper, _ = eval_g_many(ts + delta, zipper, line, lift, tol=g_tol)
+        lower, _ = eval_g_many(ts - delta, zipper, line, lift, tol=g_tol)
+        diff = (upper - lower) / (2.0 * delta)
+        errors[:, col] = _row_norms(diff - f_values)
     tolerance = float(bounds[-1])
     max_error = float(errors[:, -1].max())
     clipped = np.maximum(errors, noise_floor * bounds[None, :])
@@ -294,28 +287,22 @@ def eventual_contraction_check(zipper, max_word_length=8):
 
 
 def graph_identity_check(polyline, evaluate, samples=1000, tol=1e-6):
-    """Re-evaluate sampled graph points through a curve evaluator.
+    """Re-evaluate sampled graph points through a batched curve evaluator.
 
-    ``polyline`` must carry parameters; ``evaluate`` maps a parameter to the
-    expected remaining coordinates.  Subsamples evenly when the polyline has
-    more points than ``samples``.
+    ``polyline`` must carry parameters; ``evaluate`` maps an array of
+    parameters to the (N, n) array of expected remaining coordinates, as
+    ``lambda ts: eval_f_many(ts, zipper, line)[0]`` does.  Subsamples evenly
+    when the polyline has more points than ``samples``.
     """
     if polyline.params is None:
         raise ValueError("polyline carries no parameters")
     count = polyline.points.shape[0]
     take = np.linspace(0, count - 1, min(int(samples), count)).astype(int)
-    errors = np.zeros(take.size)
-    for j, row in enumerate(take):
-        t = float(polyline.params[row])
-        expected = np.asarray(evaluate(t), dtype=float)
-        errors[j] = np.linalg.norm(polyline.points[row, 1:] - expected)
+    expected = np.asarray(evaluate(polyline.params[take]), dtype=float)
+    errors = _row_norms(polyline.points[take, 1:] - expected)
     max_error = float(errors.max())
     return VerificationReport(
         "graph-identity", max_error, take.size, max_error <= tol, tol,
         _worst_offenders(polyline.params[take], errors),
     )
 
-
-def holder_exponent_bound(p, q1=0.5, q2=0.5):
-    """Continuity exponent of the increasing two-map interval family."""
-    return min(math.log(p) / math.log(q1), math.log(1.0 - p) / math.log(q2))

@@ -18,10 +18,11 @@ from zipperlift.families import (
     build_example1,
     build_example2,
 )
-from zipperlift.parametrization import eval_f, eval_f_many
+from zipperlift.parametrization import eval_f_many
 from zipperlift.smoothing import (
     build_lift,
     eval_g,
+    eval_g_many,
     inverse_design,
     node_integrals,
     smooth_zipper,
@@ -160,13 +161,13 @@ def test_criterion_07_graph_identity(interval_03, rotation_half):
         product = product_zipper(zipper, line)
         sampled = refine(product, 12, line=line)
         f_report = graph_identity_check(
-            sampled, lambda t: eval_f(t, zipper, line, tol=1e-9).value,
+            sampled, lambda ts: eval_f_many(ts, zipper, line, tol=1e-9)[0],
             samples=1000, tol=1e-6,
         )
         lifted = smooth_zipper(zipper, line, lift)
         arc = refine(lifted, 12, line=line)
         g_report = graph_identity_check(
-            arc, lambda t: eval_g(t, zipper, line, lift, tol=1e-9).value,
+            arc, lambda ts: eval_g_many(ts, zipper, line, lift, tol=1e-9)[0],
             samples=1000, tol=1e-6,
         )
         worst = max(worst, f_report.max_error, g_report.max_error)

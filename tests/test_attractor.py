@@ -153,3 +153,20 @@ def test_refine_junction_agreement_is_checked(graph_zipper):
     )
     with pytest.raises(ZipperViolation):
         refine(broken, 2)
+
+
+def test_polyline_keeps_read_only_arrays_and_copies_writeable_ones(graph_zipper):
+    product, line = graph_zipper
+    refined = refine(product, 6, line=line)
+    rewrapped = Polyline(points=refined.points, params=refined.params, mesh_bound=0.0)
+    assert np.shares_memory(rewrapped.points, refined.points)
+    assert np.shares_memory(rewrapped.params, refined.params)
+
+    points, params = np.array(refined.points), np.array(refined.params)
+    polyline = Polyline(points=points, params=params, mesh_bound=0.0)
+    assert not np.shares_memory(polyline.points, points)
+    assert not np.shares_memory(polyline.params, params)
+    points[0, 0], params[0] = 99.0, -1.0
+    assert polyline.points[0, 0] == refined.points[0, 0]
+    assert polyline.params[0] == refined.params[0]
+    assert not polyline.points.flags.writeable and not polyline.params.flags.writeable

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +48,16 @@ def test_eval_g_output(capsys):
     assert main(["eval-g", "--example1", "p=0.3", "--t", "0.25"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"][0] == pytest.approx(0.00675, abs=1e-12)
+
+
+def test_verify_stdout_matches_benchmark_digest(capsys):
+    # one-dimensional maps leave no summation order to BLAS, so this digest
+    # holds on any host; an evaluator edit that moves one bit fails here
+    digests = Path(__file__).resolve().parents[1] / "perfbench" / "expected_digests.json"
+    expected = json.loads(digests.read_text())["verify-presets"]["verify:example1:p=0.3"][0]
+    assert main(["verify", "--example1", "p=0.3", "--suite", "all"]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == expected
 
 
 def test_lift_round_trips_through_validate(tmp_path, capsys):

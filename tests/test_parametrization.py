@@ -5,13 +5,8 @@ import pytest
 
 from zipperlift.errors import OutOfDomain, SignatureMismatch, ToleranceUnreachable
 from zipperlift.families import Example1Config, build_example1
-from zipperlift.parametrization import (
-    Address,
-    address_of,
-    eval_f,
-    eval_f_at_address,
-    eval_f_many,
-)
+from zipperlift.geometry import apply
+from zipperlift.parametrization import Address, address_of, eval_f, eval_f_many
 from zipperlift.zipper import line_zipper
 from conftest import uniform_dyadic
 
@@ -141,11 +136,11 @@ def test_node_consistency_both_addresses(interval_03):
         canonical = eval_f(float(t), zipper, line, tol=tol)
         assert np.linalg.norm(canonical.value - zipper.vertices[i]) <= tol
         if 0 < i:
-            # the same node reached as the right endpoint of interval i
-            left_limit = eval_f_at_address(
-                zipper, line, Address((i,), 1 if not line.signature[i - 1] else -1, 1.0)
-            )
-            assert np.linalg.norm(left_limit.value - canonical.value) <= 2 * tol
+            # the same node reached as the right endpoint of interval i: map i
+            # sends 1 there, or 0 when it reverses
+            end = zipper.vertices[0] if line.signature[i - 1] else eval_f(1.0, zipper, line).value
+            left_limit = apply(zipper.maps[i - 1], end)
+            assert np.linalg.norm(left_limit - canonical.value) <= 2 * tol
 
 
 def test_continuity_modulus_interval_family():

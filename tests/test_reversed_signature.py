@@ -13,7 +13,14 @@ import pytest
 from zipperlift.attractor import hausdorff_residual, refine
 from zipperlift.geometry import AffineMap
 from zipperlift.parametrization import eval_f, eval_f_many
-from zipperlift.smoothing import build_lift, eval_g, node_integrals, smooth_zipper, solve_h
+from zipperlift.smoothing import (
+    build_lift,
+    eval_g,
+    eval_g_many,
+    node_integrals,
+    smooth_zipper,
+    solve_h,
+)
 from zipperlift.verification import (
     derivative_check,
     eventual_contraction_check,
@@ -94,7 +101,7 @@ def test_lifted_zipper_reversed(reversed_system):
     assert np.all(np.diff(polyline.params) >= 0)
     assert hausdorff_residual(polyline, lifted) <= 2.0 * polyline.mesh_bound
     identity = graph_identity_check(
-        polyline, lambda t: eval_g(t, zipper, line, lift, tol=1e-9).value,
+        polyline, lambda ts: eval_g_many(ts, zipper, line, lift, tol=1e-9)[0],
         samples=400, tol=1e-6,
     )
     assert identity.passed, identity
@@ -106,7 +113,7 @@ def test_product_zipper_reversed(reversed_system):
     polyline = refine(product, 10, line=line)
     assert np.all(np.diff(polyline.params) >= 0)
     identity = graph_identity_check(
-        polyline, lambda t: eval_f(t, zipper, line, tol=1e-9).value,
+        polyline, lambda ts: eval_f_many(ts, zipper, line, tol=1e-9)[0],
         samples=400, tol=1e-6,
     )
     assert identity.passed, identity
