@@ -171,6 +171,8 @@ def _cmd_render(args):
     if args.csv:
         export_csv(polyline, args.csv)
         written.append(args.csv)
+    # freed first, so the chaos game's arrays do not add to the polyline's memory
+    del polyline
     if args.chaos:
         export_csv(chaos_game(target, args.points, args.seed), args.chaos)
         written.append(args.chaos)

@@ -11,15 +11,21 @@ One strict JSON schema carries zipper systems in and out of the package:
     }
 
 Unknown keys are rejected with a :class:`ParseError` naming the key, and
-wrong shapes with a :class:`ShapeError` naming the field, so a config that
-loads is a config that means what it says.  Lifted systems serialize to
-the same schema, which is what lets the lift output feed back into every
-other command.  All emitters write deterministic bytes.
+wrong shapes or non-finite numbers (``NaN``, ``Infinity``, ``1e400``) with
+a :class:`ShapeError` naming the field, so a config that loads is a config
+that means what it says.  Lifted systems serialize to the same schema,
+which is what lets the lift output feed back into every other command.
+All emitters write deterministic bytes.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import os
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +76,13 @@ class ZipperConfig:
 def _number(value, field):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ShapeError(field, f"field {field!r} must be a number")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ShapeError(field, f"field {field!r} must hold finite numbers")
+    return value
 
 
 def _number_list(value, field, length=None):
@@ -92,7 +104,7 @@ def parse_config(text):
 
     Raises :class:`ParseError` (with line and column) for malformed JSON or
     unknown keys, and :class:`ShapeError` naming the offending field for
-    shape or type problems.
+    shape or type problems and for non-finite numbers.
     """
     try:
         raw = json.loads(text)
@@ -271,18 +283,109 @@ def _block_text(columns, row_sep):
     return "".join(parts)
 
 
-def _write_rows(handle, blocks, row_sep):
-    """Write float rows as text, one block of rows at a time.
+def _usable_cpus():
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    ``blocks`` yields, per block, a list of equal-length 1-D float columns.
-    Rows are separated by ``row_sep``, with none after the last row.  Only
-    one block's strings are alive at a time.
+
+def _read_record(reader):
+    """One length-prefixed record from a formatting child's pipe."""
+    head = reader.read(8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "little")
+        text = reader.read(size)
+        if len(text) == size:
+            return text
+    raise ChildProcessError("a row-formatting child stopped before its last block")
+
+
+def _format_share(blocks, row_sep, out_fd, readers):
+    """Forked child: send each block's text to ``out_fd``, then exit.
+
+    Each block goes out as an 8-byte little-endian length and its UTF-8
+    text.  The child first closes its copies of the read ends, so that its
+    writes fail, and it exits, once the parent is gone.  It never returns
+    into its parent's stack: it leaves by ``os._exit`` whatever happens,
+    after printing any error to stderr.
     """
-    lead = ""
-    for columns in blocks:
-        handle.write(lead)
-        handle.write(_block_text(columns, row_sep))
-        lead = row_sep
+    try:
+        for reader in readers:
+            reader.close()
+        with open(out_fd, "wb") as out:
+            for columns in blocks:
+                text = _block_text(columns, row_sep).encode()
+                out.write(len(text).to_bytes(8, "little"))
+                out.write(text)
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+        os._exit(1)
+    os._exit(0)
+
+
+@contextmanager
+def _block_texts(blocks, count, row_sep):
+    """Yield an iterator over the UTF-8 text of each of ``count`` blocks.
+
+    With ``k = min(usable CPUs, count) >= 2`` and ``os.fork`` available,
+    forked child ``j`` formats blocks ``i = j (mod k)`` of its copy of the
+    lazy ``blocks`` and writes them to its own pipe, which the iterator
+    reads round-robin in block order.  A full pipe stalls its child, so
+    memory stays bounded.  Otherwise the blocks are formatted in-process.
+    The bytes are the same either way.  Every child is reaped on exit; one
+    that failed, or stopped early, raises :class:`ChildProcessError`.
+    """
+    workers = min(_usable_cpus(), count) if hasattr(os, "fork") else 1
+    if workers < 2:
+        yield (_block_text(columns, row_sep).encode() for columns in blocks)
+        return
+    pids, readers = [], []
+    try:
+        for share in range(workers):
+            read_end, write_end = os.pipe()
+            readers.append(open(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    mine = itertools.islice(blocks, share, None, workers)
+                    _format_share(mine, row_sep, write_end, readers)
+            finally:
+                os.close(write_end)
+            pids.append(pid)
+        yield (_read_record(readers[i % workers]) for i in range(count))
+    except BaseException:
+        # Children still formatting are stopped, not left to find their pipe
+        # closed.  signal is imported here, not at module level, because
+        # every CLI command imports this module and only this path needs it.
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for reader in readers:
+            reader.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if any(codes):
+        raise ChildProcessError(f"row-formatting children exited with status {codes}")
+
+
+def _write_rows(handle, blocks, count, row_sep):
+    """Write float rows to a binary file as UTF-8 text, block by block.
+
+    ``blocks`` lazily yields ``count`` blocks, each a list of equal-length
+    1-D float columns.  Rows are separated by ``row_sep``, with none after
+    the last row.  Only a few blocks' strings are alive at a time.
+    """
+    lead, sep = b"", row_sep.encode()
+    with _block_texts(blocks, count, row_sep) as texts:
+        for text in texts:
+            handle.write(lead)
+            handle.write(text)
+            lead = sep
 
 
 def export_csv(data, path):
@@ -292,7 +395,8 @@ def export_csv(data, path):
     ``data`` is a polyline that carries parameters.  Numbers use shortest
     round-trip decimals (:func:`format_number`) and rows end with a bare
     newline, so identical input gives identical bytes.  Rows are written in
-    blocks, so memory stays bounded whatever the row count.
+    blocks, so memory stays bounded whatever the row count, and the blocks
+    are formatted on every CPU the process may use.
     """
     if isinstance(data, np.ndarray):
         points, params = np.asarray(data, dtype=float), None
@@ -303,14 +407,12 @@ def export_csv(data, path):
     if params is not None:
         columns.insert(0, params)
         names.insert(0, "t")
-    blocks = (
-        [column[start : start + _BLOCK_ROWS] for column in columns]
-        for start in range(0, points.shape[0], _BLOCK_ROWS)
-    )
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(names) + "\n")
-        _write_rows(handle, blocks, "\n")
-        handle.write("\n")
+    starts = range(0, points.shape[0], _BLOCK_ROWS)
+    blocks = ([column[start : start + _BLOCK_ROWS] for column in columns] for start in starts)
+    with open(path, "wb") as handle:
+        handle.write((",".join(names) + "\n").encode())
+        _write_rows(handle, blocks, len(starts), "\n")
+        handle.write(b"\n")
 
 
 @dataclass(frozen=True)
@@ -363,21 +465,22 @@ def export_svg(polyline, spec, path):
         pad = 0.05 * span if span > 0.0 else 0.5
         bounds.append((low - pad, high + pad))
         spans.append(span + 2.0 * pad)
+    starts = range(0, xs.shape[0], _BLOCK_ROWS)
     blocks = (
         [
             (xs[start : start + _BLOCK_ROWS] - bounds[0][0]) / spans[0] * spec.width,
             spec.height
             - (ys[start : start + _BLOCK_ROWS] - bounds[1][0]) / spans[1] * spec.height,
         ]
-        for start in range(0, xs.shape[0], _BLOCK_ROWS)
+        for start in starts
     )
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(
+    with open(path, "wb") as handle:
+        handle.write((
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
             f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">\n'
             f'  <polyline fill="none" stroke="black" '
             f'stroke-width="{format_number(spec.stroke_width)}" points="'
-        )
-        _write_rows(handle, blocks, " ")
-        handle.write('"/>\n</svg>\n')
+        ).encode())
+        _write_rows(handle, blocks, len(starts), " ")
+        handle.write(b'"/>\n</svg>\n')

@@ -16,6 +16,7 @@ signature yields the linear parametrization machinery in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,8 +59,8 @@ def as_signature(bits, count=None):
 class ConditionViolation:
     """One failed zipper axiom: which map, which condition, how far off."""
 
-    map_index: int  # 1-based
-    condition: str  # "start-vertex" | "end-vertex" | "contraction"
+    map_index: int  # 1-based; 0 when no single map is at fault
+    condition: str  # "start-vertex" | "end-vertex" | "contraction" | "finite-vertex"
     deviation: float
     detail: str
 
@@ -224,8 +225,14 @@ def inspect_zipper(maps, vertices, signature, tolerance=VERTEX_TOLERANCE,
     signature = as_signature(signature, count=len(maps))
 
     violations = []
+    for k in np.flatnonzero(~np.isfinite(vertices).all(axis=1)).tolist():
+        violations.append(ConditionViolation(
+            0, "finite-vertex", math.inf,
+            f"vertex {k} is {vertices[k].tolist()}, not a finite point",
+        ))
     factors = tuple(operator_norm(mp.linear) for mp in maps)
-    for k, mp in enumerate(maps):
+    # the vertex axioms only mean something at finite vertices
+    for k, mp in enumerate(maps if not violations else ()):
         bit = signature[k]
         expected_start = vertices[k + bit]
         expected_end = vertices[k + 1 - bit]

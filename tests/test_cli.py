@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -160,3 +163,60 @@ def test_inverse_design_degenerate_exit(capsys):
     assert main([
         "inverse-design", "--q1", "0.5", "--x1", "0.5", "--g1", "0", "--g2", "0.3",
     ]) == 2
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+#: A valid two-map interval zipper with one placeholder left to fill.
+FINITE_CHECK_CONFIG = (
+    '{"dimension": 1, "maps": [{"linear": [[0.5]], "translation": [0]},'
+    ' {"linear": [[0.5]], "translation": [%s]}],'
+    ' "vertices": [[0], [%s], [1]], "signature": [0, 0], "lineNodes": [0, %s, 1]}'
+)
+
+
+@pytest.mark.parametrize("translation, vertex, node, field", [
+    ("0.5", "NaN", "0.5", "vertices[1]"),
+    ("NaN", "0.5", "0.5", "maps[1].translation"),
+    ("0.5", "0.5", "Infinity", "lineNodes"),
+    ("0.5", "1e400", "0.5", "vertices[1]"),
+    ("0.5", "1" + "0" * 400, "0.5", "vertices[1]"),
+])
+def test_non_finite_config_numbers_exit_with_shape_error(
+        tmp_path, capsys, translation, vertex, node, field):
+    path = tmp_path / "bad.json"
+    path.write_text(FINITE_CHECK_CONFIG % (translation, vertex, node))
+    svg = tmp_path / "curve.svg"
+    for command in (["validate"], ["eval-f", "--t", "0.5"], ["render", "--svg", str(svg)]):
+        assert main([*command, str(path)]) == 2
+        assert f"error: field {field!r} must hold finite numbers" in capsys.readouterr().err
+    assert not svg.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity control")
+def test_render_pinned_to_one_cpu_writes_the_same_bytes(tmp_path):
+    one_cpu = min(os.sched_getaffinity(0))
+    outputs = []
+    for name, pin in (("pinned", lambda: os.sched_setaffinity(0, {one_cpu})), ("free", None)):
+        files = [tmp_path / f"{name}.svg", tmp_path / f"{name}.csv"]
+        subprocess.run(
+            [sys.executable, "-m", "zipperlift", "render", "--example2", "h=0.5",
+             "--depth", "13", "--svg", str(files[0]), "--csv", str(files[1])],
+            env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=pin, check=True,
+            stdout=subprocess.DEVNULL, timeout=120,
+        )
+        outputs.append([path.read_bytes() for path in files])
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_import_loads_no_process_pool():
+    probe = (
+        "import sys, zipperlift.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert result.stdout.strip() == "[]"

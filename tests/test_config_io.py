@@ -1,9 +1,11 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from zipperlift import config_io
 from zipperlift.attractor import Polyline, refine
 from zipperlift.config_io import (
     RenderSpec,
@@ -194,14 +196,7 @@ def test_export_csv_params_column_matches_format_number(tmp_path, rows):
     assert path.read_text() == expected
 
 
-def test_export_svg_projection_matches_format_number(tmp_path):
-    rng = np.random.default_rng(3)
-    points = rng.normal(size=(4097, 3))
-    points[::7, 2] = 0.25  # repeated and integral canvas coordinates
-    spec = RenderSpec(projection=(0, 2))
-    path = tmp_path / "proj.svg"
-    export_svg(Polyline(points=points, params=None, mesh_bound=0.0), spec, path)
-    xs, ys = points[:, 0], points[:, 2]
+def _reference_svg_points(xs, ys, spec):
     bounds, spans = [], []
     for coords in (xs, ys):
         low, high = float(coords.min()), float(coords.max())
@@ -210,7 +205,17 @@ def test_export_svg_projection_matches_format_number(tmp_path):
         spans.append(high - low + 2.0 * pad)
     px = (xs - bounds[0]) / spans[0] * spec.width
     py = spec.height - (ys - bounds[1]) / spans[1] * spec.height
-    expected = " ".join(f"{format_number(x)},{format_number(y)}" for x, y in zip(px, py))
+    return " ".join(f"{format_number(x)},{format_number(y)}" for x, y in zip(px, py))
+
+
+def test_export_svg_projection_matches_format_number(tmp_path):
+    rng = np.random.default_rng(3)
+    points = rng.normal(size=(4097, 3))
+    points[::7, 2] = 0.25  # repeated and integral canvas coordinates
+    spec = RenderSpec(projection=(0, 2))
+    path = tmp_path / "proj.svg"
+    export_svg(Polyline(points=points, params=None, mesh_bound=0.0), spec, path)
+    expected = _reference_svg_points(points[:, 0], points[:, 2], spec)
     text = path.read_text()
     assert text.split('points="')[1].split('"')[0] == expected
     assert text.endswith('"/>\n</svg>\n')
@@ -232,3 +237,66 @@ def test_export_streams_in_bounded_memory(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 4, name
+
+
+@pytest.fixture(params=[1, 2, 3])
+def forks(request, monkeypatch):
+    """Force the writer's worker count; returns a list that records each fork."""
+    monkeypatch.setattr(config_io, "_usable_cpus", lambda: request.param)
+    made = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return request.param, made
+
+
+@pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 8193, 3 * 4096 + 1])
+def test_forked_export_matches_format_number(tmp_path, forks, rows):
+    workers, made = forks
+    blocks = -(-rows // 4096)
+    rng = np.random.default_rng(rows)
+    table = np.column_stack([np.resize(ADVERSARIAL, rows), rng.normal(size=(rows, 2)) * 1e3])
+
+    export_csv(table, tmp_path / "bare.csv")
+    assert (tmp_path / "bare.csv").read_text() == _reference_csv(["x1", "x2", "x3"], table)
+
+    table = table[np.arange(max(rows, 2)) % rows]  # a polyline has two points or more
+    params = np.linspace(0.0, 1.0, len(table))
+    graph = np.column_stack([params, table[:, 1:]])  # x1 repeats the t column
+    export_csv(Polyline(points=graph, params=params, mesh_bound=0.0), tmp_path / "graph.csv")
+    expected = _reference_csv(["t", "x1", "x2", "x3"], np.column_stack([params, graph]))
+    assert (tmp_path / "graph.csv").read_text() == expected
+
+    points = rng.normal(size=(len(table), 3))
+    points[::7, 2] = 0.25
+    spec = RenderSpec(projection=(0, 2))
+    export_svg(Polyline(points=points, params=None, mesh_bound=0.0), spec, tmp_path / "proj.svg")
+    text = (tmp_path / "proj.svg").read_text()
+    assert text.split('points="')[1].split('"')[0] == _reference_svg_points(
+        points[:, 0], points[:, 2], spec)
+
+    # below two workers the blocks are formatted in-process
+    forked = min(workers, blocks)
+    assert len(made) == (3 * forked if forked >= 2 else 0)
+
+
+def test_forked_export_failure_raises_and_reaps(tmp_path, forks, monkeypatch):
+    workers, _ = forks
+    block_text = config_io._block_text
+
+    def failing(columns, row_sep):
+        if columns[0][0] == 2 * 4096:  # the third block
+            raise RuntimeError("formatting failed")
+        return block_text(columns, row_sep)
+
+    monkeypatch.setattr(config_io, "_block_text", failing)
+    table = np.arange(5 * 4096, dtype=float)[:, None]
+    with pytest.raises(RuntimeError if workers == 1 else ChildProcessError):
+        export_csv(table, tmp_path / "rows.csv")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child is left, not even a zombie

@@ -40,6 +40,17 @@ def test_validate_rejects_wrong_middle_vertex():
     assert any(abs(v.deviation - 0.2) < 1e-12 for v in report.violations)
 
 
+def test_validate_reports_non_finite_vertices():
+    # NaN compares false, so the vertex axioms alone would let this through
+    report = inspect_zipper(interval_maps(0.5), [[0.0], [np.nan], [1.0]], (0, 0))
+    assert not report.valid
+    assert [(v.condition, v.deviation) for v in report.violations] == [("finite-vertex", np.inf)]
+    assert "vertex 1 is [nan]" in report.summary()
+    with pytest.raises(ZipperViolation) as excinfo:
+        validate_zipper(interval_maps(0.5), [[0.0], [0.5], [np.inf]], (0, 0))
+    assert [v.condition for v in excinfo.value.report.violations] == ["finite-vertex"]
+
+
 def test_validate_rotation_family():
     zipper, _ = build_example2(Example2Config(h_param=0.5))
     assert np.allclose(apply(zipper.maps[0], [1.0, 0.0]), [0.5, 0.5], atol=1e-15)
