@@ -15,11 +15,12 @@ evaluates the integral curve g (see :mod:`zipperlift.smoothing`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfDomain, ToleranceUnreachable
+from .errors import DegenerateInput, OutOfDomain, ToleranceUnreachable
 from .zipper import check_pairing
 
 #: Hard cap on address digits before giving up on a tolerance.
@@ -88,7 +89,11 @@ def _descend(ts, line, linears, local, gains, node_rows, tail_row, reach, tol,
     ``linear @ node_rows[j] + offset`` with radius 0 when u hits node j, else
     at ``linear @ tail_row + offset`` once ``factor * reach <= tol``.  No
     point's result depends on the batch.  Returns ``(values, bounds, depths)``.
+    A ``tol`` that is not finite and positive raises :class:`DegenerateInput`:
+    no radius can reach it, so the descent would only stop on a node.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DegenerateInput(f"tolerance must be finite and positive, got {tol!r}")
     ts = np.asarray(ts, dtype=float).ravel()
     inside = (ts >= 0.0) & (ts <= 1.0)
     if not np.all(inside):

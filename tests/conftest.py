@@ -1,6 +1,10 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
+from zipperlift import config_io
 from zipperlift.families import (
     Example1Config,
     Example2Config,
@@ -39,3 +43,23 @@ def uniform_dyadic(rng, count, bits=40):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240813)
+
+
+@pytest.fixture
+def kill_worker(monkeypatch):
+    """Force the CSV/SVG writer's worker count and make each worker SIGKILL
+    itself on a block for which ``when(columns)`` holds."""
+    block_text, parent = config_io._block_text, os.getpid()
+
+    def setup(workers, when):
+        def killing(columns, row_sep):
+            if when(columns):
+                # this process is the test run itself, not a worker
+                assert os.getpid() != parent, "a block was formatted in-process"
+                os.kill(os.getpid(), signal.SIGKILL)
+            return block_text(columns, row_sep)
+
+        monkeypatch.setattr(config_io, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(config_io, "_block_text", killing)
+
+    return setup

@@ -63,6 +63,31 @@ def test_verify_stdout_matches_benchmark_digest(capsys):
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == expected
 
 
+@pytest.mark.parametrize("command", ["eval-f", "eval-g"])
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_eval_rejects_unreachable_tolerance(capsys, command, tol):
+    for preset in (["--example1", "p=0.3"], ["--example2", "h=0.5"]):
+        assert main([command, *preset, "--t", "0.3", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tolerance must be finite and positive")
+
+
+def test_render_stdout_and_files_match_benchmark_digests(tmp_path, monkeypatch, capsys):
+    # Example 1's product maps are diagonal, so no BLAS summation order can
+    # move a bit; a formatter or refine edit that changes one byte fails here
+    digests = Path(__file__).resolve().parents[1] / "perfbench" / "expected_digests.json"
+    expected = json.loads(digests.read_text())["render-presets"]["render:example1:p=0.3"]
+    monkeypatch.chdir(tmp_path)  # the benchmark's relative file names are in stdout
+    argv = ["render", "--example1", "p=0.3", "--depth", "18",
+            "--svg", "render0.svg", "--csv", "render0.csv"]
+    assert main(argv) == 0
+    got = [hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()]
+    got += [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("render0.svg", "render0.csv")]
+    assert got == expected
+
+
 def test_lift_round_trips_through_validate(tmp_path, capsys):
     out = tmp_path / "lifted.json"
     assert main(["lift", "--example1", "p=0.3", "--out", str(out)]) == 0
@@ -220,3 +245,24 @@ def test_cli_import_loads_no_process_pool():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("width", ["nan", "-2"])
+def test_render_rejects_bad_stroke_width(tmp_path, capsys, width):
+    svg = tmp_path / "out.svg"
+    argv = ["render", "--example1", "p=0.3", "--svg", str(svg), "--stroke-width", width]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: stroke width must be finite")
+    assert not svg.exists()
+
+
+def test_render_with_a_dead_worker_is_an_io_error(tmp_path, kill_worker, capfd):
+    kill_worker(2, lambda columns: True)
+    argv = ["render", "--example1", "p=0.3", "--depth", "14", "--svg", str(tmp_path / "out.svg")]
+    assert main(argv) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("io error: a row-formatting worker died")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

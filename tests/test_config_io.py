@@ -1,6 +1,12 @@
+import io
 import math
 import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +164,13 @@ def test_render_spec_validation():
         RenderSpec(width=0)
 
 
+@pytest.mark.parametrize("width", [math.nan, math.inf, -2.0])
+def test_render_spec_rejects_bad_stroke_width(width):
+    with pytest.raises(ValueError, match="stroke width"):
+        RenderSpec(stroke_width=width)
+    RenderSpec(stroke_width=0.0)  # a zero width is valid SVG
+
+
 #: Values where the integer rule, the ``repr`` fallback and signed zero meet.
 ADVERSARIAL = [
     0.0, -0.0, 1.0, -1.0, 1e15, 9999999999999998.0, 1e16, -1e16,
@@ -290,13 +303,129 @@ def test_forked_export_failure_raises_and_reaps(tmp_path, forks, monkeypatch):
     block_text = config_io._block_text
 
     def failing(columns, row_sep):
-        if columns[0][0] == 2 * 4096:  # the third block
+        if columns[0][0] == 2 * 4096:  # the third block, or a pool task from that row
             raise RuntimeError("formatting failed")
         return block_text(columns, row_sep)
 
     monkeypatch.setattr(config_io, "_block_text", failing)
     table = np.arange(5 * 4096, dtype=float)[:, None]
-    with pytest.raises(RuntimeError if workers == 1 else ChildProcessError):
+    with pytest.raises(RuntimeError, match="formatting failed"):  # the worker's own error
         export_csv(table, tmp_path / "rows.csv")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # no child is left, not even a zombie
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_dead_worker_raises_child_process_error_and_reaps(tmp_path, kill_worker, workers):
+    kill_worker(workers, lambda columns: columns[0][0] == 2 * 4096)  # the task from row 8192
+    table = np.arange(5 * 4096, dtype=float)[:, None]
+    with pytest.raises(ChildProcessError, match="worker died"):
+        export_csv(table, tmp_path / "rows.csv")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_interrupted_export_shuts_the_pool_down(monkeypatch):
+    monkeypatch.setattr(config_io, "_usable_cpus", lambda: 2)
+
+    class Interrupted:
+        """A file whose third write is interrupted."""
+
+        writes = 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 3:
+                raise KeyboardInterrupt
+
+    rows = np.arange(5 * 4096, dtype=float)
+
+    def block(start, stop):
+        return [rows[start:stop]]
+
+    with pytest.raises(KeyboardInterrupt):
+        config_io._write_rows(Interrupted(), block, rows.size, "\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_slow_writes_keep_blocks_in_flight_bounded(monkeypatch):
+    monkeypatch.setattr(config_io, "_usable_cpus", lambda: 2)
+    rows = np.random.default_rng(0).normal(size=(24 * 4096, 4))
+
+    def block(start, stop):
+        return list(rows[start:stop].T)
+
+    class SlowFile:
+        """A file whose first write of rows takes a second, time enough for
+        the workers to format all the rest."""
+
+        slow = True
+
+        def write(self, data):
+            if self.slow and len(data) > 1:
+                self.slow = False
+                time.sleep(1.0)
+
+    config_io._write_rows(io.BytesIO(), block, 2 * 4096, "\n")  # imports
+    tracemalloc.start()
+    try:
+        config_io._write_rows(SlowFile(), block, len(rows), "\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # at most 2 * workers + 1 = 5 task texts are held, plus two copies of one
+    # being received; unbounded, all 48 would pile up
+    assert peak < 10 * len(config_io._block_text(block(0, config_io._TASK_ROWS), "\n"))
+
+
+#: Exports with two workers whose blocks never finish, writes the workers'
+#: pids to the file named by argv[1] once both exist, and then kills its own
+#: process.
+KILLED_EXPORTER = """
+import multiprocessing, os, signal, sys, threading, time
+import numpy as np
+from zipperlift import config_io
+
+config_io._usable_cpus = lambda: 2
+config_io._block_text = lambda columns, row_sep: time.sleep(120)
+
+def kill_self():
+    while len(multiprocessing.active_children()) < 2:
+        time.sleep(0.01)
+    with open(sys.argv[1], "w") as out:
+        out.write(" ".join(str(p.pid) for p in multiprocessing.active_children()))
+    os.kill(os.getpid(), signal.SIGKILL)
+
+threading.Thread(target=kill_self, daemon=True).start()
+config_io.export_csv(np.zeros((3 * 4096, 1)), os.devnull)
+"""
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_workers_end_when_the_exporting_process_is_killed(tmp_path):
+    src = str(Path(config_io.__file__).resolve().parents[1])
+    pid_file = tmp_path / "workers.txt"
+    code = subprocess.run(
+        [sys.executable, "-c", KILLED_EXPORTER, str(pid_file)],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL, timeout=60,
+    ).returncode
+    assert code == -signal.SIGKILL
+    pids = [int(pid) for pid in pid_file.read_text().split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 10.0
+    try:
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, pids))
+    finally:
+        for pid in filter(_alive, pids):
+            os.kill(pid, signal.SIGKILL)
