@@ -20,10 +20,12 @@ All emitters write deterministic bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
-from collections import deque
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,13 +251,6 @@ def format_number(value):
 #: objects alive at once, independent of the polyline's length.
 _BLOCK_ROWS = 4096
 
-#: Rows per process-pool task.  A task's text comes back as one pipe
-#: message, and the pool's result thread keeps buffers a few messages large
-#: resident in its own malloc arena.  On the lifted render of a generated
-#: 3-D zipper that was 0.5, 0.9 and 1.7 MB at 1024, 2048 and 4096 rows;
-#: 1024-row tasks cost 5-10% more wall time on a depth-18 render than 2048.
-_TASK_ROWS = 2048
-
 
 def _column_text(values):
     """:func:`format_number` of every entry of a 1-D float array."""
@@ -296,78 +291,101 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-#: Set in pool workers only: the ``block`` function of the export that
-#: forked them (see :func:`_write_rows`).
-_worker_block = None
+def _read_record(reader):
+    """One length-prefixed record from a formatting child's pipe."""
+    head = reader.read(8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "little")
+        text = reader.read(size)
+        if len(text) == size:
+            return text
+    raise ChildProcessError("a row-formatting child stopped before its last block")
 
 
-def _start_worker(block):
-    """Pool worker initializer.
+def _format_share(blocks, row_sep, out_fd, readers):
+    """Forked child: send each block's text to ``out_fd``, then exit.
 
-    Keeps ``block``, which fork hands over without pickling, so that a task
-    is only a row range.  Also ends the worker once the exporting process is
-    gone: if that process is killed, its idle workers would otherwise wait
-    for tasks for good.
+    Each block goes out as an 8-byte little-endian length and its UTF-8
+    text.  The child first closes its copies of the read ends, so that its
+    writes fail, and it exits, once the parent is gone.  It never returns
+    into its parent's stack: it leaves by ``os._exit`` whatever happens,
+    after printing any error to stderr.
     """
-    global _worker_block
-    import multiprocessing
-    import threading
+    try:
+        for reader in readers:
+            reader.close()
+        with open(out_fd, "wb") as out:
+            for columns in blocks:
+                text = _block_text(columns, row_sep).encode()
+                out.write(len(text).to_bytes(8, "little"))
+                out.write(text)
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+        os._exit(1)
+    os._exit(0)
 
-    _worker_block = block
-    parent = multiprocessing.parent_process()
-    threading.Thread(target=lambda: (parent.join(), os._exit(1)), daemon=True).start()
+
+@contextmanager
+def _block_texts(blocks, count, row_sep):
+    """Yield an iterator over the UTF-8 text of each of ``count`` blocks.
+
+    With ``k = min(usable CPUs, count) >= 2`` and ``os.fork`` available,
+    forked child ``j`` formats blocks ``i = j (mod k)`` of its copy of the
+    lazy ``blocks`` and writes them to its own pipe, which the iterator
+    reads round-robin in block order.  A full pipe stalls its child, so
+    memory stays bounded.  Otherwise the blocks are formatted in-process.
+    The bytes are the same either way.  Every child is reaped on exit; one
+    that failed, or stopped early, raises :class:`ChildProcessError`.
+    """
+    workers = min(_usable_cpus(), count) if hasattr(os, "fork") else 1
+    if workers < 2:
+        yield (_block_text(columns, row_sep).encode() for columns in blocks)
+        return
+    pids, readers = [], []
+    try:
+        for share in range(workers):
+            read_end, write_end = os.pipe()
+            readers.append(open(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    mine = itertools.islice(blocks, share, None, workers)
+                    _format_share(mine, row_sep, write_end, readers)
+            finally:
+                os.close(write_end)
+            pids.append(pid)
+        yield (_read_record(readers[i % workers]) for i in range(count))
+    except BaseException:
+        # Children still formatting are stopped, not left to find their pipe
+        # closed.  signal is imported here, not at module level, because
+        # every CLI command imports this module and only this path needs it.
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for reader in readers:
+            reader.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if any(codes):
+        raise ChildProcessError(f"row-formatting children exited with status {codes}")
 
 
-def _format_rows(start, stop, row_sep):
-    """UTF-8 text of rows ``start`` to ``stop``, as a pool worker makes it."""
-    return _block_text(_worker_block(start, stop), row_sep).encode()
+def _write_rows(handle, blocks, count, row_sep):
+    """Write float rows to a binary file as UTF-8 text, block by block.
 
-
-def _write_rows(handle, block, rows, row_sep):
-    """Write ``rows`` float rows to a binary file as UTF-8 text.
-
-    ``block(start, stop)`` gives rows ``start`` to ``stop`` as a list of
-    equal-length 1-D float columns; rows are separated by ``row_sep``, with
-    none after the last.  With ``k = min(usable CPUs, blocks of
-    _BLOCK_ROWS) >= 2`` and ``os.fork``, a fork-context process pool of
-    ``k`` workers computes and formats the rows in tasks of ``_TASK_ROWS``,
-    at most ``2k + 1`` in flight; otherwise, as under ``taskset -c 0``, they
-    are formatted in-process, a block at a time.  The bytes are the same
-    either way.  A worker's exception is re-raised as is; a worker that dies
-    raises :class:`ChildProcessError`.
+    ``blocks`` lazily yields ``count`` blocks, each a list of equal-length
+    1-D float columns.  Rows are separated by ``row_sep``, with none after
+    the last row.  Only a few blocks' strings are alive at a time.
     """
     lead, sep = b"", row_sep.encode()
-    workers = min(_usable_cpus(), -(-rows // _BLOCK_ROWS)) if hasattr(os, "fork") else 1
-    if workers < 2:
-        for start in range(0, rows, _BLOCK_ROWS):
+    with _block_texts(blocks, count, row_sep) as texts:
+        for text in texts:
             handle.write(lead)
-            handle.write(_block_text(block(start, start + _BLOCK_ROWS), row_sep).encode())
+            handle.write(text)
             lead = sep
-        return
-    # imported here because every CLI command imports this module
-    import multiprocessing
-    from concurrent.futures import process
-
-    pool = process.ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker, initargs=(block,),
-    )
-    starts = range(0, rows, _TASK_ROWS)
-    pending = deque()
-    try:
-        for submitted, start in enumerate(starts, 1):
-            pending.append(pool.submit(_format_rows, start, start + _TASK_ROWS, row_sep))
-            # unlike Executor.map, which submits every task at once, keep at
-            # most 2 * workers + 1 in flight; after the last one, drain them
-            while len(pending) > (2 * workers if submitted < len(starts) else 0):
-                handle.write(lead)
-                handle.write(pending.popleft().result())
-                lead = sep
-    except process.BrokenProcessPool as exc:
-        raise ChildProcessError(f"a row-formatting worker died: {exc}") from exc
-    finally:
-        # on any exception too, so that no worker outlives the export
-        pool.shutdown(cancel_futures=True)
 
 
 def export_csv(data, path):
@@ -377,9 +395,8 @@ def export_csv(data, path):
     ``data`` is a polyline that carries parameters.  Numbers use shortest
     round-trip decimals (:func:`format_number`) and rows end with a bare
     newline, so identical input gives identical bytes.  Rows are written in
-    blocks, formatted by a process pool on every CPU the process may use or
-    in-process on one (``taskset -c 0``), to the same bytes and in bounded
-    memory; see :func:`_write_rows` for how a failed or dead worker shows.
+    blocks, so memory stays bounded whatever the row count, and the blocks
+    are formatted on every CPU the process may use.
     """
     if isinstance(data, np.ndarray):
         points, params = np.asarray(data, dtype=float), None
@@ -390,12 +407,11 @@ def export_csv(data, path):
     if params is not None:
         columns.insert(0, params)
         names.insert(0, "t")
+    starts = range(0, points.shape[0], _BLOCK_ROWS)
+    blocks = ([column[start : start + _BLOCK_ROWS] for column in columns] for start in starts)
     with open(path, "wb") as handle:
         handle.write((",".join(names) + "\n").encode())
-        _write_rows(
-            handle, lambda start, stop: [column[start:stop] for column in columns],
-            points.shape[0], "\n",
-        )
+        _write_rows(handle, blocks, len(starts), "\n")
         handle.write(b"\n")
 
 
@@ -451,13 +467,15 @@ def export_svg(polyline, spec, path):
         pad = 0.05 * span if span > 0.0 else 0.5
         bounds.append((low - pad, high + pad))
         spans.append(span + 2.0 * pad)
-
-    def block(start, stop):
-        return [
-            (xs[start:stop] - bounds[0][0]) / spans[0] * spec.width,
-            spec.height - (ys[start:stop] - bounds[1][0]) / spans[1] * spec.height,
+    starts = range(0, xs.shape[0], _BLOCK_ROWS)
+    blocks = (
+        [
+            (xs[start : start + _BLOCK_ROWS] - bounds[0][0]) / spans[0] * spec.width,
+            spec.height
+            - (ys[start : start + _BLOCK_ROWS] - bounds[1][0]) / spans[1] * spec.height,
         ]
-
+        for start in starts
+    )
     with open(path, "wb") as handle:
         handle.write((
             '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -466,5 +484,5 @@ def export_svg(polyline, spec, path):
             f'  <polyline fill="none" stroke="black" '
             f'stroke-width="{format_number(spec.stroke_width)}" points="'
         ).encode())
-        _write_rows(handle, block, xs.shape[0], " ")
+        _write_rows(handle, blocks, len(starts), " ")
         handle.write(b'"/>\n</svg>\n')

@@ -263,6 +263,6 @@ def test_render_with_a_dead_worker_is_an_io_error(tmp_path, kill_worker, capfd):
     captured = capfd.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("io error: a row-formatting worker died")
+    assert len(lines) == 1 and lines[0].startswith("io error: a row-formatting child stopped")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -1,4 +1,3 @@
-import io
 import math
 import os
 import signal
@@ -235,6 +234,18 @@ def test_export_svg_projection_matches_format_number(tmp_path):
 
 
 def test_export_streams_in_bounded_memory(tmp_path):
+    _assert_exports_stream(tmp_path)
+
+
+@pytest.mark.parametrize("workers", [16, 32])
+def test_export_memory_does_not_grow_with_the_cpu_count(tmp_path, monkeypatch, workers):
+    # 17 blocks at depth 16, so 16 and 17 children: the parent must still
+    # hold one block's text at a time, not one per child
+    monkeypatch.setattr(config_io, "_usable_cpus", lambda: workers)
+    _assert_exports_stream(tmp_path)
+
+
+def _assert_exports_stream(tmp_path):
     zipper, line = build_example1(Example1Config(p=0.3))
     polyline = refine(product_zipper(zipper, line), 16, line=line)
     exports = {
@@ -303,13 +314,13 @@ def test_forked_export_failure_raises_and_reaps(tmp_path, forks, monkeypatch):
     block_text = config_io._block_text
 
     def failing(columns, row_sep):
-        if columns[0][0] == 2 * 4096:  # the third block, or a pool task from that row
+        if columns[0][0] == 2 * 4096:  # the third block
             raise RuntimeError("formatting failed")
         return block_text(columns, row_sep)
 
     monkeypatch.setattr(config_io, "_block_text", failing)
     table = np.arange(5 * 4096, dtype=float)[:, None]
-    with pytest.raises(RuntimeError, match="formatting failed"):  # the worker's own error
+    with pytest.raises(RuntimeError if workers == 1 else ChildProcessError):
         export_csv(table, tmp_path / "rows.csv")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # no child is left, not even a zombie
@@ -317,15 +328,21 @@ def test_forked_export_failure_raises_and_reaps(tmp_path, forks, monkeypatch):
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_dead_worker_raises_child_process_error_and_reaps(tmp_path, kill_worker, workers):
-    kill_worker(workers, lambda columns: columns[0][0] == 2 * 4096)  # the task from row 8192
+    kill_worker(workers, lambda columns: columns[0][0] == 2 * 4096)  # the third block
     table = np.arange(5 * 4096, dtype=float)[:, None]
-    with pytest.raises(ChildProcessError, match="worker died"):
+    with pytest.raises(ChildProcessError, match="row-formatting child stopped"):
         export_csv(table, tmp_path / "rows.csv")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_interrupted_export_shuts_the_pool_down(monkeypatch):
+def _row_blocks(rows):
+    """The 4096-row blocks of a 2-D array, as lists of columns."""
+    starts = range(0, len(rows), 4096)
+    return (list(rows[start : start + 4096].T) for start in starts), len(starts)
+
+
+def test_interrupted_export_reaps_its_children(monkeypatch):
     monkeypatch.setattr(config_io, "_usable_cpus", lambda: 2)
 
     class Interrupted:
@@ -338,13 +355,8 @@ def test_interrupted_export_shuts_the_pool_down(monkeypatch):
             if self.writes == 3:
                 raise KeyboardInterrupt
 
-    rows = np.arange(5 * 4096, dtype=float)
-
-    def block(start, stop):
-        return [rows[start:stop]]
-
     with pytest.raises(KeyboardInterrupt):
-        config_io._write_rows(Interrupted(), block, rows.size, "\n")
+        config_io._write_rows(Interrupted(), *_row_blocks(np.zeros((5 * 4096, 1))), "\n")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -353,12 +365,9 @@ def test_slow_writes_keep_blocks_in_flight_bounded(monkeypatch):
     monkeypatch.setattr(config_io, "_usable_cpus", lambda: 2)
     rows = np.random.default_rng(0).normal(size=(24 * 4096, 4))
 
-    def block(start, stop):
-        return list(rows[start:stop].T)
-
     class SlowFile:
         """A file whose first write of rows takes a second, time enough for
-        the workers to format all the rest."""
+        the children to format all the rest if nothing stalled them."""
 
         slow = True
 
@@ -367,38 +376,45 @@ def test_slow_writes_keep_blocks_in_flight_bounded(monkeypatch):
                 self.slow = False
                 time.sleep(1.0)
 
-    config_io._write_rows(io.BytesIO(), block, 2 * 4096, "\n")  # imports
     tracemalloc.start()
     try:
-        config_io._write_rows(SlowFile(), block, len(rows), "\n")
+        config_io._write_rows(SlowFile(), *_row_blocks(rows), "\n")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # at most 2 * workers + 1 = 5 task texts are held, plus two copies of one
-    # being received; unbounded, all 48 would pile up
-    assert peak < 10 * len(config_io._block_text(block(0, config_io._TASK_ROWS), "\n"))
+    # a full pipe stalls its child, so the parent holds about one block's
+    # text at a time; unbounded, all 24 would pile up
+    block = next(_row_blocks(rows)[0])
+    assert peak < 3 * len(config_io._block_text(block, "\n"))
 
 
-#: Exports with two workers whose blocks never finish, writes the workers'
-#: pids to the file named by argv[1] once both exist, and then kills its own
-#: process.
+#: Exports with two children that format slowly, writes their pids to the
+#: file named by argv[1] once both exist, and then kills its own process.
 KILLED_EXPORTER = """
-import multiprocessing, os, signal, sys, threading, time
+import os, signal, sys, threading, time
 import numpy as np
 from zipperlift import config_io
 
-config_io._usable_cpus = lambda: 2
-config_io._block_text = lambda columns, row_sep: time.sleep(120)
+block_text, fork, pids = config_io._block_text, os.fork, []
+
+def recording_fork():
+    pid = fork()
+    if pid:
+        pids.append(pid)
+    return pid
 
 def kill_self():
-    while len(multiprocessing.active_children()) < 2:
+    while len(pids) < 2:
         time.sleep(0.01)
     with open(sys.argv[1], "w") as out:
-        out.write(" ".join(str(p.pid) for p in multiprocessing.active_children()))
+        out.write(" ".join(map(str, pids)))
     os.kill(os.getpid(), signal.SIGKILL)
 
+os.fork = recording_fork
+config_io._usable_cpus = lambda: 2
+config_io._block_text = lambda columns, row_sep: (time.sleep(0.2), block_text(columns, row_sep))[1]
 threading.Thread(target=kill_self, daemon=True).start()
-config_io.export_csv(np.zeros((3 * 4096, 1)), os.devnull)
+config_io.export_csv(np.zeros((40 * 4096, 1)), os.devnull)
 """
 
 
@@ -411,12 +427,13 @@ def _alive(pid):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
-def test_workers_end_when_the_exporting_process_is_killed(tmp_path):
+def test_children_end_when_the_exporting_process_is_killed(tmp_path):
     src = str(Path(config_io.__file__).resolve().parents[1])
-    pid_file = tmp_path / "workers.txt"
+    pid_file = tmp_path / "children.txt"
     code = subprocess.run(
         [sys.executable, "-c", KILLED_EXPORTER, str(pid_file)],
-        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL, timeout=60,
     ).returncode
     assert code == -signal.SIGKILL
     pids = [int(pid) for pid in pid_file.read_text().split()]
@@ -425,7 +442,7 @@ def test_workers_end_when_the_exporting_process_is_killed(tmp_path):
     try:
         while any(map(_alive, pids)) and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert not any(map(_alive, pids))
+        assert not any(map(_alive, pids))  # each died writing to its closed pipe
     finally:
         for pid in filter(_alive, pids):
             os.kill(pid, signal.SIGKILL)
