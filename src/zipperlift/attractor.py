@@ -61,6 +61,32 @@ def _read_only(values):
     return array
 
 
+def _check_depth(depth, depth_cap):
+    depth = int(depth)
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if depth > depth_cap:
+        raise DepthCap(f"depth {depth} exceeds the cap {depth_cap}")
+    return depth
+
+
+def _images(zipper, points):
+    """Images of ``points`` under each map in order, reversed where the
+    signature bit is set, after asserting that consecutive images meet to
+    ``JUNCTION_TOLERANCE``."""
+    images = [
+        apply_many(mp, points)[:: -1 if bit else 1]
+        for mp, bit in zip(zipper.maps, zipper.signature)
+    ]
+    for k in range(1, len(images)):
+        gap = float(np.linalg.norm(images[k][0] - images[k - 1][-1]))
+        if gap > JUNCTION_TOLERANCE:
+            raise ZipperViolation(message=(
+                f"junction between pieces {k} and {k + 1} differs by {gap:.3e}"
+            ))
+    return images
+
+
 def refine(zipper, depth, line=None, depth_cap=DEPTH_CAP):
     """Subdivision polyline of the attractor at the given depth.
 
@@ -74,37 +100,18 @@ def refine(zipper, depth, line=None, depth_cap=DEPTH_CAP):
     through the same words, so graph-type attractors come back with their
     parameters attached.
     """
-    depth = int(depth)
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if depth > depth_cap:
-        raise DepthCap(f"depth {depth} exceeds the cap {depth_cap}")
+    depth = _check_depth(depth, depth_cap)
     points = np.array(zipper.vertices, dtype=float)
     params = None if line is None else np.array(line.nodes, dtype=float)
 
     for _ in range(depth):
-        blocks = []
-        param_blocks = []
-        for k, mp in enumerate(zipper.maps):
-            image = apply_many(mp, points)
-            if zipper.signature[k]:
-                image = image[::-1]
-            blocks.append(image)
-            if params is not None:
-                image_params = line.forward(k + 1, params)
-                if zipper.signature[k]:
-                    image_params = image_params[::-1]
-                param_blocks.append(image_params)
-        merged = [blocks[0]]
-        for k in range(1, len(blocks)):
-            gap = float(np.linalg.norm(blocks[k][0] - blocks[k - 1][-1]))
-            if gap > JUNCTION_TOLERANCE:
-                raise ZipperViolation(message=(
-                    f"junction between pieces {k} and {k + 1} differs by {gap:.3e}"
-                ))
-            merged.append(blocks[k][1:])
-        points = np.concatenate(merged)
+        blocks = _images(zipper, points)
+        points = np.concatenate([blocks[0]] + [block[1:] for block in blocks[1:]])
         if params is not None:
+            param_blocks = [
+                line.forward(k + 1, params)[:: -1 if bit else 1]
+                for k, bit in enumerate(zipper.signature)
+            ]
             params = np.concatenate(
                 [param_blocks[0]] + [block[1:] for block in param_blocks[1:]]
             )
@@ -116,6 +123,99 @@ def refine(zipper, depth, line=None, depth_cap=DEPTH_CAP):
     if params is not None:
         params.setflags(write=False)
     return Polyline(points=points, params=params, mesh_bound=mesh_bound)
+
+
+#: A segment source starts from the deepest level whose polyline, of
+#: m^(k+1) + 1 rows, has at most this many rows, so that every segment is
+#: about one 4096-row export block.
+SEGMENT_ROWS = 4097
+
+
+def segment_level(zipper, depth):
+    """Level ``k`` of the polyline ``P_k`` that a depth-``depth``
+    :class:`Segments` is built from: the deepest level up to ``depth``
+    whose m^(k+1) + 1 rows fit in ``SEGMENT_ROWS``, and 0 at least."""
+    level, m = 0, zipper.map_count
+    while level < depth and m ** (level + 2) + 1 <= SEGMENT_ROWS:
+        level += 1
+    return level
+
+
+class Segments:
+    """The depth-``depth`` subdivision polyline as segments computed on demand.
+
+    The attractor is the union of its images, so the depth-d polyline is
+    the concatenation, over the words W of length d - k in traversal order,
+    of ``S_W(P_k)``, where ``base`` is ``P_k = refine(zipper, k, line)`` at
+    ``k = segment_level(zipper, depth)``.  Calling the source with an index
+    ``i`` in ``range(count)`` returns segment i's ``(points, params)``;
+    ``params`` is None when ``base`` carries none.  Concatenated, the
+    segments equal ``refine(zipper, depth, line)`` bit for bit, and no more
+    than one segment is computed at a time.  Construction runs ``refine``'s
+    junction check for levels k + 1..d on the tracked end points of each
+    level, so a violation raises the same :class:`ZipperViolation` before
+    any segment exists.
+    """
+
+    def __init__(self, zipper, base, depth, line=None):
+        depth = _check_depth(depth, DEPTH_CAP)
+        level = segment_level(zipper, depth)
+        m = zipper.map_count
+        if base.points.shape[0] != m ** (level + 1) + 1:
+            raise ValueError(f"base must be the level-{level} refine polyline")
+        if (line is None) != (base.params is None):
+            raise ValueError("base carries params exactly when a line is given")
+        self.zipper, self.base, self.line = zipper, base, line
+        self.length = depth - level
+        self.count = m**self.length
+        ends = base.points[[0, -1]]
+        for _ in range(self.length):
+            images = _images(zipper, ends)
+            ends = np.array([images[0][0], images[-1][-1]])
+
+    def _word(self, i):
+        """Segment i's letters (0-based map indices, outermost first) and
+        the signature parity of each prefix of them, the empty one first.
+
+        The digits of i in base m pick the letters, read backwards below an
+        odd prefix, where the traversal runs through the images in reverse.
+        """
+        m, signature = self.zipper.map_count, self.zipper.signature
+        letters, parities = [], [0]
+        for place in range(self.length - 1, -1, -1):
+            digit = i // m**place % m
+            letter = m - 1 - digit if parities[-1] else digit
+            letters.append(letter)
+            parities.append(parities[-1] ^ signature[letter])
+        return letters, parities
+
+    def _prefix_parity(self, parities, i):
+        """Parity of the common prefix of the words of segments i - 1 and i."""
+        m, place = self.zipper.map_count, 0
+        while i % m**(place + 1) == 0:
+            place += 1
+        return parities[self.length - place - 1]
+
+    def __call__(self, i):
+        if not 0 <= i < self.count:
+            raise IndexError(f"segment {i} outside 0..{self.count - 1}")
+        letters, parities = self._word(i)
+        points, params = self.base.points, self.base.params
+        for letter in reversed(letters):
+            points = apply_many(self.zipper.maps[letter], points)
+            if params is not None:
+                params = self.line.forward(letter + 1, params)
+        # Neighbouring segments share a junction row, of which refine keeps
+        # the copy that comes first under the words' common prefix: this
+        # segment's first row goes after an even prefix, the earlier
+        # segment's last row after an odd one.
+        start = 1 if i > 0 and not self._prefix_parity(parities, i) else 0
+        stop = -1 if i + 1 < self.count and self._prefix_parity(parities, i + 1) else None
+        order = -1 if parities[-1] else 1
+        points = points[::order][start:stop]
+        if params is not None:
+            params = params[::order][start:stop]
+        return points, params
 
 
 def chaos_game(zipper, count, seed, burn_in=64):

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .attractor import chaos_game, refine
+from .attractor import Segments, chaos_game, refine, segment_level
 from .config_io import (
     RenderSpec,
     build_system,
@@ -165,14 +165,15 @@ def _cmd_render(args):
         depth=args.depth, width=args.width, height=args.height,
         stroke_width=args.stroke_width, projection=projection,
     )
-    polyline = refine(target, spec.depth, line=line)
-    export_svg(polyline, spec, args.svg)
+    # the depth-d rows are computed segment by segment in the exports, from
+    # the small polyline P_k; the junction check runs before any file opens
+    base = refine(target, segment_level(target, spec.depth), line=line)
+    segments = Segments(target, base, spec.depth, line=line)
+    export_svg(segments, spec, args.svg)
     written = [args.svg]
     if args.csv:
-        export_csv(polyline, args.csv)
+        export_csv(segments, args.csv)
         written.append(args.csv)
-    # freed first, so the chaos game's arrays do not add to the polyline's memory
-    del polyline
     if args.chaos:
         export_csv(chaos_game(target, args.points, args.seed), args.chaos)
         written.append(args.chaos)

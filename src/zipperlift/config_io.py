@@ -20,7 +20,6 @@ All emitters write deterministic bytes.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -30,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attractor import Segments
 from .errors import DimensionUnsupported, ParseError, ShapeError, ZipperViolation
 from .geometry import AffineMap
 from .zipper import line_zipper, validate_zipper
@@ -302,8 +302,9 @@ def _read_record(reader):
     raise ChildProcessError("a row-formatting child stopped before its last block")
 
 
-def _format_share(blocks, row_sep, out_fd, readers):
-    """Forked child: send each block's text to ``out_fd``, then exit.
+def _format_share(block, indices, row_sep, out_fd, readers):
+    """Forked child: send the text of each block ``block(i)``, ``i`` in
+    ``indices``, to ``out_fd``, then exit.
 
     Each block goes out as an 8-byte little-endian length and its UTF-8
     text.  The child first closes its copies of the read ends, so that its
@@ -315,8 +316,8 @@ def _format_share(blocks, row_sep, out_fd, readers):
         for reader in readers:
             reader.close()
         with open(out_fd, "wb") as out:
-            for columns in blocks:
-                text = _block_text(columns, row_sep).encode()
+            for i in indices:
+                text = _block_text(block(i), row_sep).encode()
                 out.write(len(text).to_bytes(8, "little"))
                 out.write(text)
     except BaseException:
@@ -327,20 +328,21 @@ def _format_share(blocks, row_sep, out_fd, readers):
 
 
 @contextmanager
-def _block_texts(blocks, count, row_sep):
-    """Yield an iterator over the UTF-8 text of each of ``count`` blocks.
+def _block_texts(block, count, row_sep):
+    """Yield an iterator over the UTF-8 text of blocks ``block(0)`` to
+    ``block(count - 1)``.
 
     With ``k = min(usable CPUs, count) >= 2`` and ``os.fork`` available,
-    forked child ``j`` formats blocks ``i = j (mod k)`` of its copy of the
-    lazy ``blocks`` and writes them to its own pipe, which the iterator
-    reads round-robin in block order.  A full pipe stalls its child, so
+    forked child ``j`` computes and formats blocks ``i = j (mod k)`` only,
+    and writes them to its own pipe, which the iterator reads round-robin
+    in block order.  A full pipe stalls its child, so
     memory stays bounded.  Otherwise the blocks are formatted in-process.
     The bytes are the same either way.  Every child is reaped on exit; one
     that failed, or stopped early, raises :class:`ChildProcessError`.
     """
     workers = min(_usable_cpus(), count) if hasattr(os, "fork") else 1
     if workers < 2:
-        yield (_block_text(columns, row_sep).encode() for columns in blocks)
+        yield (_block_text(block(i), row_sep).encode() for i in range(count))
         return
     pids, readers = [], []
     try:
@@ -350,8 +352,8 @@ def _block_texts(blocks, count, row_sep):
             try:
                 pid = os.fork()
                 if pid == 0:
-                    mine = itertools.islice(blocks, share, None, workers)
-                    _format_share(mine, row_sep, write_end, readers)
+                    _format_share(block, range(share, count, workers), row_sep,
+                                  write_end, readers)
             finally:
                 os.close(write_end)
             pids.append(pid)
@@ -373,45 +375,69 @@ def _block_texts(blocks, count, row_sep):
         raise ChildProcessError(f"row-formatting children exited with status {codes}")
 
 
-def _write_rows(handle, blocks, count, row_sep):
+def _write_rows(handle, block, count, row_sep):
     """Write float rows to a binary file as UTF-8 text, block by block.
 
-    ``blocks`` lazily yields ``count`` blocks, each a list of equal-length
+    ``block(i)`` gives block ``i`` of ``count`` as a list of equal-length
     1-D float columns.  Rows are separated by ``row_sep``, with none after
     the last row.  Only a few blocks' strings are alive at a time.
     """
     lead, sep = b"", row_sep.encode()
-    with _block_texts(blocks, count, row_sep) as texts:
+    with _block_texts(block, count, row_sep) as texts:
         for text in texts:
             handle.write(lead)
             handle.write(text)
             lead = sep
 
 
-def export_csv(data, path):
-    """Write a polyline, or an ``(N, d)`` array of points, as CSV.
+def _row_blocks(data):
+    """``(block, count)``: the rows of ``data`` as ``count`` blocks, where
+    ``block(i)`` gives block i's points and params (None without a ``t``
+    column).
 
-    The header is ``t,x1,...,xd``; the ``t`` column is present exactly when
-    ``data`` is a polyline that carries parameters.  Numbers use shortest
-    round-trip decimals (:func:`format_number`) and rows end with a bare
-    newline, so identical input gives identical bytes.  Rows are written in
-    blocks, so memory stays bounded whatever the row count, and the blocks
-    are formatted on every CPU the process may use.
+    ``data`` is a segment source (:class:`~zipperlift.attractor.Segments`),
+    whose blocks are its segments, or a polyline or an ``(N, d)`` array of
+    points, cut into ``_BLOCK_ROWS``-row blocks.
     """
+    if isinstance(data, Segments):
+        return data, data.count
     if isinstance(data, np.ndarray):
         points, params = np.asarray(data, dtype=float), None
     else:
         points, params = data.points, data.params
-    columns = [points[:, j] for j in range(points.shape[1])]
-    names = [f"x{j + 1}" for j in range(len(columns))]
+
+    def block(i):
+        rows = slice(i * _BLOCK_ROWS, (i + 1) * _BLOCK_ROWS)
+        return points[rows], None if params is None else params[rows]
+
+    return block, -(-points.shape[0] // _BLOCK_ROWS)
+
+
+def export_csv(data, path):
+    """Write a polyline, a segment source or an ``(N, d)`` array of points
+    as CSV.
+
+    The header is ``t,x1,...,xd``; the ``t`` column is present exactly when
+    ``data`` carries parameters.  Numbers use shortest round-trip decimals
+    (:func:`format_number`) and rows end with a bare newline, so identical
+    input gives identical bytes.  Rows are written in blocks, so memory
+    stays bounded whatever the row count, and the blocks are computed and
+    formatted on every CPU the process may use.
+    """
+    rows, count = _row_blocks(data)
+    points, params = rows(0)
+    names = [f"x{j + 1}" for j in range(points.shape[1])]
     if params is not None:
-        columns.insert(0, params)
         names.insert(0, "t")
-    starts = range(0, points.shape[0], _BLOCK_ROWS)
-    blocks = ([column[start : start + _BLOCK_ROWS] for column in columns] for start in starts)
+
+    def block(i):
+        points, params = rows(i)
+        columns = [points[:, j] for j in range(points.shape[1])]
+        return columns if params is None else [params] + columns
+
     with open(path, "wb") as handle:
         handle.write((",".join(names) + "\n").encode())
-        _write_rows(handle, blocks, len(starts), "\n")
+        _write_rows(handle, block, count, "\n")
         handle.write(b"\n")
 
 
@@ -448,34 +474,36 @@ def _projected_axes(dim, projection):
     )
 
 
-def export_svg(polyline, spec, path):
-    """Write a polyline as a single-element SVG document.
+def export_svg(data, spec, path):
+    """Write a polyline or a segment source as a single-element SVG document.
 
     The drawing fits the data bounding box with a 5% margin and flips the
     vertical axis into mathematical orientation.  Output bytes are
     deterministic for identical input, and the points are written in blocks
     like CSV rows.
     """
-    axes = _projected_axes(polyline.points.shape[1], spec.projection)
-    xs = polyline.points[:, axes[0]]
-    ys = polyline.points[:, axes[1]]
+    rows, count = _row_blocks(data)
+    axes = _projected_axes(rows(0)[0].shape[1], spec.projection)
+    low, high = np.full(2, np.inf), np.full(2, -np.inf)
+    for i in range(count):
+        coords = rows(i)[0][:, axes]
+        low = np.minimum(low, coords.min(axis=0))
+        high = np.maximum(high, coords.max(axis=0))
     spans = []
     bounds = []
-    for coords in (xs, ys):
-        low, high = float(coords.min()), float(coords.max())
-        span = high - low
+    for low_j, high_j in zip(low.tolist(), high.tolist()):
+        span = high_j - low_j
         pad = 0.05 * span if span > 0.0 else 0.5
-        bounds.append((low - pad, high + pad))
+        bounds.append((low_j - pad, high_j + pad))
         spans.append(span + 2.0 * pad)
-    starts = range(0, xs.shape[0], _BLOCK_ROWS)
-    blocks = (
-        [
-            (xs[start : start + _BLOCK_ROWS] - bounds[0][0]) / spans[0] * spec.width,
-            spec.height
-            - (ys[start : start + _BLOCK_ROWS] - bounds[1][0]) / spans[1] * spec.height,
+
+    def block(i):
+        points = rows(i)[0]
+        return [
+            (points[:, axes[0]] - bounds[0][0]) / spans[0] * spec.width,
+            spec.height - (points[:, axes[1]] - bounds[1][0]) / spans[1] * spec.height,
         ]
-        for start in starts
-    )
+
     with open(path, "wb") as handle:
         handle.write((
             '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -484,5 +512,5 @@ def export_svg(polyline, spec, path):
             f'  <polyline fill="none" stroke="black" '
             f'stroke-width="{format_number(spec.stroke_width)}" points="'
         ).encode())
-        _write_rows(handle, blocks, len(starts), " ")
+        _write_rows(handle, block, count, " ")
         handle.write(b'"/>\n</svg>\n')

@@ -100,7 +100,11 @@ def apply_many(mapping, points):
         raise DimensionMismatch(
             f"expected points of shape (N, {mapping.dimension}), got {points.shape}"
         )
-    return points @ mapping.linear.T + mapping.translation
+    images = points @ mapping.linear.T
+    # column by column: a broadcast add would loop over rows of d entries
+    for j, shift in enumerate(mapping.translation.tolist()):
+        images[:, j] += shift
+    return images
 
 
 def compose(outer, inner):

@@ -148,7 +148,7 @@ def _descend_f(ts, zipper, line, tol, max_depth):
     check_pairing(zipper, line)
     norms = np.array(zipper.linear_norms)
     if norms.max() >= 1.0:
-        raise ValueError(
+        raise DegenerateInput(
             "parametrization evaluation needs every map to contract; "
             f"worst operator norm is {norms.max():.6g}"
         )

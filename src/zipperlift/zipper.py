@@ -386,7 +386,8 @@ def product_zipper(zipper, line):
         translation = np.concatenate([interval_map.translation, spatial_map.translation])
         built.append(AffineMap(linear, translation))
     vertices = np.column_stack([line.nodes, zipper.vertices])
-    return validate_zipper(built, vertices, zipper.signature)
+    return validate_zipper(built, vertices, zipper.signature,
+                           contraction=zipper.contraction_mode)
 
 
 def similarity_decomposition(zipper, tolerance=VERTEX_TOLERANCE):

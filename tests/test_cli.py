@@ -266,3 +266,80 @@ def test_render_with_a_dead_worker_is_an_io_error(tmp_path, kill_worker, capfd):
     assert len(lines) == 1 and lines[0].startswith("io error: a row-formatting child stopped")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+#: Valid only in the eventual-contraction mode: each linear part has norm
+#: about 3.08, but the words of length 8 contract.
+EVENTUAL_CONFIG = {
+    "dimension": 2,
+    "maps": [
+        {"linear": [[0.5, 3.0], [0.0, 0.5]], "translation": [0.0, 0.0]},
+        {"linear": [[0.5, 3.0], [0.0, 0.5]], "translation": [0.5, 0.0]},
+    ],
+    "vertices": [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
+    "signature": [0, 0],
+}
+
+
+def test_graph_render_of_an_eventually_contracting_zipper(tmp_path, capsys):
+    config = tmp_path / "eventual.json"
+    config.write_text(json.dumps(EVENTUAL_CONFIG))
+    assert main(["validate", str(config)]) == 0
+    assert "eventual contraction" in capsys.readouterr().out
+    svg = tmp_path / "graph.svg"
+    assert main(["render", str(config), "--depth", "6", "--svg", str(svg)]) == 0
+    assert svg.read_text().count("<polyline") == 1
+
+
+def test_f_of_an_eventually_contracting_zipper_is_a_typed_error(tmp_path, capfd):
+    from zipperlift.config_io import build_system
+    from zipperlift.errors import ZipperLiftError
+    from zipperlift.parametrization import eval_f_many
+
+    zipper, line = build_system(parse_config(json.dumps(EVENTUAL_CONFIG)))
+    with pytest.raises(ZipperLiftError, match="needs every map to contract"):
+        eval_f_many([0.3], zipper, line)
+    config = tmp_path / "eventual.json"
+    config.write_text(json.dumps(EVENTUAL_CONFIG))
+    for command in (["eval-f", "--t", "0.3"], ["verify"]):
+        assert main([*command, str(config)]) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: parametrization evaluation")
+
+
+#: Runs the command in argv[1:] and prints its exit code and peak RSS in
+#: MB, its children included.  A child's ru_maxrss starts at its
+#: launcher's high-water mark, which the exec keeps, so a small fresh
+#: interpreter launches the render: pytest's own mark can exceed it.
+PEAK_RSS = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024)\n"
+)
+
+
+def _render_peak_rss_mb(tmp_path, depth):
+    """Peak RSS, in MB, of ``render --example2 h=0.5 --svg --csv`` at a depth
+    in a fresh interpreter, its formatting children included."""
+    argv = [sys.executable, "-m", "zipperlift", "render", "--example2", "h=0.5",
+            "--depth", str(depth), "--svg", str(tmp_path / "curve.svg"),
+            "--csv", str(tmp_path / "curve.csv")]
+    result = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, *argv], env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    code, peak = result.stdout.split()
+    assert code == "0"
+    return float(peak)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_render_memory_does_not_grow_with_depth(tmp_path):
+    # depth 18 has 64 times the rows of depth 12; a render that held them
+    # all would read about 45 MB more
+    shallow = _render_peak_rss_mb(tmp_path, 12)
+    deep = _render_peak_rss_mb(tmp_path, 18)
+    assert abs(deep - shallow) <= 8.0, (shallow, deep)

@@ -337,9 +337,9 @@ def test_dead_worker_raises_child_process_error_and_reaps(tmp_path, kill_worker,
 
 
 def _row_blocks(rows):
-    """The 4096-row blocks of a 2-D array, as lists of columns."""
-    starts = range(0, len(rows), 4096)
-    return (list(rows[start : start + 4096].T) for start in starts), len(starts)
+    """``(block, count)``: the 4096-row blocks of a 2-D array, ``block(i)``
+    giving block i as a list of columns."""
+    return (lambda i: list(rows[4096 * i : 4096 * (i + 1)].T)), -(-len(rows) // 4096)
 
 
 def test_interrupted_export_reaps_its_children(monkeypatch):
@@ -384,7 +384,7 @@ def test_slow_writes_keep_blocks_in_flight_bounded(monkeypatch):
         tracemalloc.stop()
     # a full pipe stalls its child, so the parent holds about one block's
     # text at a time; unbounded, all 24 would pile up
-    block = next(_row_blocks(rows)[0])
+    block = _row_blocks(rows)[0](0)
     assert peak < 3 * len(config_io._block_text(block, "\n"))
 
 
