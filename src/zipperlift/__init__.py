@@ -53,7 +53,6 @@ from .geometry import (
 )
 from .parametrization import Address, ParamEvaluation, address_of, eval_f, eval_f_many
 from .smoothing import (
-    GEvaluation,
     SmoothLift,
     build_lift,
     eval_g,

@@ -25,6 +25,9 @@ DEPTH_CAP = 30
 #: Junction points produced by adjacent maps must agree this closely.
 JUNCTION_TOLERANCE = 1e-9
 
+#: Chaos-game steps discarded before the first returned point.
+BURN_IN = 64
+
 
 @dataclass(frozen=True, eq=False)
 class Polyline:
@@ -61,12 +64,12 @@ def _read_only(values):
     return array
 
 
-def _check_depth(depth, depth_cap):
+def _check_depth(depth):
     depth = int(depth)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if depth > depth_cap:
-        raise DepthCap(f"depth {depth} exceeds the cap {depth_cap}")
+    if depth > DEPTH_CAP:
+        raise DepthCap(f"depth {depth} exceeds the cap {DEPTH_CAP}")
     return depth
 
 
@@ -87,7 +90,7 @@ def _images(zipper, points):
     return images
 
 
-def refine(zipper, depth, line=None, depth_cap=DEPTH_CAP):
+def refine(zipper, depth, line=None):
     """Subdivision polyline of the attractor at the given depth.
 
     Depth 0 is the vertex polyline.  Each further level concatenates the
@@ -100,7 +103,7 @@ def refine(zipper, depth, line=None, depth_cap=DEPTH_CAP):
     through the same words, so graph-type attractors come back with their
     parameters attached.
     """
-    depth = _check_depth(depth, depth_cap)
+    depth = _check_depth(depth)
     points = np.array(zipper.vertices, dtype=float)
     params = None if line is None else np.array(line.nodes, dtype=float)
 
@@ -158,7 +161,7 @@ class Segments:
     """
 
     def __init__(self, zipper, base, depth, line=None):
-        depth = _check_depth(depth, DEPTH_CAP)
+        depth = _check_depth(depth)
         level = segment_level(zipper, depth)
         m = zipper.map_count
         if base.points.shape[0] != m ** (level + 1) + 1:
@@ -218,7 +221,7 @@ class Segments:
         return points, params
 
 
-def chaos_game(zipper, count, seed, burn_in=64):
+def chaos_game(zipper, count, seed):
     """Random-iteration attractor sample: ``count`` points, reproducible.
 
     Starts at the first vertex (a true attractor point), applies uniformly
@@ -232,14 +235,14 @@ def chaos_game(zipper, count, seed, burn_in=64):
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)
-    choices = rng.integers(0, zipper.map_count, size=burn_in + count)
+    choices = rng.integers(0, zipper.map_count, size=BURN_IN + count)
     point = np.array(zipper.vertices[0], dtype=float)
     out = np.empty((count, zipper.dimension))
     for step, choice in enumerate(choices):
         mp = zipper.maps[choice]
         point = mp.linear @ point + mp.translation
-        if step >= burn_in:
-            out[step - burn_in] = point
+        if step >= BURN_IN:
+            out[step - BURN_IN] = point
     out.setflags(write=False)
     return out
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attractor import Segments
+from .attractor import DEPTH_CAP, Segments
 from .errors import DimensionUnsupported, ParseError, ShapeError, ZipperViolation
 from .geometry import AffineMap
 from .zipper import line_zipper, validate_zipper
@@ -48,29 +48,6 @@ class ZipperConfig:
     vertices: np.ndarray
     signature: tuple[int, ...]
     line_nodes: np.ndarray | None = None
-
-    def __eq__(self, other):
-        if not isinstance(other, ZipperConfig):
-            return NotImplemented
-        return (
-            self.dimension == other.dimension
-            and self.signature == other.signature
-            and len(self.maps) == len(other.maps)
-            and all(
-                np.array_equal(a.linear, b.linear)
-                and np.array_equal(a.translation, b.translation)
-                for a, b in zip(self.maps, other.maps)
-            )
-            and np.array_equal(self.vertices, other.vertices)
-            and (
-                (self.line_nodes is None and other.line_nodes is None)
-                or (
-                    self.line_nodes is not None
-                    and other.line_nodes is not None
-                    and np.array_equal(self.line_nodes, other.line_nodes)
-                )
-            )
-        )
 
 
 def _number(value, field):
@@ -206,10 +183,9 @@ def config_from_system(zipper, line=None):
 def build_system(config):
     """Validate a parsed config into a (Zipper, LineZipper) pair.
 
-    Tries per-map contraction first and falls back to the eventual mode
-    (word length 8), so lifted systems load through the same path; the
-    chosen mode is recorded on the returned zipper.  Line nodes default to
-    a uniform split.
+    Tries per-map contraction first and falls back to the eventual mode,
+    so lifted systems load through the same path; the chosen mode is
+    recorded on the returned zipper.  Line nodes default to a uniform split.
     """
     try:
         zipper = validate_zipper(config.maps, config.vertices, config.signature)
@@ -220,8 +196,7 @@ def build_system(config):
         ):
             raise
         zipper = validate_zipper(
-            config.maps, config.vertices, config.signature,
-            contraction="eventual", word_length=8,
+            config.maps, config.vertices, config.signature, contraction="eventual",
         )
     count = len(config.maps)
     nodes = (
@@ -452,8 +427,8 @@ class RenderSpec:
     projection: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.depth > 30 or self.depth < 0:
-            raise ValueError(f"depth must lie in 0..30, got {self.depth}")
+        if self.depth > DEPTH_CAP or self.depth < 0:
+            raise ValueError(f"depth must lie in 0..{DEPTH_CAP}, got {self.depth}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("canvas dimensions must be positive")
         if not (math.isfinite(self.stroke_width) and self.stroke_width >= 0.0):

@@ -10,7 +10,7 @@ class DimensionMismatch(ZipperLiftError):
 
 
 class SingularSystem(ZipperLiftError):
-    """A linear solve met a pivot below the singularity floor."""
+    """A linear system is singular or misses its residual contract."""
 
 
 class ZipperViolation(ZipperLiftError):

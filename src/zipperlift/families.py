@@ -63,47 +63,24 @@ class Example1Config:
         object.__setattr__(self, "q1", float(q1))
         object.__setattr__(self, "x1", float(q1))
 
-    @property
-    def generalized(self):
-        return self.p is None
-
 
 def build_example1(config):
     """Build the interval family as a (1-D zipper, line zipper) pair.
 
-    Plain form: maps x -> p x and x -> (1-p) x + p with vertices (0, p, 1)
-    and halving nodes.  Generalized form: heights (0, y1, y2) over nodes
-    (0, x1, 1); the two chord ratios y1/y2 and (y2-y1)/y2 become the linear
-    parts, and the builder cross-checks them against the validated
-    decomposition.
+    Heights (0, y1, y2) over nodes (0, x1, 1); the two chord ratios y1/y2
+    and (y2-y1)/y2 are the linear parts.  The plain form is the case
+    x1 = 1/2, y1 = p, y2 = 1: maps x -> p x and x -> (1-p) x + p.
     """
-    if not config.generalized:
-        p = float(config.p)
-        maps = (
-            AffineMap([[p]], [0.0]),
-            AffineMap([[1.0 - p]], [p]),
-        )
-        vertices = np.array([[0.0], [p], [1.0]])
-        nodes = (0.0, 0.5, 1.0)
+    if config.p is None:
+        x1, y1, y2 = config.x1, float(config.y1), float(config.y2)
     else:
-        y1, y2 = float(config.y1), float(config.y2)
-        ratio1 = y1 / y2
-        ratio2 = (y2 - y1) / y2
-        maps = (
-            AffineMap([[ratio1]], [0.0]),
-            AffineMap([[ratio2]], [y1]),
-        )
-        vertices = np.array([[0.0], [y1], [y2]])
-        nodes = (0.0, config.x1, 1.0)
-    zipper = validate_zipper(maps, vertices, (0, 0))
-    line = line_zipper(nodes, (0, 0))
-    if config.generalized:
-        # the chord ratios must be exactly the decomposed linear parts
-        from .zipper import similarity_decomposition
-
-        for part, ratio in zip(similarity_decomposition(zipper), (ratio1, ratio2)):
-            if abs(float(part.linear_part[0, 0]) - ratio) > 1e-12:
-                raise InvalidConfig("chord ratios disagree with the map decomposition")
+        x1, y1, y2 = 0.5, float(config.p), 1.0
+    maps = (
+        AffineMap([[y1 / y2]], [0.0]),
+        AffineMap([[(y2 - y1) / y2]], [y1]),
+    )
+    zipper = validate_zipper(maps, np.array([[0.0], [y1], [y2]]), (0, 0))
+    line = line_zipper((0.0, x1, 1.0), (0, 0))
     return zipper, line
 
 

@@ -3,9 +3,9 @@
 Vectors are one-dimensional float64 arrays, matrices are square float64
 arrays, and an :class:`AffineMap` pairs a matrix with a translation.  The
 ambient dimension in this package stays tiny (d <= ~8), so the routines
-favour determinism over asymptotics: elimination with partial pivoting for
-solves and power iteration from fixed start vectors for spectral norms,
-both bit-reproducible across runs.
+favour determinism over asymptotics: LAPACK LU for solves and power
+iteration from fixed start vectors for spectral norms, both
+bit-reproducible across runs.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import CombinatorialBudget, DimensionMismatch, SingularSystem
 
-#: Pivots below this magnitude are treated as a singular system.
-PIVOT_FLOOR = 1e-14
+#: Matrices whose smallest singular value is below this are singular.
+SINGULAR_VALUE_FLOOR = 1e-14
 
 #: Target relative accuracy of the power-iteration spectral norm.
 NORM_RELATIVE_ACCURACY = 1e-9
@@ -27,6 +27,12 @@ MAX_POWER_ITERATIONS = 10_000
 
 #: Residual contract of :func:`solve_linear`, relative to 1 + |rhs|.
 SOLVE_RESIDUAL_BOUND = 1e-12
+
+#: A word scan certifies contraction once every normalized norm is below this.
+CONTRACTION_THRESHOLD = 1.0 - 1e-9
+
+#: Most word products a contraction scan may enumerate.
+WORD_BUDGET = 10**6
 
 
 def as_vector(values, dim=None):
@@ -119,50 +125,28 @@ def compose(outer, inner):
     )
 
 
-def _eliminate(matrix, rhs):
-    """Forward elimination with partial pivoting plus back substitution."""
-    a = np.array(matrix, dtype=float)
-    b = np.array(rhs, dtype=float)
-    n = b.size
-    for col in range(n):
-        pivot = int(np.argmax(np.abs(a[col:, col]))) + col
-        if abs(a[pivot, col]) < PIVOT_FLOOR:
-            raise SingularSystem(
-                f"pivot magnitude {abs(a[pivot, col]):.3e} below {PIVOT_FLOOR:g} "
-                f"in column {col}"
-            )
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            b[[col, pivot]] = b[[pivot, col]]
-        for row in range(col + 1, n):
-            lam = a[row, col] / a[col, col]
-            if lam != 0.0:
-                a[row, col:] -= lam * a[col, col:]
-                b[row] -= lam * b[col]
-    x = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x
-
 def solve_linear(matrix, rhs):
     """Solve ``matrix @ x = rhs`` for small dense systems.
 
-    Gaussian elimination with partial pivoting, followed by one pass of
-    iterative refinement so the multiply-back residual stays below
-    ``1e-12 * (1 + |rhs|)``.  Raises :class:`SingularSystem` when a pivot
-    falls below :data:`PIVOT_FLOOR` or the residual contract cannot be met.
+    LAPACK LU with partial pivoting (``np.linalg.solve``).  Raises
+    :class:`SingularSystem` when the smallest singular value of ``matrix``,
+    its 2-norm distance to a singular matrix, falls below
+    :data:`SINGULAR_VALUE_FLOOR`, or when the multiply-back residual exceeds
+    ``1e-12 * (1 + |rhs|)``.
     """
     matrix = as_matrix(matrix)
     rhs = as_vector(rhs, dim=matrix.shape[0])
-    x = _eliminate(matrix, rhs)
-    budget = SOLVE_RESIDUAL_BOUND * (1.0 + float(np.linalg.norm(rhs)))
-    residual = rhs - matrix @ x
-    if np.linalg.norm(residual) > 0.1 * budget:
-        x = x + _eliminate(matrix, residual)
-        residual = rhs - matrix @ x
-    if np.linalg.norm(residual) > budget:
+    smallest = float(np.linalg.svd(matrix, compute_uv=False)[-1])
+    if smallest < SINGULAR_VALUE_FLOOR:
         raise SingularSystem(
-            f"residual {np.linalg.norm(residual):.3e} exceeds contract {budget:.3e}; "
+            f"smallest singular value {smallest:.3e} below {SINGULAR_VALUE_FLOOR:g}"
+        )
+    x = np.linalg.solve(matrix, rhs)
+    budget = SOLVE_RESIDUAL_BOUND * (1.0 + float(np.linalg.norm(rhs)))
+    residual = float(np.linalg.norm(rhs - matrix @ x))
+    if residual > budget:
+        raise SingularSystem(
+            f"residual {residual:.3e} exceeds contract {budget:.3e}; "
             "system is numerically singular"
         )
     x.setflags(write=False)
@@ -210,36 +194,35 @@ class ContractionScan:
     """Outcome of a word-product contraction search.
 
     ``word_length`` is the first length L at which every length-L product
-    of the scanned linear parts has operator norm^(1/L) below the threshold,
-    or ``None`` when no tested length succeeds.  ``values`` lists the tested
+    of the scanned linear parts has operator norm^(1/L) below
+    :data:`CONTRACTION_THRESHOLD`, or ``None`` when no tested length succeeds.  ``values`` lists the tested
     ``(L, worst norm^(1/L))`` pairs in order.
     """
 
     word_length: int | None
     values: tuple[tuple[int, float], ...]
-    threshold: float
 
     @property
     def passed(self):
         return self.word_length is not None
 
 
-def eventual_contraction_scan(linears, max_word_length, threshold=1.0 - 1e-9, budget=10**6):
+def eventual_contraction_scan(linears, max_word_length):
     """Search word lengths 1..max_word_length for a contraction certificate.
 
     For each length L the scan forms all m^L products of the given matrices
     and records the worst ``operator_norm(product) ** (1/L)``; it stops at
-    the first L with every such value below ``threshold``.  Raises
-    :class:`CombinatorialBudget` when ``m ** max_word_length`` exceeds the
-    enumeration budget.
+    the first L with every such value below :data:`CONTRACTION_THRESHOLD`.
+    Raises :class:`CombinatorialBudget` when ``m ** max_word_length`` exceeds
+    :data:`WORD_BUDGET`.
     """
     mats = [as_matrix(m) for m in linears]
     if not mats:
         raise ValueError("need at least one matrix")
     count = len(mats)
-    if count**max_word_length > budget:
+    if count**max_word_length > WORD_BUDGET:
         raise CombinatorialBudget(
-            f"{count}^{max_word_length} words exceed the {budget:g} budget"
+            f"{count}^{max_word_length} words exceed the {WORD_BUDGET:g} budget"
         )
     dim = mats[0].shape[0]
     level = [np.eye(dim)]
@@ -248,9 +231,9 @@ def eventual_contraction_scan(linears, max_word_length, threshold=1.0 - 1e-9, bu
         level = [product @ mat for product in level for mat in mats]
         worst = max(operator_norm(product) for product in level) ** (1.0 / length)
         values.append((length, worst))
-        if worst < threshold:
-            return ContractionScan(length, tuple(values), threshold)
-    return ContractionScan(None, tuple(values), threshold)
+        if worst < CONTRACTION_THRESHOLD:
+            return ContractionScan(length, tuple(values))
+    return ContractionScan(None, tuple(values))
 
 
 def word_reach_bound(maps, base_point, word_length):

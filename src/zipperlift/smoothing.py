@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateInput
 from .geometry import AffineMap, solve_linear
-from .parametrization import MAX_DEPTH, _descend
+from .parametrization import MAX_DEPTH, ParamEvaluation, _descend
 from .zipper import check_pairing, similarity_decomposition, validate_zipper
 
 
@@ -46,15 +46,6 @@ class SmoothLift:
     node_integrals: np.ndarray
     lifted_maps: tuple[AffineMap, ...]
     source_signature: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class GEvaluation:
-    """An integral-curve point with certified error radius and depth used."""
-
-    value: np.ndarray
-    error_bound: float
-    depth: int
 
 
 def solve_h(zipper, line):
@@ -135,18 +126,23 @@ def smooth_zipper(zipper, line, lift):
     """The lifted maps as a validated zipper on R^{n+1}.
 
     Vertices are (t_i, g(t_i)) with the source signature.  Validation runs
-    in eventual-contraction mode (word length up to 8): lifted linear parts
-    need not contract map by map even though their word products do.
+    in eventual-contraction mode: lifted linear parts need not contract map
+    by map even though their word products do.
     """
     vertices = np.column_stack([line.nodes, lift.node_integrals])
     return validate_zipper(
-        lift.lifted_maps, vertices, zipper.signature,
-        contraction="eventual", word_length=8,
+        lift.lifted_maps, vertices, zipper.signature, contraction="eventual",
     )
 
 
 def _descend_g(ts, zipper, line, lift, tol, max_depth):
     check_pairing(zipper, line)
+    gains = line.ratios * np.array(zipper.linear_norms)
+    if gains.max() >= 1.0:
+        raise DegenerateInput(
+            "integral evaluation needs every rescaled map to contract; "
+            f"worst gain q_i |A_i| is {gains.max():.6g}"
+        )
     decomposition = similarity_decomposition(zipper)
     g_nodes, nodes, zero = lift.node_integrals, line.nodes, np.zeros(zipper.dimension)
     scaled = np.array([q * part.linear_part for part, q in zip(decomposition, line.ratios)])
@@ -159,8 +155,7 @@ def _descend_g(ts, zipper, line, lift, tol, max_depth):
 
     # |g| <= sup |f| <= the reach of the attractor around z_0 = 0
     return _descend(
-        ts, line, scaled, local, line.ratios * np.array(zipper.linear_norms),
-        g_nodes, zero, zipper.diameter_bound, tol, max_depth,
+        ts, line, scaled, local, gains, g_nodes, zero, zipper.diameter_bound, tol, max_depth,
     )
 
 
@@ -183,7 +178,7 @@ def eval_g(t, zipper, line, lift, tol=1e-9, max_depth=MAX_DEPTH):
     values, bounds, depths = _descend_g([t], zipper, line, lift, tol, max_depth)
     value = values[0]
     value.setflags(write=False)
-    return GEvaluation(value, float(bounds[0]), int(depths[0]))
+    return ParamEvaluation(value, float(bounds[0]), int(depths[0]))
 
 
 def inverse_design(q1, q2, x1, g1, g2):

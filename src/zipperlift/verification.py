@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNormalized, ZeroTangent
-from .geometry import eventual_contraction_scan
+from .geometry import CONTRACTION_THRESHOLD, eventual_contraction_scan
 from .parametrization import _matvec, eval_f_many
 from .smoothing import eval_g_many
-from .zipper import check_pairing, similarity_decomposition
+from .zipper import EVENTUAL_WORD_LENGTH, check_pairing, similarity_decomposition
 
 
 @dataclass(frozen=True)
@@ -264,13 +264,13 @@ def tangent_scan(zipper, line, lift, sample_count, t_min=1.0 / 64.0,
     )
 
 
-def eventual_contraction_check(zipper, max_word_length=8):
+def eventual_contraction_check(zipper, max_word_length=EVENTUAL_WORD_LENGTH):
     """Certify that word products of the zipper's linear parts contract.
 
     Scans word lengths L = 1..max_word_length for the first L where every
     length-L product has operator norm^(1/L) below 1; reports the certified
     value.  Raises :class:`CombinatorialBudget` when the enumeration would
-    exceed ``10**6`` words.
+    exceed :data:`~zipperlift.geometry.WORD_BUDGET` words.
     """
     scan = eventual_contraction_scan(
         [mp.linear for mp in zipper.maps], int(max_word_length)
@@ -281,7 +281,7 @@ def eventual_contraction_check(zipper, max_word_length=8):
         max_error = min(value for _, value in scan.values)
     tested = sum(zipper.map_count**length for length, _ in scan.values)
     return VerificationReport(
-        "eventual-contraction", max_error, tested, scan.passed, scan.threshold,
+        "eventual-contraction", max_error, tested, scan.passed, CONTRACTION_THRESHOLD,
         tuple((float(length), value) for length, value in scan.values),
     )
 

@@ -38,11 +38,14 @@ from .geometry import (
     word_reach_bound,
 )
 
-#: Default tolerance for the vertex conditions.
+#: Tolerance of the vertex conditions.
 VERTEX_TOLERANCE = 1e-9
 
 #: Per-map contraction requires operator norm below 1 minus this margin.
 CONTRACTION_MARGIN = 1e-12
+
+#: Longest word an eventual-contraction certificate may need.
+EVENTUAL_WORD_LENGTH = 8
 
 
 def as_signature(bits, count=None):
@@ -72,7 +75,6 @@ class ValidationReport:
     valid: bool
     violations: tuple[ConditionViolation, ...]
     contraction_factors: tuple[float, ...]
-    tolerance: float
     contraction_mode: str
 
     def summary(self):
@@ -99,16 +101,12 @@ class Zipper:
     vertices: np.ndarray  # (m+1, n), read-only
     signature: tuple[int, ...]
     dimension: int
+    linear_norms: tuple[float, ...]  # operator norms of the linear parts
     contraction_mode: str = "per-map"
 
     @property
     def map_count(self):
         return len(self.maps)
-
-    @cached_property
-    def linear_norms(self):
-        """Operator norms of the linear parts, in map order."""
-        return tuple(operator_norm(mp.linear) for mp in self.maps)
 
     @cached_property
     def diameter_bound(self):
@@ -123,7 +121,7 @@ class Zipper:
         lmax = max(self.linear_norms)
         if lmax < 1.0:
             return reach / (1.0 - lmax)
-        return word_reach_bound(self.maps, z0, 8)
+        return word_reach_bound(self.maps, z0, EVENTUAL_WORD_LENGTH)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,13 +197,13 @@ class SimilarityDecomposition:
     sign: int
 
 
-def inspect_zipper(maps, vertices, signature, tolerance=VERTEX_TOLERANCE,
-                   contraction="per-map", word_length=8):
+def inspect_zipper(maps, vertices, signature, contraction="per-map"):
     """Check the zipper axioms, returning a full :class:`ValidationReport`.
 
-    ``contraction`` selects the requirement: ``"per-map"`` demands every
-    linear part have operator norm < 1, ``"eventual"`` accepts families
-    whose length-L word products contract for some L <= ``word_length``.
+    Vertex conditions hold to :data:`VERTEX_TOLERANCE`.  ``contraction``
+    selects the requirement: ``"per-map"`` demands every linear part have
+    operator norm < 1, ``"eventual"`` accepts families whose length-L word
+    products contract for some L <= :data:`EVENTUAL_WORD_LENGTH`.
     """
     maps = tuple(maps)
     if not maps:
@@ -240,13 +238,13 @@ def inspect_zipper(maps, vertices, signature, tolerance=VERTEX_TOLERANCE,
         observed_end = apply(mp, vertices[-1])
         dev_start = float(np.linalg.norm(observed_start - expected_start))
         dev_end = float(np.linalg.norm(observed_end - expected_end))
-        if dev_start > tolerance:
+        if dev_start > VERTEX_TOLERANCE:
             violations.append(ConditionViolation(
                 k + 1, "start-vertex", dev_start,
                 f"maps first vertex to {observed_start.tolist()}, "
                 f"expected {expected_start.tolist()}",
             ))
-        if dev_end > tolerance:
+        if dev_end > VERTEX_TOLERANCE:
             violations.append(ConditionViolation(
                 k + 1, "end-vertex", dev_end,
                 f"maps last vertex to {observed_end.tolist()}, "
@@ -261,12 +259,12 @@ def inspect_zipper(maps, vertices, signature, tolerance=VERTEX_TOLERANCE,
                     f"operator norm {factor:.12g} is not below 1",
                 ))
     elif contraction == "eventual":
-        scan = eventual_contraction_scan([mp.linear for mp in maps], word_length)
+        scan = eventual_contraction_scan([mp.linear for mp in maps], EVENTUAL_WORD_LENGTH)
         if not scan.passed:
             worst = min(value for _, value in scan.values)
             violations.append(ConditionViolation(
                 0, "contraction", worst,
-                f"no word length up to {word_length} certifies contraction "
+                f"no word length up to {EVENTUAL_WORD_LENGTH} certifies contraction "
                 f"(best normalized norm {worst:.12g})",
             ))
     else:
@@ -276,18 +274,16 @@ def inspect_zipper(maps, vertices, signature, tolerance=VERTEX_TOLERANCE,
         valid=not violations,
         violations=tuple(violations),
         contraction_factors=factors,
-        tolerance=tolerance,
         contraction_mode=contraction,
     )
 
 
-def validate_zipper(maps, vertices, signature, tolerance=VERTEX_TOLERANCE,
-                    contraction="per-map", word_length=8):
+def validate_zipper(maps, vertices, signature, contraction="per-map"):
     """Validate and build a :class:`Zipper`, raising :class:`ZipperViolation`.
 
     The raised error carries the report listing every violated condition.
     """
-    report = inspect_zipper(maps, vertices, signature, tolerance, contraction, word_length)
+    report = inspect_zipper(maps, vertices, signature, contraction)
     if not report.valid:
         raise ZipperViolation(report)
     maps = tuple(maps)
@@ -300,6 +296,7 @@ def validate_zipper(maps, vertices, signature, tolerance=VERTEX_TOLERANCE,
         vertices=vertices,
         signature=as_signature(signature, count=len(maps)),
         dimension=maps[0].dimension,
+        linear_norms=report.contraction_factors,
         contraction_mode=contraction,
     )
 
@@ -332,7 +329,7 @@ def line_zipper(nodes, signature):
     return line
 
 
-def normalize_zipper(zipper, tolerance=VERTEX_TOLERANCE):
+def normalize_zipper(zipper):
     """Conjugate ``zipper`` by a translation so its first vertex is the origin.
 
     Returns ``(normalized, shift)`` where ``shift = -z_0``; each new vertex is
@@ -351,8 +348,7 @@ def normalize_zipper(zipper, tolerance=VERTEX_TOLERANCE):
     moved_vertices = zipper.vertices + shift
     shift.setflags(write=False)
     normalized = validate_zipper(
-        moved_maps, moved_vertices, zipper.signature, tolerance,
-        contraction=zipper.contraction_mode,
+        moved_maps, moved_vertices, zipper.signature, contraction=zipper.contraction_mode,
     )
     return normalized, shift
 
@@ -390,14 +386,14 @@ def product_zipper(zipper, line):
                            contraction=zipper.contraction_mode)
 
 
-def similarity_decomposition(zipper, tolerance=VERTEX_TOLERANCE):
+def similarity_decomposition(zipper):
     """Normal-form decomposition of every map of a zipper with z_0 = 0.
 
     Raises :class:`NotNormalized` when the first vertex is not the origin
     and :class:`ZipperViolation` if the decomposed linear parts fail to send
     the last vertex onto the vertex chords.
     """
-    if float(np.linalg.norm(zipper.vertices[0])) > tolerance:
+    if float(np.linalg.norm(zipper.vertices[0])) > VERTEX_TOLERANCE:
         raise NotNormalized(
             f"first vertex {zipper.vertices[0].tolist()} is not the origin; "
             "call normalize_zipper first"
@@ -410,7 +406,7 @@ def similarity_decomposition(zipper, tolerance=VERTEX_TOLERANCE):
         offset = zipper.vertices[k + zipper.signature[k]]
         chord = zipper.vertices[k + 1] - zipper.vertices[k]
         deviation = float(np.linalg.norm(linear_part @ b - chord))
-        if deviation > tolerance:
+        if deviation > VERTEX_TOLERANCE:
             raise ZipperViolation(message=(
                 f"map {k + 1}: decomposed linear part misses the vertex chord "
                 f"by {deviation:.3e}"

@@ -138,12 +138,11 @@ def test_criterion_06_lifted_zipperhood():
         lift = build_lift(zipper, line)
         lifted = smooth_zipper(zipper, line, lift)
         report = inspect_zipper(
-            lifted.maps, lifted.vertices, lifted.signature,
-            tolerance=1e-9, contraction="eventual", word_length=8,
+            lifted.maps, lifted.vertices, lifted.signature, contraction="eventual",
         )
         if not report.valid:
             failures.append(f"{kind}={value}: vertex conditions")
-        if not eventual_contraction_check(lifted, max_word_length=8).passed:
+        if not eventual_contraction_check(lifted).passed:
             failures.append(f"{kind}={value}: contraction")
         polyline = refine(lifted, 12, line=line)
         residual = hausdorff_residual(polyline, lifted)

@@ -235,10 +235,13 @@ def test_render_pinned_to_one_cpu_writes_the_same_bytes(tmp_path):
 
 
 def test_cli_import_loads_no_process_pool():
+    # nor scipy, which only the residual checks need and which would double
+    # the import time of every command
     probe = (
         "import sys, zipperlift.cli; "
         "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))"
+        "if m.split('.')[0] in ('multiprocessing', 'scipy') "
+        "or m.startswith('concurrent.futures')))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC),
@@ -307,6 +310,20 @@ def test_f_of_an_eventually_contracting_zipper_is_a_typed_error(tmp_path, capfd)
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: parametrization evaluation")
+
+
+def test_g_with_a_rescaled_map_that_does_not_contract_is_a_typed_error(tmp_path):
+    # q_2 |A_2| = 0.7 * 3.08 > 1: the descent could never certify a radius
+    config = tmp_path / "eventual.json"
+    config.write_text(json.dumps({**EVENTUAL_CONFIG, "lineNodes": [0, 0.3, 1]}))
+    result = subprocess.run(
+        [sys.executable, "-m", "zipperlift", "eval-g", str(config), "--t", "0.123"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: integral evaluation")
+    assert "RuntimeWarning" not in result.stderr
 
 
 #: Runs the command in argv[1:] and prints its exit code and peak RSS in

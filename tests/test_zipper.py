@@ -8,9 +8,11 @@ from zipperlift.errors import (
     SignatureMismatch,
     ZipperViolation,
 )
-from zipperlift.geometry import AffineMap, apply
+from zipperlift.geometry import AffineMap, apply, operator_norm
 from zipperlift.families import Example1Config, Example2Config, build_example1, build_example2
+from zipperlift.smoothing import build_lift, smooth_zipper
 from zipperlift.zipper import (
+    VERTEX_TOLERANCE,
     inspect_zipper,
     line_zipper,
     normalize_zipper,
@@ -28,6 +30,15 @@ def test_validate_interval_family():
     zipper = validate_zipper(interval_maps(0.3), [[0.0], [0.3], [1.0]], (0, 0))
     assert zipper.map_count == 2
     assert zipper.linear_norms == (pytest.approx(0.3), pytest.approx(0.7))
+
+
+def test_linear_norms_are_the_operator_norms_of_the_maps():
+    # validation computes the norms once and the zipper keeps them
+    for zipper, line in (build_example1(Example1Config(p=0.3)),
+                         build_example2(Example2Config(h_param=0.5))):
+        lifted = smooth_zipper(zipper, line, build_lift(zipper, line))
+        for target in (zipper, product_zipper(zipper, line), lifted):
+            assert target.linear_norms == tuple(operator_norm(mp.linear) for mp in target.maps)
 
 
 def test_validate_rejects_wrong_middle_vertex():
@@ -59,11 +70,11 @@ def test_validate_rotation_family():
 
 def test_validation_tolerance_is_sharp(rng):
     zipper, _ = build_example1(Example1Config(p=0.3))
-    tolerance = 1e-6
     for factor, expected_valid in ((0.9, True), (1.1, False)):
         vertices = np.array(zipper.vertices)
-        vertices[1, 0] += factor * tolerance  # interior vertex: deviation is exact
-        report = inspect_zipper(zipper.maps, vertices, zipper.signature, tolerance)
+        # interior vertex: the deviation is exact up to one rounding of 0.3
+        vertices[1, 0] += factor * VERTEX_TOLERANCE
+        report = inspect_zipper(zipper.maps, vertices, zipper.signature)
         assert report.valid == expected_valid
 
 
