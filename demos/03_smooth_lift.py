@@ -18,13 +18,12 @@ from zipperlift import (
     build_lift,
     eval_g,
     smooth_zipper,
-    solve_h,
 )
 
 zipper, line = build_example1(Example1Config(p=0.3))
 print("interval family, p = 0.3")
-print("  total integral g(1):", solve_h(zipper, line))
 lift = build_lift(zipper, line)
+print("  total integral g(1):", lift.h)
 print("  node integrals:", lift.node_integrals.ravel())
 
 lifted = smooth_zipper(zipper, line, lift)

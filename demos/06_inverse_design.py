@@ -12,14 +12,13 @@ import numpy as np
 from zipperlift import (
     Example1Config,
     build_example1,
+    build_lift,
     inverse_design,
-    node_integrals,
-    solve_h,
 )
 
 # forward: p = 0.3 gives split integral 0.045 and total 0.3
 zipper, line = build_example1(Example1Config(p=0.3))
-totals = node_integrals(zipper, line, solve_h(zipper, line))
+totals = build_lift(zipper, line).node_integrals
 g1, g2 = float(totals[1, 0]), float(totals[2, 0])
 print(f"forward data at p = 0.3: g1 = {g1}, g2 = {g2}")
 
@@ -34,7 +33,7 @@ print(f"\nasymmetric target (split {q1}, integrals {g1_target}, {g2_target}):")
 print(f"  heights y1 = {y1:.6f}, y2 = {y2:.6f}")
 
 designed, designed_line = build_example1(Example1Config(q1=q1, y1=y1, y2=y2))
-check = node_integrals(designed, designed_line, solve_h(designed, designed_line))
+check = build_lift(designed, designed_line).node_integrals
 print(f"  round trip: g({q1}) = {check[1, 0]:.12f}, g(1) = {check[2, 0]:.12f}")
 assert np.allclose([check[1, 0], check[2, 0]], [g1_target, g2_target], atol=1e-9)
 print("  round trip matches the targets to 1e-9")

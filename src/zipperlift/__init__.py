@@ -58,9 +58,7 @@ from .smoothing import (
     eval_g,
     eval_g_many,
     inverse_design,
-    node_integrals,
     smooth_zipper,
-    solve_h,
 )
 from .verification import (
     VerificationReport,

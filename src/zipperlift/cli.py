@@ -27,6 +27,7 @@ from .config_io import (
 from .errors import (
     DegenerateInput,
     InvalidConfig,
+    OutOfDomain,
     ParseError,
     ShapeError,
     ZeroTangent,
@@ -103,10 +104,7 @@ def _add_config_arguments(parser):
 
 def _cmd_validate(args):
     zipper, line = _resolve_system(args)
-    report = inspect_zipper(
-        zipper.maps, zipper.vertices, zipper.signature,
-        contraction=zipper.contraction_mode,
-    )
+    report = inspect_zipper(zipper.maps, zipper.vertices, zipper.signature)
     print(report.summary())
     return 0 if report.valid else 1
 
@@ -297,7 +295,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ShapeError, InvalidConfig, DegenerateInput, ValueError) as exc:
+    except (ParseError, ShapeError, InvalidConfig, DegenerateInput, OutOfDomain,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ZipperViolation as exc:

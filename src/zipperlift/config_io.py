@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attractor import DEPTH_CAP, Segments
-from .errors import DimensionUnsupported, ParseError, ShapeError, ZipperViolation
+from .errors import DimensionUnsupported, ParseError, ShapeError
 from .geometry import AffineMap
 from .zipper import line_zipper, validate_zipper
 
@@ -183,21 +183,10 @@ def config_from_system(zipper, line=None):
 def build_system(config):
     """Validate a parsed config into a (Zipper, LineZipper) pair.
 
-    Tries per-map contraction first and falls back to the eventual mode,
-    so lifted systems load through the same path; the chosen mode is
-    recorded on the returned zipper.  Line nodes default to a uniform split.
+    Validation derives the contraction mode, so lifted systems load through
+    the same path.  Line nodes default to a uniform split.
     """
-    try:
-        zipper = validate_zipper(config.maps, config.vertices, config.signature)
-    except ZipperViolation as exc:
-        report = exc.report
-        if report is None or any(
-            v.condition != "contraction" for v in report.violations
-        ):
-            raise
-        zipper = validate_zipper(
-            config.maps, config.vertices, config.signature, contraction="eventual",
-        )
+    zipper = validate_zipper(config.maps, config.vertices, config.signature)
     count = len(config.maps)
     nodes = (
         np.linspace(0.0, 1.0, count + 1)

@@ -213,21 +213,22 @@ def eventual_contraction_scan(linears, max_word_length):
     For each length L the scan forms all m^L products of the given matrices
     and records the worst ``operator_norm(product) ** (1/L)``; it stops at
     the first L with every such value below :data:`CONTRACTION_THRESHOLD`.
-    Raises :class:`CombinatorialBudget` when ``m ** max_word_length`` exceeds
-    :data:`WORD_BUDGET`.
+    Raises :class:`CombinatorialBudget` before forming a length whose words
+    would take the total formed past :data:`WORD_BUDGET`.
     """
     mats = [as_matrix(m) for m in linears]
     if not mats:
         raise ValueError("need at least one matrix")
-    count = len(mats)
-    if count**max_word_length > WORD_BUDGET:
-        raise CombinatorialBudget(
-            f"{count}^{max_word_length} words exceed the {WORD_BUDGET:g} budget"
-        )
     dim = mats[0].shape[0]
     level = [np.eye(dim)]
     values = []
+    formed = 0
     for length in range(1, max_word_length + 1):
+        formed += len(mats) ** length
+        if formed > WORD_BUDGET:
+            raise CombinatorialBudget(
+                f"{formed} words up to length {length} exceed the {WORD_BUDGET:g} budget"
+            )
         level = [product @ mat for product in level for mat in mats]
         worst = max(operator_norm(product) for product in level) ** (1.0 / length)
         values.append((length, worst))

@@ -29,7 +29,12 @@ import numpy as np
 from .errors import DegenerateInput
 from .geometry import AffineMap, solve_linear
 from .parametrization import MAX_DEPTH, ParamEvaluation, _descend
-from .zipper import check_pairing, similarity_decomposition, validate_zipper
+from .zipper import (
+    SimilarityDecomposition,
+    check_pairing,
+    similarity_decomposition,
+    validate_zipper,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,100 +44,66 @@ class SmoothLift:
     ``h`` is the total integral g(1); ``node_integrals`` stacks
     g(t_0)..g(t_m) row-wise (the first row is zero and the last equals
     ``h``); ``lifted_maps`` are the affine maps on R^{n+1} whose attractor
-    is the graph of g; ``source_signature`` records the shared signature.
+    is the graph of g; ``normal_form`` is the zipper's
+    :func:`similarity_decomposition`, which evaluating g reads again.
     """
 
     h: np.ndarray
     node_integrals: np.ndarray
     lifted_maps: tuple[AffineMap, ...]
-    source_signature: tuple[int, ...]
+    normal_form: tuple[SimilarityDecomposition, ...]
 
 
-def solve_h(zipper, line):
-    """Total integral of the parametrization over [0, 1].
+def build_lift(zipper, line):
+    """Solve the integral data and assemble the :class:`SmoothLift`.
 
-    Solves ``(Id - sum sign_i q_i A_i) h = sum q_i offset_i`` where q_i are
-    the interval widths and (offset_i, A_i, sign_i) is the normal-form
-    decomposition of each map.  Requires the first vertex at the origin
-    (:class:`NotNormalized` otherwise) and propagates
-    :class:`SingularSystem` when the system matrix is not invertible.
+    With the normal form (offset_i, A_i, sign_i) and widths q_i: h solves
+    ``(Id - sum sign_i q_i A_i) h = sum q_i offset_i`` (raising
+    :class:`SingularSystem` when it cannot); the node integrals accumulate
+    ``offset_i q_i + sign_i q_i A_i h`` from zero; lifted map i translates by
+    (t, g(t)) at its entry node and scales by sign_i q_i times the block
+    matrix ``[[1, 0], [offset_i, sign_i A_i]]``.  Requires the first vertex
+    at the origin (:class:`NotNormalized` otherwise).
     """
     check_pairing(zipper, line)
-    decomposition = similarity_decomposition(zipper)
+    normal_form = similarity_decomposition(zipper)
     n = zipper.dimension
     matrix = np.eye(n)
     rhs = np.zeros(n)
-    for part, width in zip(decomposition, line.ratios):
+    for part, width in zip(normal_form, line.ratios):
         matrix -= part.sign * width * part.linear_part
         rhs += width * part.offset
-    return solve_linear(matrix, rhs)
+    h = solve_linear(matrix, rhs)
 
-
-def node_integrals(zipper, line, h):
-    """Integral values at every node, as an (m+1, n) array.
-
-    The increment over interval i is ``offset_i q_i + sign_i q_i A_i h``;
-    accumulating from zero makes the first row exactly zero and the last
-    row equal to ``h`` up to roundoff.
-    """
-    check_pairing(zipper, line)
-    decomposition = similarity_decomposition(zipper)
-    h = np.asarray(h, dtype=float)
     increments = [
         part.offset * width + part.sign * width * (part.linear_part @ h)
-        for part, width in zip(decomposition, line.ratios)
+        for part, width in zip(normal_form, line.ratios)
     ]
-    values = np.zeros((zipper.map_count + 1, zipper.dimension))
-    np.cumsum(increments, axis=0, out=values[1:])
-    values.setflags(write=False)
-    return values
+    g_nodes = np.zeros((zipper.map_count + 1, n))
+    np.cumsum(increments, axis=0, out=g_nodes[1:])
+    g_nodes.setflags(write=False)
 
-
-def _lifted_maps(zipper, line, g_nodes):
-    """Affine maps on R^{n+1} whose attractor is the graph of g.
-
-    Map i translates by the lifted entry vertex (t, g(t)) at t_{i-1} (or
-    t_i when orientation-reversing) and scales by sign * q_i times a block
-    matrix: first row (1, 0..0), first column the entry vertex of the
-    spatial zipper, lower-right block sign * A_i.
-    """
-    decomposition = similarity_decomposition(zipper)
-    n = zipper.dimension
-    built = []
-    for k, (part, width) in enumerate(zip(decomposition, line.ratios)):
+    lifted_maps = []
+    for k, (part, width) in enumerate(zip(normal_form, line.ratios)):
         block = np.zeros((n + 1, n + 1))
         block[0, 0] = 1.0
         block[1:, 0] = part.offset
         block[1:, 1:] = part.sign * part.linear_part
         entry = k + zipper.signature[k]
         translation = np.concatenate([[line.nodes[entry]], g_nodes[entry]])
-        built.append(AffineMap(part.sign * width * block, translation))
-    return tuple(built)
-
-
-def build_lift(zipper, line):
-    """Solve the integral data and assemble the :class:`SmoothLift`."""
-    h = solve_h(zipper, line)
-    g_nodes = node_integrals(zipper, line, h)
-    return SmoothLift(
-        h=h,
-        node_integrals=g_nodes,
-        lifted_maps=_lifted_maps(zipper, line, g_nodes),
-        source_signature=zipper.signature,
-    )
+        lifted_maps.append(AffineMap(part.sign * width * block, translation))
+    return SmoothLift(h, g_nodes, tuple(lifted_maps), normal_form)
 
 
 def smooth_zipper(zipper, line, lift):
     """The lifted maps as a validated zipper on R^{n+1}.
 
-    Vertices are (t_i, g(t_i)) with the source signature.  Validation runs
-    in eventual-contraction mode: lifted linear parts need not contract map
-    by map even though their word products do.
+    Vertices are (t_i, g(t_i)) with the source signature.  Lifted linear
+    parts need not contract map by map; validation then accepts them when
+    their word products do.
     """
     vertices = np.column_stack([line.nodes, lift.node_integrals])
-    return validate_zipper(
-        lift.lifted_maps, vertices, zipper.signature, contraction="eventual",
-    )
+    return validate_zipper(lift.lifted_maps, vertices, zipper.signature)
 
 
 def _descend_g(ts, zipper, line, lift, tol, max_depth):
@@ -143,10 +114,9 @@ def _descend_g(ts, zipper, line, lift, tol, max_depth):
             "integral evaluation needs every rescaled map to contract; "
             f"worst gain q_i |A_i| is {gains.max():.6g}"
         )
-    decomposition = similarity_decomposition(zipper)
     g_nodes, nodes, zero = lift.node_integrals, line.nodes, np.zeros(zipper.dimension)
-    scaled = np.array([q * part.linear_part for part, q in zip(decomposition, line.ratios)])
-    offsets = np.array([part.offset for part in decomposition])
+    scaled = np.array([q * part.linear_part for part, q in zip(lift.normal_form, line.ratios)])
+    offsets = np.array([part.offset for part in lift.normal_form])
     # orientation-reversing intervals subtract the rescaled total integral
     shifts = np.array([a @ lift.h if bit else zero for a, bit in zip(scaled, zipper.signature)])
 

@@ -20,7 +20,7 @@ from .errors import NotNormalized, ZeroTangent
 from .geometry import CONTRACTION_THRESHOLD, eventual_contraction_scan
 from .parametrization import _matvec, eval_f_many
 from .smoothing import eval_g_many
-from .zipper import EVENTUAL_WORD_LENGTH, check_pairing, similarity_decomposition
+from .zipper import EVENTUAL_WORD_LENGTH
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,13 @@ def _row_norms(rows):
     """Norm of each row, bit-identical to ``np.linalg.norm(row)``; the
     ``axis=1`` form sums in another order and is not."""
     return np.sqrt(np.vecdot(rows, rows))
+
+
+def _sample_count(name, count):
+    """``count`` as an int, rejecting fewer than one sample by ``name``."""
+    if int(count) < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
+    return int(count)
 
 
 def _worst_offenders(locations, errors, keep=5):
@@ -98,7 +105,7 @@ def parametrization_residual(zipper, line, samples=1000, tol=1e-9, seed=0):
     modulus to above the evaluation tolerance.
     """
     rng = np.random.default_rng(seed)
-    ts = rng.integers(0, 2**40, int(samples)).astype(float) * 2.0**-40
+    ts = rng.integers(0, 2**40, _sample_count("samples", samples)).astype(float) * 2.0**-40
     f_values, _ = eval_f_many(ts, zipper, line, tol=tol)
     worst_errors = np.zeros(ts.size)
     for index in range(1, zipper.map_count + 1):
@@ -123,14 +130,12 @@ def integral_residual(zipper, line, lift, samples=1000, tol=1e-9, seed=0):
     equal the node integral plus the chord term plus the rescaled value at
     t (minus the rescaled total on orientation-reversing intervals).
     """
-    check_pairing(zipper, line)
-    decomposition = similarity_decomposition(zipper)
     rng = np.random.default_rng(seed)
-    ts = rng.uniform(0.0, 1.0, int(samples))
+    ts = rng.uniform(0.0, 1.0, _sample_count("samples", samples))
     worst_errors = np.zeros(ts.size)
     g_values, _ = eval_g_many(ts, zipper, line, lift, tol=tol)
     for index in range(1, zipper.map_count + 1):
-        part = decomposition[index - 1]
+        part = lift.normal_form[index - 1]
         width = line.ratios[index - 1]
         g_node = lift.node_integrals[index - 1]
         lhs, _ = eval_g_many(line.forward(index, ts), zipper, line, lift, tol=tol)
@@ -202,7 +207,7 @@ def derivative_check(zipper, line, lift, sample_count=100,
         raise ValueError("deltas must be positive and strictly decreasing")
     rng = np.random.default_rng(seed)
     margin = deltas[0]
-    ts = rng.uniform(margin, 1.0 - margin, int(sample_count))
+    ts = rng.uniform(margin, 1.0 - margin, _sample_count("sample_count", sample_count))
     f_values, _ = eval_f_many(ts, zipper, line, tol=f_tol)
     bounds = np.array([10.0 * d**holder_exponent for d in deltas])
     errors = np.zeros((ts.size, len(deltas)))

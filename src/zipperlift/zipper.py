@@ -197,13 +197,14 @@ class SimilarityDecomposition:
     sign: int
 
 
-def inspect_zipper(maps, vertices, signature, contraction="per-map"):
+def inspect_zipper(maps, vertices, signature):
     """Check the zipper axioms, returning a full :class:`ValidationReport`.
 
-    Vertex conditions hold to :data:`VERTEX_TOLERANCE`.  ``contraction``
-    selects the requirement: ``"per-map"`` demands every linear part have
-    operator norm < 1, ``"eventual"`` accepts families whose length-L word
-    products contract for some L <= :data:`EVENTUAL_WORD_LENGTH`.
+    Vertex conditions hold to :data:`VERTEX_TOLERANCE`.  The contraction
+    mode is ``"per-map"`` when every linear part has operator norm below
+    ``1 - CONTRACTION_MARGIN``.  Otherwise it is ``"eventual"``, and the
+    family must pass the word scan: its length-L products contract for some
+    L <= :data:`EVENTUAL_WORD_LENGTH`.
     """
     maps = tuple(maps)
     if not maps:
@@ -251,14 +252,9 @@ def inspect_zipper(maps, vertices, signature, contraction="per-map"):
                 f"expected {expected_end.tolist()}",
             ))
 
-    if contraction == "per-map":
-        for k, factor in enumerate(factors):
-            if not factor < 1.0 - CONTRACTION_MARGIN:
-                violations.append(ConditionViolation(
-                    k + 1, "contraction", factor,
-                    f"operator norm {factor:.12g} is not below 1",
-                ))
-    elif contraction == "eventual":
+    mode = "per-map"
+    if not all(factor < 1.0 - CONTRACTION_MARGIN for factor in factors):
+        mode = "eventual"
         scan = eventual_contraction_scan([mp.linear for mp in maps], EVENTUAL_WORD_LENGTH)
         if not scan.passed:
             worst = min(value for _, value in scan.values)
@@ -267,23 +263,21 @@ def inspect_zipper(maps, vertices, signature, contraction="per-map"):
                 f"no word length up to {EVENTUAL_WORD_LENGTH} certifies contraction "
                 f"(best normalized norm {worst:.12g})",
             ))
-    else:
-        raise ValueError(f"unknown contraction mode {contraction!r}")
 
     return ValidationReport(
         valid=not violations,
         violations=tuple(violations),
         contraction_factors=factors,
-        contraction_mode=contraction,
+        contraction_mode=mode,
     )
 
 
-def validate_zipper(maps, vertices, signature, contraction="per-map"):
+def validate_zipper(maps, vertices, signature):
     """Validate and build a :class:`Zipper`, raising :class:`ZipperViolation`.
 
     The raised error carries the report listing every violated condition.
     """
-    report = inspect_zipper(maps, vertices, signature, contraction)
+    report = inspect_zipper(maps, vertices, signature)
     if not report.valid:
         raise ZipperViolation(report)
     maps = tuple(maps)
@@ -297,7 +291,7 @@ def validate_zipper(maps, vertices, signature, contraction="per-map"):
         signature=as_signature(signature, count=len(maps)),
         dimension=maps[0].dimension,
         linear_norms=report.contraction_factors,
-        contraction_mode=contraction,
+        contraction_mode=report.contraction_mode,
     )
 
 
@@ -347,10 +341,7 @@ def normalize_zipper(zipper):
     )
     moved_vertices = zipper.vertices + shift
     shift.setflags(write=False)
-    normalized = validate_zipper(
-        moved_maps, moved_vertices, zipper.signature, contraction=zipper.contraction_mode,
-    )
-    return normalized, shift
+    return validate_zipper(moved_maps, moved_vertices, zipper.signature), shift
 
 
 def check_pairing(zipper, line):
@@ -382,8 +373,7 @@ def product_zipper(zipper, line):
         translation = np.concatenate([interval_map.translation, spatial_map.translation])
         built.append(AffineMap(linear, translation))
     vertices = np.column_stack([line.nodes, zipper.vertices])
-    return validate_zipper(built, vertices, zipper.signature,
-                           contraction=zipper.contraction_mode)
+    return validate_zipper(built, vertices, zipper.signature)
 
 
 def similarity_decomposition(zipper):

@@ -24,9 +24,7 @@ from zipperlift.smoothing import (
     eval_g,
     eval_g_many,
     inverse_design,
-    node_integrals,
     smooth_zipper,
-    solve_h,
 )
 from zipperlift.verification import (
     derivative_check,
@@ -61,9 +59,9 @@ def test_criterion_02_total_integral_closed_forms():
     worst = 0.0
     for p in np.arange(0.1, 0.95, 0.1):
         zipper, line = build_example1(Example1Config(p=float(p)))
-        worst = max(worst, abs(solve_h(zipper, line)[0] - p))
+        worst = max(worst, abs(build_lift(zipper, line).h[0] - p))
     zipper, line = build_example1(Example1Config(q1=0.4, y1=0.3, y2=1.0))
-    general_err = abs(solve_h(zipper, line)[0] - 0.18 / 0.46)
+    general_err = abs(build_lift(zipper, line).h[0] - 0.18 / 0.46)
     worst = max(worst, general_err)
     _verdict("criterion 2 (total-integral closed forms)", worst <= 1e-12,
              f"worst deviation {worst:.3e} over p grid + generalized family (tol 1e-12)")
@@ -71,14 +69,14 @@ def test_criterion_02_total_integral_closed_forms():
 
 def test_criterion_03_rotation_family_fixed_point():
     zipper, line = build_example2(Example2Config(h_param=0.5))
-    half_err = np.linalg.norm(solve_h(zipper, line) - [0.5, 0.5])
+    half_err = np.linalg.norm(build_lift(zipper, line).h - [0.5, 0.5])
     formula_worst = 0.0
     quad_ok = True
     quad_detail = []
     for h in (0.1, 0.3, 0.5, 0.8):
         config = Example2Config(h_param=h)
         zipper, line = build_example2(config)
-        total = solve_h(zipper, line)
+        total = build_lift(zipper, line).h
         scale = 1.0 - config.p * math.cos(config.alpha)
         expected = np.array([1.0 / (4.0 * scale), h / (2.0 * scale)])
         formula_worst = max(formula_worst, float(np.linalg.norm(total - expected)))
@@ -137,9 +135,7 @@ def test_criterion_06_lifted_zipperhood():
     for kind, value, (zipper, line) in configs:
         lift = build_lift(zipper, line)
         lifted = smooth_zipper(zipper, line, lift)
-        report = inspect_zipper(
-            lifted.maps, lifted.vertices, lifted.signature, contraction="eventual",
-        )
+        report = inspect_zipper(lifted.maps, lifted.vertices, lifted.signature)
         if not report.valid:
             failures.append(f"{kind}={value}: vertex conditions")
         if not eventual_contraction_check(lifted).passed:
@@ -180,7 +176,7 @@ def test_criterion_08_inverse_design_round_trip():
     worst = 0.0
     for p in np.arange(0.1, 0.95, 0.1):
         zipper, line = build_example1(Example1Config(p=float(p)))
-        totals = node_integrals(zipper, line, solve_h(zipper, line))
+        totals = build_lift(zipper, line).node_integrals
         y1, y2 = inverse_design(0.5, 0.5, 0.5, float(totals[1, 0]), float(totals[2, 0]))
         worst = max(worst, abs(y1 - p), abs(y2 - 1.0))
     _verdict("criterion 8 (inverse design round trip)", worst <= 1e-9,

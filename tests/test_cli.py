@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zipperlift.cli import main
@@ -32,6 +33,17 @@ def test_usage_errors(capsys):
     assert main(["validate", "--example1", "p=nope"]) == 2
     assert main(["validate", "--example2", "h=2.0"]) == 2  # out of range
     assert main(["eval-f", "--example1", "wat=1", "--t", "0.5"]) == 2
+    capsys.readouterr()
+    for command in ("eval-f", "eval-g"):
+        for t in ("1.5", "-0.1", "nan"):
+            assert main([command, "--example1", "p=0.3", "--t", t]) == 2
+            assert "outside [0, 1]" in capsys.readouterr().err
+    for flag, value, name in (("--samples", "0", "samples"), ("--samples", "-3", "samples"),
+                              ("--deriv-samples", "0", "sample_count")):
+        assert main(["verify", "--example1", "p=0.3", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} must be at least 1, got {value}\n"
 
 
 def test_parse_error_exit_code(tmp_path):
@@ -282,6 +294,72 @@ EVENTUAL_CONFIG = {
     "vertices": [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
     "signature": [0, 0],
 }
+
+
+def test_eventual_contraction_is_derived_by_validation():
+    from zipperlift.zipper import validate_zipper
+
+    config = parse_config(json.dumps(EVENTUAL_CONFIG))
+    zipper = validate_zipper(config.maps, config.vertices, config.signature)
+    assert zipper.contraction_mode == "eventual"
+    assert max(zipper.linear_norms) > 3.0
+
+
+def six_map_config():
+    """A planar similarity zipper with six maps, two of them reversing."""
+    vertices = np.array([[0.0, 0.0], [0.15, 0.1], [0.35, 0.15], [0.5, 0.12],
+                         [0.65, 0.15], [0.85, 0.1], [1.0, 0.0]])
+    signature = [0, 1, 0, 0, 1, 0]
+    maps = []
+    for k, bit in enumerate(signature):
+        dx, dy = vertices[k + 1] - vertices[k]
+        linear = (-1) ** bit * np.array([[dx, -dy], [dy, dx]])
+        maps.append({"linear": linear.tolist(), "translation": vertices[k + bit].tolist()})
+    return {"dimension": 2, "maps": maps, "vertices": vertices.tolist(),
+            "signature": signature}
+
+
+def test_six_map_zipper_lifts_renders_and_verifies(tmp_path, capsys):
+    # the eventual-contraction scan stops at the first certifying word
+    # length, so 6^8 longer words never count against the budget
+    config = tmp_path / "six.json"
+    config.write_text(json.dumps(six_map_config()))
+    lifted = tmp_path / "six-lifted.json"
+    assert main(["lift", str(config), "--out", str(lifted)]) == 0
+    assert main(["validate", str(lifted)]) == 0
+    svg = tmp_path / "six.svg"
+    assert main(["render", str(config), "--lifted", "--project", "0,1", "--depth", "4",
+                 "--svg", str(svg)]) == 0
+    capsys.readouterr()
+    main(["verify", str(config), "--suite", "all"])
+    captured = capsys.readouterr()
+    assert "error:" not in captured.err
+    reports = {report["check"]: report for report in json.loads(captured.out)}
+    assert reports["eventual-contraction"]["passed"]
+    assert reports["eventual-contraction"]["samples"] == 6
+
+
+def test_traced_benchmark_layers_are_cli_names():
+    # perfbench/layers.py rebinds each CLI_LAYERS key on zipperlift.cli;
+    # read the names from its source, without importing it
+    import ast
+
+    from zipperlift import cli
+
+    layers = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    tree = ast.parse(layers.read_text())
+    assigned = {
+        node.targets[0].id: node.value for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    names = []
+    for key, value in zip(assigned["CLI_LAYERS"].keys, assigned["CLI_LAYERS"].values):
+        if key is None:  # **{check: ... for check in VERIFICATION_CHECKS}
+            names += ast.literal_eval(assigned[value.generators[0].iter.id])
+        else:
+            names.append(ast.literal_eval(key))
+    assert "build_lift" in names and "eventual_contraction_check" in names
+    assert [name for name in names if not hasattr(cli, name)] == []
 
 
 def test_graph_render_of_an_eventually_contracting_zipper(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import os
+import runpy
 import signal
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from zipperlift.config_io import (
 )
 from zipperlift.errors import DimensionUnsupported, ParseError, ShapeError
 from zipperlift.families import Example1Config, build_example1
+from zipperlift.smoothing import build_lift, smooth_zipper
 from zipperlift.zipper import product_zipper
 
 INTERVAL_CONFIG = """
@@ -46,6 +48,19 @@ def test_parse_interval_config():
     zipper, line = build_system(config)
     assert zipper.map_count == 2
     assert np.array_equal(line.nodes, [0.0, 0.5, 1.0])  # uniform default
+
+
+def test_generated_zippers_and_their_lifts_contract_per_map():
+    # the benchmark's seeded generator, run from its source file
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    build_workload = runpy.run_path(str(workloads))["build_workload"]
+    for seed in range(12):
+        for text in build_workload("generated-zippers", seed).configs.values():
+            zipper, line = build_system(parse_config(text))
+            lifted = smooth_zipper(zipper, line, build_lift(zipper, line))
+            loaded, _ = build_system(parse_config(config_to_json(config_from_system(lifted, line))))
+            modes = {zipper.contraction_mode, lifted.contraction_mode, loaded.contraction_mode}
+            assert modes == {"per-map"}
 
 
 def test_parse_rejects_unknown_key():

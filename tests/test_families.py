@@ -9,7 +9,7 @@ from zipperlift.families import (
     build_example2,
 )
 from zipperlift.parametrization import eval_f
-from zipperlift.smoothing import build_lift, eval_g, inverse_design, node_integrals, smooth_zipper, solve_h
+from zipperlift.smoothing import build_lift, eval_g, inverse_design, smooth_zipper
 from zipperlift.verification import (
     eventual_contraction_check,
     integral_residual,
@@ -32,7 +32,7 @@ def test_interval_family_half_is_identity():
 def test_interval_family_generalized_total():
     zipper, line = build_example1(Example1Config(q1=0.4, y1=0.3, y2=1.0))
     # chord fractions 0.3 and 0.7 against widths 0.4 and 0.6
-    assert solve_h(zipper, line)[0] == pytest.approx(0.18 / 0.46, abs=1e-12)
+    assert build_lift(zipper, line).h[0] == pytest.approx(0.18 / 0.46, abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [0.05, 0.1, 0.3, 0.5, 0.7, 0.95])
@@ -99,8 +99,7 @@ def test_every_preset_passes_all_machinery():
 def test_inverse_design_round_trips_preset_grid():
     for p in np.arange(0.1, 0.95, 0.1):
         zipper, line = build_example1(Example1Config(p=float(p)))
-        h = solve_h(zipper, line)
-        values = node_integrals(zipper, line, h)
+        values = build_lift(zipper, line).node_integrals
         y1, y2 = inverse_design(0.5, 0.5, 0.5, float(values[1, 0]), float(values[2, 0]))
         assert y1 == pytest.approx(p, abs=1e-9)
         assert y2 == pytest.approx(1.0, abs=1e-9)

@@ -181,9 +181,13 @@ def test_eventual_contraction_scan_needs_words():
 
 
 def test_eventual_contraction_budget():
-    mats = [np.eye(2)] * 10
+    # 1001 words of length 1 fit the budget; the 1001^2 of length 2 do not
+    mats = [np.eye(1)] * 1001
     with pytest.raises(CombinatorialBudget):
-        eventual_contraction_scan(mats, 7)
+        eventual_contraction_scan(mats, 2)
+    # 6^8 words exceed the budget, but a certificate at length 1 forms 6
+    scan = eventual_contraction_scan([0.5 * np.eye(2)] * 6, 8)
+    assert scan.word_length == 1 and len(scan.values) == 1
 
 
 def test_word_reach_bound_contains_orbits(rng):

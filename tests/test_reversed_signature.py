@@ -17,9 +17,7 @@ from zipperlift.smoothing import (
     build_lift,
     eval_g,
     eval_g_many,
-    node_integrals,
     smooth_zipper,
-    solve_h,
 )
 from zipperlift.verification import (
     derivative_check,
@@ -57,10 +55,11 @@ def test_parametrization_residual_reversed(reversed_system):
 
 def test_total_integral_against_quadrature(reversed_system):
     zipper, line = reversed_system
-    total = solve_h(zipper, line)
+    lift = build_lift(zipper, line)
+    total = lift.h
     oracle = quadrature_g(1.0, zipper, line, 2**13)
     assert np.linalg.norm(total - oracle) <= 1e-4
-    values = node_integrals(zipper, line, total)
+    values = lift.node_integrals
     assert values[0, 0] == 0.0
     assert values[-1, 0] == pytest.approx(total[0], abs=1e-14)
     # the split-node integral against the oracle too

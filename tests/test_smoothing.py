@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from zipperlift import smoothing
 from zipperlift.errors import DegenerateInput, NotNormalized
 from zipperlift.families import (
     Example1Config,
@@ -12,31 +13,30 @@ from zipperlift.geometry import AffineMap, apply
 from zipperlift.smoothing import (
     build_lift,
     eval_g,
+    eval_g_many,
     inverse_design,
-    node_integrals,
     smooth_zipper,
-    solve_h,
 )
-from zipperlift.verification import quadrature_g
-from zipperlift.zipper import validate_zipper
+from zipperlift.verification import integral_residual, quadrature_g
+from zipperlift.zipper import product_zipper, validate_zipper
 
 
 def test_solve_h_interval_family_closed_form():
     # equal halves force the total integral to equal the split height
     for p in np.arange(0.1, 0.95, 0.1):
         zipper, line = build_example1(Example1Config(p=float(p)))
-        assert solve_h(zipper, line)[0] == pytest.approx(p, abs=1e-12)
+        assert build_lift(zipper, line).h[0] == pytest.approx(p, abs=1e-12)
 
 
 def test_solve_h_parabola():
     zipper, line = build_example1(Example1Config(p=0.5))
-    assert solve_h(zipper, line)[0] == pytest.approx(0.5, abs=1e-15)
+    assert build_lift(zipper, line).h[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_solve_h_rotation_family():
     cfg = Example2Config(h_param=0.5)
     zipper, line = build_example2(cfg)
-    total = solve_h(zipper, line)
+    total = build_lift(zipper, line).h
     assert np.allclose(total, [0.5, 0.5], atol=1e-12)
     # cross-check against the independent quadrature route
     oracle = quadrature_g(1.0, zipper, line, 2**12)
@@ -45,7 +45,7 @@ def test_solve_h_rotation_family():
 
 def test_solve_h_quadrature_cross_check_interval():
     zipper, line = build_example1(Example1Config(p=0.3))
-    total = solve_h(zipper, line)
+    total = build_lift(zipper, line).h
     oracle = quadrature_g(1.0, zipper, line, 2**12)
     assert np.linalg.norm(oracle - total) <= 1e-6
 
@@ -58,13 +58,12 @@ def test_solve_h_requires_origin():
     )
     moved = validate_zipper(moved_maps, zipper.vertices + 1.0, zipper.signature)
     with pytest.raises(NotNormalized):
-        solve_h(moved, line)
+        build_lift(moved, line).h
 
 
 def test_node_integrals_interval_family():
     zipper, line = build_example1(Example1Config(p=0.3))
-    h = solve_h(zipper, line)
-    values = node_integrals(zipper, line, h)
+    values = build_lift(zipper, line).node_integrals
     assert values[0, 0] == 0.0
     assert values[1, 0] == pytest.approx(0.045, abs=1e-15)
     assert values[2, 0] == pytest.approx(0.3, abs=1e-12)
@@ -72,8 +71,7 @@ def test_node_integrals_interval_family():
 
 def test_node_integrals_parabola():
     zipper, line = build_example1(Example1Config(p=0.5))
-    h = solve_h(zipper, line)
-    values = node_integrals(zipper, line, h)
+    values = build_lift(zipper, line).node_integrals
     assert values[1, 0] == pytest.approx(0.125, abs=1e-15)
 
 
@@ -81,8 +79,8 @@ def test_node_integrals_telescope(rng):
     for _ in range(10):
         p = float(rng.uniform(0.05, 0.95))
         zipper, line = build_example1(Example1Config(p=p))
-        h = solve_h(zipper, line)
-        values = node_integrals(zipper, line, h)
+        lift = build_lift(zipper, line)
+        h, values = lift.h, lift.node_integrals
         assert np.linalg.norm(values[-1] - h) <= 1e-12 * (1 + np.linalg.norm(h))
         increments = np.diff(values, axis=0).sum(axis=0)
         assert np.linalg.norm(increments - h) <= 1e-12 * (1 + np.linalg.norm(h))
@@ -182,9 +180,33 @@ def test_inverse_design_round_trip(rng):
         y1 = float(rng.uniform(0.1, 0.9))
         y2 = float(rng.uniform(y1 + 0.05, 2.0))
         zipper, line = build_example1(Example1Config(q1=q1, y1=y1, y2=y2))
-        h = solve_h(zipper, line)
-        values = node_integrals(zipper, line, h)
+        values = build_lift(zipper, line).node_integrals
         g1, g2 = float(values[1, 0]), float(values[2, 0])
         back1, back2 = inverse_design(q1, 1.0 - q1, q1, g1, g2)
         assert back1 == pytest.approx(y1, abs=1e-9)
         assert back2 == pytest.approx(y2, abs=1e-9)
+
+
+def test_presets_products_and_lifts_contract_per_map():
+    systems = [build_example1(Example1Config(p=0.3)), build_example2(Example2Config(h_param=0.5))]
+    for zipper, line in systems:
+        lifted = smooth_zipper(zipper, line, build_lift(zipper, line))
+        for system in (zipper, product_zipper(zipper, line), lifted):
+            assert system.contraction_mode == "per-map"
+
+
+def test_lift_decomposes_the_normal_form_once(monkeypatch, rotation_half):
+    calls = []
+    decompose = smoothing.similarity_decomposition
+
+    def counted(zipper):
+        calls.append(zipper)
+        return decompose(zipper)
+
+    monkeypatch.setattr(smoothing, "similarity_decomposition", counted)
+    zipper, line, _ = rotation_half
+    lift = build_lift(zipper, line)
+    assert len(calls) == 1
+    eval_g_many([0.1, 0.7], zipper, line, lift)
+    integral_residual(zipper, line, lift, samples=8)
+    assert len(calls) == 1

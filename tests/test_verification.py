@@ -9,7 +9,7 @@ from zipperlift.families import (
     build_example2,
 )
 from zipperlift.geometry import AffineMap
-from zipperlift.smoothing import build_lift, smooth_zipper, solve_h
+from zipperlift.smoothing import build_lift, smooth_zipper
 from zipperlift.verification import (
     derivative_check,
     eventual_contraction_check,
@@ -19,7 +19,7 @@ from zipperlift.verification import (
     quadrature_g,
     tangent_scan,
 )
-from zipperlift.zipper import line_zipper, product_zipper, validate_zipper
+from zipperlift.zipper import Zipper, line_zipper, product_zipper, validate_zipper
 
 
 def test_quadrature_parabola():
@@ -34,8 +34,8 @@ def test_quadrature_empty_integral(interval_03):
 
 
 def test_quadrature_converges_to_total(interval_03):
-    zipper, line, _ = interval_03
-    total = solve_h(zipper, line)
+    zipper, line, lift = interval_03
+    total = lift.h
     errors = []
     for panels in (2**10, 2**12, 2**14):
         errors.append(float(np.linalg.norm(quadrature_g(1.0, zipper, line, panels) - total)))
@@ -159,8 +159,14 @@ def test_eventual_contraction_uniform_half():
 def test_eventual_contraction_budget():
     maps = [AffineMap(0.5 * np.eye(1), [0.0]), AffineMap(0.5 * np.eye(1), [0.5])]
     zipper = validate_zipper(maps, [[0.0], [0.5], [1.0]], (0, 0))
+    # certified at length 1, so the 2^21 longer words are never formed
+    assert eventual_contraction_check(zipper, max_word_length=21).passed
+    # identities never certify; length 2 would form 1001^2 more words
+    identity = AffineMap(np.eye(1), [0.0])
+    never = Zipper(maps=(identity,) * 1001, vertices=np.zeros((1002, 1)),
+                   signature=(0,) * 1001, dimension=1, linear_norms=(1.0,) * 1001)
     with pytest.raises(CombinatorialBudget):
-        eventual_contraction_check(zipper, max_word_length=21)
+        eventual_contraction_check(never, max_word_length=2)
 
 
 def test_quadrature_vs_recursion_grid(interval_03, rotation_half):
