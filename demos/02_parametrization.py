@@ -10,7 +10,6 @@ import numpy as np
 from zipperlift import (
     Example1Config,
     Example2Config,
-    address_of,
     build_example1,
     build_example2,
     eval_f,
@@ -19,12 +18,8 @@ from zipperlift import (
 
 zipper, line = build_example1(Example1Config(p=0.3))
 
-# addresses: which subinterval at each level, outermost first
-for t in (0.25, 0.5, 0.9):
-    print(f"address of {t}:", address_of(t, line, 4))
-
 # node values are exact, generic values certified
-print("\nf at the nodes:", [eval_f(t, zipper, line).value[0] for t in (0.0, 0.5, 1.0)])
+print("f at the nodes:", [eval_f(t, zipper, line).value[0] for t in (0.0, 0.5, 1.0)])
 result = eval_f(1 / 3, zipper, line, tol=1e-9)
 print(f"f(1/3) = {result.value[0]:.12f}  (radius {result.error_bound:.2e}, depth {result.depth})")
 

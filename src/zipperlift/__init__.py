@@ -9,7 +9,7 @@ and chaos-game renderers, certified error bounds and a set of independent
 numerical cross-checks round out the toolkit.
 """
 
-from .attractor import Polyline, chaos_game, hausdorff_distance, hausdorff_residual, refine
+from .attractor import Polyline, chaos_game, refine
 from .config_io import (
     RenderSpec,
     ZipperConfig,
@@ -46,12 +46,10 @@ from .geometry import (
     apply,
     as_matrix,
     as_vector,
-    compose,
-    identity_map,
     operator_norm,
     solve_linear,
 )
-from .parametrization import Address, ParamEvaluation, address_of, eval_f, eval_f_many
+from .parametrization import ParamEvaluation, eval_f, eval_f_many
 from .smoothing import (
     SmoothLift,
     build_lift,
@@ -64,7 +62,6 @@ from .verification import (
     VerificationReport,
     derivative_check,
     eventual_contraction_check,
-    graph_identity_check,
     integral_residual,
     parametrization_residual,
     quadrature_check,

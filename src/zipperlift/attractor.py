@@ -4,9 +4,7 @@ The attractor of a zipper is the unique compact set carried onto itself by
 the union of its maps.  Two complementary generators live here: ``refine``
 iterates the map family on the vertex polyline, respecting traversal order
 and orientation so the output is again an ordered polyline; ``chaos_game``
-scatters points by random iteration.  ``hausdorff_residual`` measures how
-far a finite polyline is from being invariant, which is the quantity the
-subdivision bounds control.
+scatters points by random iteration.
 """
 
 from __future__ import annotations
@@ -245,33 +243,3 @@ def chaos_game(zipper, count, seed):
             out[step - BURN_IN] = point
     out.setflags(write=False)
     return out
-
-
-def hausdorff_distance(a, b):
-    """Symmetric Hausdorff distance between two finite point sets.
-
-    Exact nearest neighbours from a k-d tree on each side.
-    """
-    # scipy.spatial is imported here, not at module level, because every
-    # CLI command imports this module and only the residual checks need it.
-    from scipy.spatial import cKDTree
-
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    return max(
-        float(cKDTree(b).query(a, k=1)[0].max()),
-        float(cKDTree(a).query(b, k=1)[0].max()),
-    )
-
-
-def hausdorff_residual(polyline, zipper):
-    """Invariance defect of a polyline under the zipper's map family.
-
-    The symmetric Hausdorff distance between the polyline's point set and
-    the union of its images under every map.  Zero exactly for invariant
-    sets; for depth-d subdivision polylines it stays below twice the mesh
-    bound.
-    """
-    points = polyline.points
-    images = np.concatenate([apply_many(mp, points) for mp in zipper.maps])
-    return hausdorff_distance(points, images)

@@ -82,14 +82,6 @@ class AffineMap:
     def dimension(self):
         return self.translation.size
 
-    def __call__(self, point):
-        return apply(self, point)
-
-
-def identity_map(dim):
-    """Identity affine map on R^dim."""
-    return AffineMap(np.eye(dim), np.zeros(dim))
-
 
 def apply(mapping, point):
     """Evaluate ``mapping`` at ``point``."""
@@ -111,18 +103,6 @@ def apply_many(mapping, points):
     for j, shift in enumerate(mapping.translation.tolist()):
         images[:, j] += shift
     return images
-
-
-def compose(outer, inner):
-    """The affine map sending ``x`` to ``outer(inner(x))``."""
-    if outer.dimension != inner.dimension:
-        raise DimensionMismatch(
-            f"cannot compose maps of dimension {outer.dimension} and {inner.dimension}"
-        )
-    return AffineMap(
-        outer.linear @ inner.linear,
-        outer.linear @ inner.translation + outer.translation,
-    )
 
 
 def solve_linear(matrix, rhs):

@@ -27,21 +27,6 @@ from .zipper import check_pairing
 MAX_DEPTH = 10_000
 
 
-@dataclass(frozen=True)
-class Address:
-    """Interval address of a parameter: digit choices, outermost first.
-
-    ``digits`` are 1-based interval indices; ``orientation`` is the net
-    orientation (+1 or -1) after signature flips along the digits; ``anchor``
-    is the residual parameter in [0, 1] once the digits are stripped.
-    Applying the digit interval maps to the anchor reproduces the parameter.
-    """
-
-    digits: tuple[int, ...]
-    orientation: int
-    anchor: float
-
-
 @dataclass(frozen=True, eq=False)
 class ParamEvaluation:
     """A curve point with a certified error radius and the depth used."""
@@ -49,28 +34,6 @@ class ParamEvaluation:
     value: np.ndarray
     error_bound: float
     depth: int
-
-
-def address_of(t, line, depth):
-    """Greedy interval descent of ``t`` to exactly ``depth`` digits.
-
-    At each level the digit is the unique interval containing the current
-    parameter, with node points assigned to the interval starting there and
-    t = 1 assigned to the last interval; the parameter is then pulled back
-    through that interval map (reversing where the signature bit is set).
-    """
-    if not 0.0 <= t <= 1.0:
-        raise OutOfDomain(f"parameter {t!r} outside [0, 1]")
-    digits = []
-    orientation = 1
-    u = float(t)
-    for _ in range(int(depth)):
-        index = line.interval_of(u)
-        digits.append(index)
-        if line.signature[index - 1]:
-            orientation = -orientation
-        u = float(line.inverse(index, u))
-    return Address(tuple(digits), orientation, u)
 
 
 def _matvec(linear, rows):

@@ -289,25 +289,3 @@ def eventual_contraction_check(zipper, max_word_length=EVENTUAL_WORD_LENGTH):
         "eventual-contraction", max_error, tested, scan.passed, CONTRACTION_THRESHOLD,
         tuple((float(length), value) for length, value in scan.values),
     )
-
-
-def graph_identity_check(polyline, evaluate, samples=1000, tol=1e-6):
-    """Re-evaluate sampled graph points through a batched curve evaluator.
-
-    ``polyline`` must carry parameters; ``evaluate`` maps an array of
-    parameters to the (N, n) array of expected remaining coordinates, as
-    ``lambda ts: eval_f_many(ts, zipper, line)[0]`` does.  Subsamples evenly
-    when the polyline has more points than ``samples``.
-    """
-    if polyline.params is None:
-        raise ValueError("polyline carries no parameters")
-    count = polyline.points.shape[0]
-    take = np.linspace(0, count - 1, min(int(samples), count)).astype(int)
-    expected = np.asarray(evaluate(polyline.params[take]), dtype=float)
-    errors = _row_norms(polyline.points[take, 1:] - expected)
-    max_error = float(errors.max())
-    return VerificationReport(
-        "graph-identity", max_error, take.size, max_error <= tol, tol,
-        _worst_offenders(polyline.params[take], errors),
-    )
-

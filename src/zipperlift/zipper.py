@@ -159,28 +159,6 @@ class LineZipper:
             return self.nodes[k + 1] - self.ratios[k] * t
         return self.nodes[k] + self.ratios[k] * t
 
-    def inverse(self, index, t):
-        """Preimage in [0, 1] of ``t`` under interval map ``index`` (1-based)."""
-        k = index - 1
-        if self.signature[k]:
-            u = (self.nodes[k + 1] - t) / self.ratios[k]
-        else:
-            u = (t - self.nodes[k]) / self.ratios[k]
-        return np.clip(u, 0.0, 1.0)
-
-    def interval_of(self, t):
-        """1-based interval index containing ``t``.
-
-        Intervals are closed on the left; node points belong to the interval
-        starting there, and t = 1 belongs to interval m.
-        """
-        index = int(np.searchsorted(self.nodes, t, side="right")) - 1
-        return min(max(index, 0), self.map_count - 1) + 1
-
-    def as_zipper(self):
-        """The same object as a validated 1-D :class:`Zipper`."""
-        return validate_zipper(self.maps, self.nodes[:, None], self.signature)
-
 
 @dataclass(frozen=True, eq=False)
 class SimilarityDecomposition:

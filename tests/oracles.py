@@ -1,0 +1,122 @@
+"""Reference routes that the tests compare the package against.
+
+None of this is package code, and the package never imports it: the
+Hausdorff invariance residual (the only user of scipy), the graph identity
+re-evaluation, and the scalar interval address that the batched descent
+replaced.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.spatial import cKDTree
+
+from zipperlift.errors import OutOfDomain
+from zipperlift.geometry import apply_many
+from zipperlift.verification import VerificationReport, _row_norms, _worst_offenders
+
+
+def hausdorff_distance(a, b):
+    """Symmetric Hausdorff distance between two finite point sets.
+
+    Exact nearest neighbours from a k-d tree on each side.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    return max(
+        float(cKDTree(b).query(a, k=1)[0].max()),
+        float(cKDTree(a).query(b, k=1)[0].max()),
+    )
+
+
+def hausdorff_residual(polyline, zipper):
+    """Invariance defect of a polyline under the zipper's map family.
+
+    The symmetric Hausdorff distance between the polyline's point set and
+    the union of its images under every map.  Zero exactly for invariant
+    sets; for depth-d subdivision polylines it stays below twice the mesh
+    bound.
+    """
+    points = polyline.points
+    images = np.concatenate([apply_many(mp, points) for mp in zipper.maps])
+    return hausdorff_distance(points, images)
+
+
+def graph_identity_check(polyline, evaluate, samples=1000, tol=1e-6):
+    """Re-evaluate sampled graph points through a batched curve evaluator.
+
+    ``polyline`` must carry parameters; ``evaluate`` maps an array of
+    parameters to the (N, n) array of expected remaining coordinates, as
+    ``lambda ts: eval_f_many(ts, zipper, line)[0]`` does.  Subsamples evenly
+    when the polyline has more points than ``samples``.
+    """
+    if polyline.params is None:
+        raise ValueError("polyline carries no parameters")
+    count = polyline.points.shape[0]
+    take = np.linspace(0, count - 1, min(int(samples), count)).astype(int)
+    expected = np.asarray(evaluate(polyline.params[take]), dtype=float)
+    errors = _row_norms(polyline.points[take, 1:] - expected)
+    max_error = float(errors.max())
+    return VerificationReport(
+        "graph-identity", max_error, take.size, max_error <= tol, tol,
+        _worst_offenders(polyline.params[take], errors),
+    )
+
+
+def pull_back(line, index, t):
+    """Preimage in [0, 1] of ``t`` under interval map ``index`` (1-based)."""
+    k = index - 1
+    if line.signature[k]:
+        u = (line.nodes[k + 1] - t) / line.ratios[k]
+    else:
+        u = (t - line.nodes[k]) / line.ratios[k]
+    return np.clip(u, 0.0, 1.0)
+
+
+def interval_of(line, t):
+    """1-based interval index containing ``t``.
+
+    Intervals are closed on the left; node points belong to the interval
+    starting there, and t = 1 belongs to interval m.
+    """
+    index = int(np.searchsorted(line.nodes, t, side="right")) - 1
+    return min(max(index, 0), line.map_count - 1) + 1
+
+
+@dataclass(frozen=True)
+class Address:
+    """Interval address of a parameter: digit choices, outermost first.
+
+    ``digits`` are 1-based interval indices; ``orientation`` is the net
+    orientation (+1 or -1) after signature flips along the digits; ``anchor``
+    is the residual parameter in [0, 1] once the digits are stripped.
+    Applying the digit interval maps to the anchor reproduces the parameter.
+    """
+
+    digits: tuple[int, ...]
+    orientation: int
+    anchor: float
+
+
+def address_of(t, line, depth):
+    """Greedy interval descent of ``t`` to exactly ``depth`` digits.
+
+    At each level the digit is the unique interval containing the current
+    parameter, with node points assigned to the interval starting there and
+    t = 1 assigned to the last interval; the parameter is then pulled back
+    through that interval map (reversing where the signature bit is set).
+    """
+    if not 0.0 <= t <= 1.0:
+        raise OutOfDomain(f"parameter {t!r} outside [0, 1]")
+    digits = []
+    orientation = 1
+    u = float(t)
+    for _ in range(int(depth)):
+        index = interval_of(line, u)
+        digits.append(index)
+        if line.signature[index - 1]:
+            orientation = -orientation
+        u = float(pull_back(line, index, u))
+    return Address(tuple(digits), orientation, u)

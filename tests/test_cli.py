@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -247,10 +248,10 @@ def test_render_pinned_to_one_cpu_writes_the_same_bytes(tmp_path):
 
 
 def test_cli_import_loads_no_process_pool():
-    # nor scipy, which only the residual checks need and which would double
-    # the import time of every command
+    # nor scipy, which the package does not use and which would double the
+    # import time of every command
     probe = (
-        "import sys, zipperlift.cli; "
+        "import sys, zipperlift, zipperlift.cli; "
         "print(sorted(m for m in sys.modules "
         "if m.split('.')[0] in ('multiprocessing', 'scipy') "
         "or m.startswith('concurrent.futures')))"
@@ -260,6 +261,22 @@ def test_cli_import_loads_no_process_pool():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    outside = []
+    for path in sorted((Path(SRC) / "zipperlift").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {module}" for module in modules
+                        if module.split(".")[0] not in allowed]
+    assert outside == []
 
 
 @pytest.mark.parametrize("width", ["nan", "-2"])

@@ -16,9 +16,10 @@ import pytest
 
 from zipperlift.errors import OutOfDomain
 from zipperlift.geometry import AffineMap, apply
-from zipperlift.parametrization import address_of, eval_f, eval_f_many
+from zipperlift.parametrization import eval_f, eval_f_many
 from zipperlift.smoothing import build_lift, eval_g, eval_g_many
 from zipperlift.zipper import line_zipper, similarity_decomposition, validate_zipper
+from oracles import address_of, interval_of, pull_back
 
 PRESETS = ("interval_03", "rotation_half")
 
@@ -65,12 +66,12 @@ def _scalar_descent(t, line, step, node_rows, tail, reach, tol=1e-9):
             return linear @ node_rows[index] + offset, 0.0
         if factor * reach <= tol:
             return tail(linear, offset), factor * reach
-        k = line.interval_of(u) - 1
+        k = interval_of(line, u) - 1
         translation, matrix, gain = step(k, u)
         offset = linear @ translation + offset
         linear = linear @ matrix
         factor *= gain
-        u = float(line.inverse(k + 1, u))
+        u = float(pull_back(line, k + 1, u))
 
 
 @pytest.mark.parametrize("name", PRESETS + ("spatial_3d",))

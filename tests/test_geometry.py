@@ -7,9 +7,7 @@ from zipperlift.errors import CombinatorialBudget, DimensionMismatch, SingularSy
 from zipperlift.geometry import (
     AffineMap,
     apply,
-    compose,
     eventual_contraction_scan,
-    identity_map,
     operator_norm,
     solve_linear,
 )
@@ -21,7 +19,7 @@ def interval_w1(p):
 
 
 def test_apply_identity():
-    point = apply(identity_map(2), [0.3, 0.7])
+    point = apply(AffineMap(np.eye(2), np.zeros(2)), [0.3, 0.7])
     assert np.array_equal(point, [0.3, 0.7])
 
 
@@ -44,38 +42,7 @@ def test_apply_rotation_family_map():
 
 def test_apply_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        apply(identity_map(2), [1.0, 2.0, 3.0])
-
-
-def test_compose_identity():
-    mapping = interval_w1(0.3)
-    back = compose(identity_map(2), mapping)
-    assert np.array_equal(back.linear, mapping.linear)
-    assert np.array_equal(back.translation, mapping.translation)
-
-
-def test_compose_scalars():
-    a = AffineMap([[0.3]], [0.0])
-    b = AffineMap([[0.5]], [0.0])
-    assert compose(a, b).linear[0, 0] == pytest.approx(0.15, abs=1e-16)
-
-
-def test_compose_interval_lift_with_itself():
-    # hand multiplication: linear part diag(0.25, 0.0225), no translation
-    twice = compose(interval_w1(0.3), interval_w1(0.3))
-    assert np.allclose(twice.linear, [[0.25, 0.0], [0.0, 0.0225]], atol=1e-16)
-    assert np.array_equal(twice.translation, [0.0, 0.0])
-
-
-def test_compose_matches_sequential_apply(rng):
-    for _ in range(50):
-        d = int(rng.integers(1, 5))
-        a = AffineMap(rng.normal(size=(d, d)), rng.normal(size=d))
-        b = AffineMap(rng.normal(size=(d, d)), rng.normal(size=d))
-        x = rng.normal(size=d)
-        lhs = apply(compose(a, b), x)
-        rhs = apply(a, apply(b, x))
-        assert np.linalg.norm(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(rhs))
+        apply(AffineMap(np.eye(2), np.zeros(2)), [1.0, 2.0, 3.0])
 
 
 def test_solve_linear_scalar():

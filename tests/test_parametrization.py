@@ -6,9 +6,10 @@ import pytest
 from zipperlift.errors import OutOfDomain, SignatureMismatch, ToleranceUnreachable
 from zipperlift.families import Example1Config, build_example1
 from zipperlift.geometry import apply
-from zipperlift.parametrization import Address, address_of, eval_f, eval_f_many
+from zipperlift.parametrization import eval_f, eval_f_many
 from zipperlift.zipper import line_zipper
 from conftest import uniform_dyadic
+from oracles import Address, address_of
 
 
 def test_address_two_digits():

@@ -10,7 +10,7 @@ signature (1, 0).  The quadrature oracle adjudicates the integral branch.
 import numpy as np
 import pytest
 
-from zipperlift.attractor import hausdorff_residual, refine
+from zipperlift.attractor import refine
 from zipperlift.geometry import AffineMap
 from zipperlift.parametrization import eval_f, eval_f_many
 from zipperlift.smoothing import (
@@ -22,12 +22,12 @@ from zipperlift.smoothing import (
 from zipperlift.verification import (
     derivative_check,
     eventual_contraction_check,
-    graph_identity_check,
     integral_residual,
     parametrization_residual,
     quadrature_g,
 )
 from zipperlift.zipper import line_zipper, product_zipper, validate_zipper
+from oracles import graph_identity_check, hausdorff_residual
 
 
 @pytest.fixture(scope="module")

