@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DepthCap, ZipperViolation
 from .geometry import apply_many
+from .zipper import check_graph
 
 #: Subdivision depth cap; doubling the point count per level makes larger
 #: depths impractical long before they are useful.
@@ -97,32 +98,24 @@ def refine(zipper, depth, line=None):
     junction point between consecutive images (asserting the two sides
     agree to 1e-9, which is the vertex axiom made into a runtime check).
 
-    When ``line`` is given, matching per-point parameter values are tracked
-    through the same words, so graph-type attractors come back with their
-    parameters attached.
+    When ``line`` is given, ``zipper`` must be a graph over it
+    (:func:`~zipperlift.zipper.check_graph`), such as a product or lifted
+    zipper, and the polyline's parameters are its first coordinates.
     """
     depth = _check_depth(depth)
+    if line is not None:
+        check_graph(zipper, line)
     points = np.array(zipper.vertices, dtype=float)
-    params = None if line is None else np.array(line.nodes, dtype=float)
 
     for _ in range(depth):
         blocks = _images(zipper, points)
         points = np.concatenate([blocks[0]] + [block[1:] for block in blocks[1:]])
-        if params is not None:
-            param_blocks = [
-                line.forward(k + 1, params)[:: -1 if bit else 1]
-                for k, bit in enumerate(zipper.signature)
-            ]
-            params = np.concatenate(
-                [param_blocks[0]] + [block[1:] for block in param_blocks[1:]]
-            )
 
     contraction = max(zipper.linear_norms)
     mesh_bound = zipper.diameter_bound * contraction**depth
-    # the arrays are this function's own, so Polyline need not copy them
+    # the array is this function's own, so Polyline need not copy it
     points.setflags(write=False)
-    if params is not None:
-        params.setflags(write=False)
+    params = None if line is None else points[:, 0]
     return Polyline(points=points, params=params, mesh_bound=mesh_bound)
 
 
@@ -150,23 +143,22 @@ class Segments:
     of ``S_W(P_k)``, where ``base`` is ``P_k = refine(zipper, k, line)`` at
     ``k = segment_level(zipper, depth)``.  Calling the source with an index
     ``i`` in ``range(count)`` returns segment i's ``(points, params)``;
-    ``params`` is None when ``base`` carries none.  Concatenated, the
-    segments equal ``refine(zipper, depth, line)`` bit for bit, and no more
-    than one segment is computed at a time.  Construction runs ``refine``'s
-    junction check for levels k + 1..d on the tracked end points of each
-    level, so a violation raises the same :class:`ZipperViolation` before
-    any segment exists.
+    ``params`` is the first coordinate of ``points`` when ``base`` carries
+    parameters, which makes ``zipper`` a graph, and None otherwise.
+    Concatenated, the segments equal ``refine(zipper, depth, line)`` bit
+    for bit, and no more than one segment is computed at a time.
+    Construction runs ``refine``'s junction check for levels k + 1..d on
+    the tracked end points of each level, so a violation raises the same
+    :class:`ZipperViolation` before any segment exists.
     """
 
-    def __init__(self, zipper, base, depth, line=None):
+    def __init__(self, zipper, base, depth):
         depth = _check_depth(depth)
         level = segment_level(zipper, depth)
         m = zipper.map_count
         if base.points.shape[0] != m ** (level + 1) + 1:
             raise ValueError(f"base must be the level-{level} refine polyline")
-        if (line is None) != (base.params is None):
-            raise ValueError("base carries params exactly when a line is given")
-        self.zipper, self.base, self.line = zipper, base, line
+        self.zipper, self.base = zipper, base
         self.length = depth - level
         self.count = m**self.length
         ends = base.points[[0, -1]]
@@ -201,11 +193,9 @@ class Segments:
         if not 0 <= i < self.count:
             raise IndexError(f"segment {i} outside 0..{self.count - 1}")
         letters, parities = self._word(i)
-        points, params = self.base.points, self.base.params
+        points = self.base.points
         for letter in reversed(letters):
             points = apply_many(self.zipper.maps[letter], points)
-            if params is not None:
-                params = self.line.forward(letter + 1, params)
         # Neighbouring segments share a junction row, of which refine keeps
         # the copy that comes first under the words' common prefix: this
         # segment's first row goes after an even prefix, the earlier
@@ -214,9 +204,7 @@ class Segments:
         stop = -1 if i + 1 < self.count and self._prefix_parity(parities, i + 1) else None
         order = -1 if parities[-1] else 1
         points = points[::order][start:stop]
-        if params is not None:
-            params = params[::order][start:stop]
-        return points, params
+        return points, None if self.base.params is None else points[:, 0]
 
 
 def chaos_game(zipper, count, seed):

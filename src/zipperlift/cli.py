@@ -26,6 +26,7 @@ from .config_io import (
 )
 from .errors import (
     DegenerateInput,
+    DimensionUnsupported,
     InvalidConfig,
     OutOfDomain,
     ParseError,
@@ -61,6 +62,8 @@ def _parse_assignments(text, allowed, preset):
         key = key.strip()
         if key not in allowed:
             raise InvalidConfig(f"{preset}: unknown parameter {key!r}")
+        if key in values:
+            raise InvalidConfig(f"{preset}: parameter {key!r} given twice")
         try:
             values[key] = float(raw)
         except ValueError:
@@ -106,7 +109,7 @@ def _add_config_arguments(parser):
 def _cmd_validate(args):
     # _resolve_system raises on an invalid zipper, so this one is valid
     zipper, line = _resolve_system(args)
-    report = ValidationReport(True, (), zipper.linear_norms, zipper.contraction_mode)
+    report = ValidationReport(True, (), zipper.linear_norms, zipper.word_scan)
     print(report.summary())
     return 0
 
@@ -155,12 +158,8 @@ def _cmd_render(args):
         target = smooth_zipper(zipper, line, build_lift(zipper, line))
     else:
         target = product_zipper(zipper, line)
-    projection = None
-    if args.project:
-        parts = args.project.split(",")
-        if len(parts) != 2:
-            raise InvalidConfig("--project needs two comma-separated axis indices")
-        projection = (int(parts[0]), int(parts[1]))
+    # export_svg rejects anything but two distinct axes before it opens a file
+    projection = tuple(map(int, args.project.split(","))) if args.project else None
     spec = RenderSpec(
         depth=args.depth, width=args.width, height=args.height,
         stroke_width=args.stroke_width, projection=projection,
@@ -168,7 +167,7 @@ def _cmd_render(args):
     # the depth-d rows are computed segment by segment in the exports, from
     # the small polyline P_k; the junction check runs before any file opens
     base = refine(target, segment_level(target, spec.depth), line=line)
-    segments = Segments(target, base, spec.depth, line=line)
+    segments = Segments(target, base, spec.depth)
     export_svg(segments, spec, args.svg)
     written = [args.svg]
     if args.csv:
@@ -298,7 +297,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ParseError, ShapeError, InvalidConfig, DegenerateInput, OutOfDomain,
-            ValueError) as exc:
+            DimensionUnsupported, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ZipperViolation as exc:

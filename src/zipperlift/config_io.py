@@ -76,15 +76,25 @@ def _matrix(value, field, dim):
     return [_number_list(row, field, dim) for row in value]
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict, raising :class:`ParseError` on a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_config(text):
     """Parse strict JSON config text into a :class:`ZipperConfig`.
 
     Raises :class:`ParseError` (with line and column) for malformed JSON or
-    unknown keys, and :class:`ShapeError` naming the offending field for
-    shape or type problems and for non-finite numbers.
+    unknown or repeated keys, and :class:`ShapeError` naming the offending
+    field for shape or type problems and for non-finite numbers.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
     if not isinstance(raw, dict):
@@ -426,7 +436,8 @@ class RenderSpec:
 
 def _projected_axes(dim, projection):
     if projection is not None:
-        if len(projection) != 2 or any(not 0 <= a < dim for a in projection):
+        if (len(projection) != 2 or projection[0] == projection[1]
+                or any(not 0 <= a < dim for a in projection)):
             raise DimensionUnsupported(
                 f"projection {projection} does not select two axes of R^{dim}"
             )

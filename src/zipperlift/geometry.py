@@ -175,73 +175,54 @@ class ContractionScan:
 
     ``word_length`` is the first length L at which every length-L product
     of the scanned linear parts has operator norm^(1/L) below
-    :data:`CONTRACTION_THRESHOLD`, or ``None`` when no tested length succeeds.  ``values`` lists the tested
-    ``(L, worst norm^(1/L))`` pairs in order.
+    :data:`CONTRACTION_THRESHOLD`, or ``None`` when no tested length
+    succeeds.  ``values`` lists the tested ``(L, worst norm^(1/L))`` pairs
+    in order.  ``reach`` bounds the distance of every attractor point from
+    the base point, or is ``None`` unproven.
     """
 
     word_length: int | None
     values: tuple[tuple[int, float], ...]
+    reach: float | None = None
 
     @property
     def passed(self):
         return self.word_length is not None
 
 
-def eventual_contraction_scan(linears, max_word_length):
+def eventual_contraction_scan(maps, base_point, max_word_length):
     """Search word lengths 1..max_word_length for a contraction certificate.
 
-    For each length L the scan forms all m^L products of the given matrices
-    and records the worst ``operator_norm(product) ** (1/L)``; it stops at
+    For each length L the scan forms all m^L affine words of the maps and
+    records the worst ``operator_norm(linear part) ** (1/L)``; it stops at
     the first L with every such value below :data:`CONTRACTION_THRESHOLD`.
-    Raises :class:`CombinatorialBudget` before forming a length whose words
-    would take the total formed past :data:`WORD_BUDGET`.
+    If no word up to that length moves ``base_point`` farther than D, the
+    attractor lies within ``reach = D / (1 - worst**L)`` of it.  Raises
+    :class:`CombinatorialBudget` before forming a length whose words would
+    take the total formed past :data:`WORD_BUDGET`.
     """
-    mats = [as_matrix(m) for m in linears]
-    if not mats:
-        raise ValueError("need at least one matrix")
-    dim = mats[0].shape[0]
-    level = [np.eye(dim)]
+    base_point = np.asarray(base_point, dtype=float)
+    level = [(np.eye(base_point.size), np.zeros(base_point.size))]
     values = []
     formed = 0
+    farthest = 0.0
     for length in range(1, max_word_length + 1):
-        formed += len(mats) ** length
+        formed += len(maps) ** length
         if formed > WORD_BUDGET:
             raise CombinatorialBudget(
                 f"{formed} words up to length {length} exceed the {WORD_BUDGET:g} budget"
             )
-        level = [product @ mat for product in level for mat in mats]
-        worst = max(operator_norm(product) for product in level) ** (1.0 / length)
-        values.append((length, worst))
-        if worst < CONTRACTION_THRESHOLD:
-            return ContractionScan(length, tuple(values))
-    return ContractionScan(None, tuple(values))
-
-
-def word_reach_bound(maps, base_point, word_length):
-    """Bound the attractor reach of an eventually contracting map family.
-
-    Returns R with ``|x - base_point| <= R`` for every attractor point x,
-    valid whenever all length-``word_length`` products of the linear parts
-    contract.  Used as a fallback when single maps are not norm-contractive.
-    """
-    base_point = np.asarray(base_point, dtype=float)
-    scan = eventual_contraction_scan([mp.linear for mp in maps], word_length)
-    if not scan.passed:
-        raise ValueError(
-            f"no contraction certificate within word length {word_length}"
-        )
-    block = scan.word_length
-    contraction = scan.values[block - 1][1] ** block
-    reach = 0.0
-    level = [(np.eye(base_point.size), np.zeros(base_point.size))]
-    for _ in range(block):
         level = [
             (lin @ mp.linear, lin @ mp.translation + off)
             for lin, off in level
             for mp in maps
         ]
-        reach = max(
-            reach,
+        worst = max(operator_norm(lin) for lin, _ in level) ** (1.0 / length)
+        values.append((length, worst))
+        farthest = max(
+            farthest,
             max(float(np.linalg.norm(lin @ base_point + off - base_point)) for lin, off in level),
         )
-    return reach / (1.0 - contraction)
+        if worst < CONTRACTION_THRESHOLD:
+            return ContractionScan(length, tuple(values), farthest / (1.0 - worst**length))
+    return ContractionScan(None, tuple(values))

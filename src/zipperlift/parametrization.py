@@ -42,8 +42,7 @@ def _matvec(linear, rows):
     return (linear @ rows[:, :, None])[:, :, 0]
 
 
-def _descend(ts, line, linears, local, gains, node_rows, tail_row, reach, tol,
-             max_depth):
+def _descend(ts, line, linears, local, gains, node_rows, tail_row, reach, tol):
     """Certified interval descent of a batch of parameters, shared by f and g.
 
     Digit k of a point's residual parameter u adds ``linear @ local(k, u)``
@@ -94,8 +93,8 @@ def _descend(ts, line, linears, local, gains, node_rows, tail_row, reach, tol,
             linear, offset, factor = linear[going], offset[going], factor[going]
             if not pending.size:
                 break
-        if depth >= max_depth:
-            raise ToleranceUnreachable(f"tolerance {tol:g} not reached within {max_depth} digits")
+        if depth >= MAX_DEPTH:
+            raise ToleranceUnreachable(f"tolerance {tol:g} not reached within {MAX_DEPTH} digits")
         digits = slot - 1
         offset += _matvec(linear, local(digits, u))
         linear = linear @ linears[digits]
@@ -107,7 +106,7 @@ def _descend(ts, line, linears, local, gains, node_rows, tail_row, reach, tol,
     return values, bounds, depths
 
 
-def _descend_f(ts, zipper, line, tol, max_depth):
+def _descend_f(ts, zipper, line, tol):
     check_pairing(zipper, line)
     norms = np.array(zipper.linear_norms)
     if norms.max() >= 1.0:
@@ -119,28 +118,28 @@ def _descend_f(ts, zipper, line, tol, max_depth):
     translations = np.array([mp.translation for mp in zipper.maps])
     return _descend(
         ts, line, linears, lambda digits, u: translations[digits], norms,
-        zipper.vertices, zipper.vertices[0], zipper.diameter_bound, tol, max_depth,
+        zipper.vertices, zipper.vertices[0], zipper.diameter_bound, tol,
     )
 
 
-def eval_f_many(ts, zipper, line, tol=1e-9, max_depth=MAX_DEPTH):
+def eval_f_many(ts, zipper, line, tol=1e-9):
     """Evaluate the parametrization at an array of parameters.
 
     Returns ``(values, bounds)`` with ``values`` of shape (N, n) and
     per-point certified error radii.  Bit-identical to :func:`eval_f` on
     each entry in every dimension, whatever the batch.
     """
-    return _descend_f(ts, zipper, line, tol, max_depth)[:2]
+    return _descend_f(ts, zipper, line, tol)[:2]
 
 
-def eval_f(t, zipper, line, tol=1e-9, max_depth=MAX_DEPTH):
+def eval_f(t, zipper, line, tol=1e-9):
     """Evaluate the parametrization at ``t`` with guaranteed accuracy ``tol``.
 
     An exact node hit gives the vertex image with bound 0; otherwise the
     value is the digit-map image of the first vertex and the bound, the
     contraction product times the reach bound, is at most ``tol``.
     """
-    values, bounds, depths = _descend_f([t], zipper, line, tol, max_depth)
+    values, bounds, depths = _descend_f([t], zipper, line, tol)
     value = values[0]
     value.setflags(write=False)
     return ParamEvaluation(value, float(bounds[0]), int(depths[0]))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateInput
 from .geometry import AffineMap, solve_linear
-from .parametrization import MAX_DEPTH, ParamEvaluation, _descend
+from .parametrization import ParamEvaluation, _descend
 from .zipper import (
     SimilarityDecomposition,
     check_pairing,
@@ -106,7 +106,7 @@ def smooth_zipper(zipper, line, lift):
     return validate_zipper(lift.lifted_maps, vertices, zipper.signature)
 
 
-def _descend_g(ts, zipper, line, lift, tol, max_depth):
+def _descend_g(ts, zipper, line, lift, tol):
     check_pairing(zipper, line)
     gains = line.ratios * np.array(zipper.linear_norms)
     if gains.max() >= 1.0:
@@ -124,28 +124,26 @@ def _descend_g(ts, zipper, line, lift, tol, max_depth):
         return g_nodes[digits] + offsets[digits] * (u - nodes[digits])[:, None] - shifts[digits]
 
     # |g| <= sup |f| <= the reach of the attractor around z_0 = 0
-    return _descend(
-        ts, line, scaled, local, gains, g_nodes, zero, zipper.diameter_bound, tol, max_depth,
-    )
+    return _descend(ts, line, scaled, local, gains, g_nodes, zero, zipper.diameter_bound, tol)
 
 
-def eval_g_many(ts, zipper, line, lift, tol=1e-9, max_depth=MAX_DEPTH):
+def eval_g_many(ts, zipper, line, lift, tol=1e-9):
     """Evaluate the integral curve at an array of parameters.
 
     Returns ``(values, bounds)`` like :func:`eval_f_many`; bit-identical to
     :func:`eval_g` on each entry.
     """
-    return _descend_g(ts, zipper, line, lift, tol, max_depth)[:2]
+    return _descend_g(ts, zipper, line, lift, tol)[:2]
 
 
-def eval_g(t, zipper, line, lift, tol=1e-9, max_depth=MAX_DEPTH):
+def eval_g(t, zipper, line, lift, tol=1e-9):
     """Evaluate the integral curve at ``t`` with guaranteed accuracy ``tol``.
 
     Each digit contributes a closed-form affine part plus g on [0, 1]
     rescaled by q_i A_i, so the bound is the product of the q_i |A_i| times
     a bound on sup |g|.  Node hits end exactly at the solved node integrals.
     """
-    values, bounds, depths = _descend_g([t], zipper, line, lift, tol, max_depth)
+    values, bounds, depths = _descend_g([t], zipper, line, lift, tol)
     value = values[0]
     value.setflags(write=False)
     return ParamEvaluation(value, float(bounds[0]), int(depths[0]))

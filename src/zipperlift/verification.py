@@ -22,6 +22,28 @@ from .parametrization import _matvec, eval_f_many
 from .smoothing import eval_g_many
 from .zipper import EVENTUAL_WORD_LENGTH
 
+#: Evaluation tolerance of the functional-equation residuals.
+RESIDUAL_TOL = 1e-9
+
+#: Settings of :func:`quadrature_check`, named there.
+QUADRATURE_PANELS = (256, 1024, 4096)
+QUADRATURE_GRID = 11
+QUADRATURE_COEFFICIENT = 10.0
+QUADRATURE_EXPONENT = 0.5
+QUADRATURE_FLOOR = 1e-8
+QUADRATURE_SLACK = 1.05
+QUADRATURE_G_TOL = QUADRATURE_F_TOL = 1e-10
+
+#: Settings of :func:`derivative_check`, named there.
+DERIVATIVE_EXPONENT = 0.5
+DERIVATIVE_SLACK = 1.5
+DERIVATIVE_NOISE_FLOOR = 1e-3
+DERIVATIVE_G_TOL = 1e-13
+DERIVATIVE_F_TOL = 1e-11
+
+#: Shrink factor that :func:`tangent_scan` demands per sample doubling.
+TANGENT_DOUBLING = 1.8
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -71,7 +93,7 @@ def _worst_offenders(locations, errors, keep=5):
     return tuple((float(locations[j]), float(errors[j])) for j in order)
 
 
-def quadrature_g(t, zipper, line, panels, f_tol=1e-10):
+def quadrature_g(t, zipper, line, panels):
     """Composite midpoint quadrature of the parametrization over [0, t].
 
     The oracle route to the integral curve: it never touches the integral
@@ -86,11 +108,11 @@ def quadrature_g(t, zipper, line, panels, f_tol=1e-10):
         return np.zeros(zipper.dimension)
     width = t / panels
     midpoints = (np.arange(panels) + 0.5) * width
-    values, _ = eval_f_many(midpoints, zipper, line, tol=f_tol)
+    values, _ = eval_f_many(midpoints, zipper, line, tol=QUADRATURE_F_TOL)
     return width * values.sum(axis=0)
 
 
-def parametrization_residual(zipper, line, samples=1000, tol=1e-9, seed=0):
+def parametrization_residual(zipper, line, samples=1000, seed=0):
     """Self-consistency of the parametrization under every interval map.
 
     Draws random parameters t and checks that following an interval map
@@ -106,24 +128,24 @@ def parametrization_residual(zipper, line, samples=1000, tol=1e-9, seed=0):
     """
     rng = np.random.default_rng(seed)
     ts = rng.integers(0, 2**40, _sample_count("samples", samples)).astype(float) * 2.0**-40
-    f_values, _ = eval_f_many(ts, zipper, line, tol=tol)
+    f_values, _ = eval_f_many(ts, zipper, line, tol=RESIDUAL_TOL)
     worst_errors = np.zeros(ts.size)
     for index in range(1, zipper.map_count + 1):
         mapped_ts = line.forward(index, ts)
-        lhs, _ = eval_f_many(mapped_ts, zipper, line, tol=tol)
+        lhs, _ = eval_f_many(mapped_ts, zipper, line, tol=RESIDUAL_TOL)
         mp = zipper.maps[index - 1]
         rhs = f_values @ mp.linear.T + mp.translation
         errors = np.linalg.norm(lhs - rhs, axis=1)
         np.maximum(worst_errors, errors, out=worst_errors)
     max_error = float(worst_errors.max())
-    tolerance = 2.0 * tol
+    tolerance = 2.0 * RESIDUAL_TOL
     return VerificationReport(
         "parametrization-residual", max_error, ts.size, max_error <= tolerance,
         tolerance, _worst_offenders(ts, worst_errors),
     )
 
 
-def integral_residual(zipper, line, lift, samples=1000, tol=1e-9, seed=0):
+def integral_residual(zipper, line, lift, samples=1000, seed=0):
     """Self-consistency of the integral curve under every interval map.
 
     For each interval i and random t, the value at the image parameter must
@@ -133,12 +155,12 @@ def integral_residual(zipper, line, lift, samples=1000, tol=1e-9, seed=0):
     rng = np.random.default_rng(seed)
     ts = rng.uniform(0.0, 1.0, _sample_count("samples", samples))
     worst_errors = np.zeros(ts.size)
-    g_values, _ = eval_g_many(ts, zipper, line, lift, tol=tol)
+    g_values, _ = eval_g_many(ts, zipper, line, lift, tol=RESIDUAL_TOL)
     for index in range(1, zipper.map_count + 1):
         part = lift.normal_form[index - 1]
         width = line.ratios[index - 1]
         g_node = lift.node_integrals[index - 1]
-        lhs, _ = eval_g_many(line.forward(index, ts), zipper, line, lift, tol=tol)
+        lhs, _ = eval_g_many(line.forward(index, ts), zipper, line, lift, tol=RESIDUAL_TOL)
         if zipper.signature[index - 1]:
             local_ts, local_g = 1.0 - ts, g_values - lift.h
         else:
@@ -147,40 +169,39 @@ def integral_residual(zipper, line, lift, samples=1000, tol=1e-9, seed=0):
                + width * _matvec(part.linear_part, local_g))
         np.maximum(worst_errors, _row_norms(lhs - rhs), out=worst_errors)
     max_error = float(worst_errors.max())
-    tolerance = 2.0 * tol
+    tolerance = 2.0 * RESIDUAL_TOL
     return VerificationReport(
         "integral-residual", max_error, ts.size, max_error <= tolerance,
         tolerance, _worst_offenders(ts, worst_errors),
     )
 
 
-def quadrature_check(zipper, line, lift, panel_ladder=(256, 1024, 4096),
-                     grid=11, coefficient=10.0, exponent=0.5, floor=1e-8,
-                     g_tol=1e-10, f_tol=1e-10, slack=1.05):
+def quadrature_check(zipper, line, lift):
     """Agreement between quadrature and the integral recursion.
 
     Compares the two routes at a uniform parameter grid for every panel
     count on the ladder.  Passes when the finest-ladder disagreement stays
     below ``max(1e-6, coefficient * panels**-exponent)`` and the observed
     disagreement (the worst over the grid, per rung) does not grow within
-    ``slack`` as panels double, ignoring fluctuations below ``floor`` where
+    the slack as panels double, ignoring fluctuations below the floor where
     both routes sit at evaluation noise.  Per-parameter errors fluctuate
     inside the convergence envelope, so only the rung maxima are compared.
     """
-    ts = np.linspace(0.0, 1.0, int(grid))
-    direct, _ = eval_g_many(ts, zipper, line, lift, tol=g_tol)
-    errors = np.zeros((len(panel_ladder), ts.size))
-    for row, panels in enumerate(panel_ladder):
+    ts = np.linspace(0.0, 1.0, QUADRATURE_GRID)
+    direct, _ = eval_g_many(ts, zipper, line, lift, tol=QUADRATURE_G_TOL)
+    errors = np.zeros((len(QUADRATURE_PANELS), ts.size))
+    for row, panels in enumerate(QUADRATURE_PANELS):
         for col, t in enumerate(ts):
-            oracle = quadrature_g(t, zipper, line, panels, f_tol=f_tol)
+            oracle = quadrature_g(t, zipper, line, panels)
             errors[row, col] = np.linalg.norm(oracle - direct[col])
-    tolerance = max(1e-6, coefficient * float(panel_ladder[-1]) ** (-exponent))
+    envelope = QUADRATURE_COEFFICIENT * QUADRATURE_PANELS[-1] ** -QUADRATURE_EXPONENT
+    tolerance = max(1e-6, envelope)
     max_error = float(errors[-1].max())
-    clipped = np.maximum(errors.max(axis=1), floor)
+    clipped = np.maximum(errors.max(axis=1), QUADRATURE_FLOOR)
     growth = clipped[1:] / clipped[:-1]
     worst_growth = float(growth.max()) if growth.size else 0.0
-    if worst_growth > slack:
-        max_error = max(max_error, tolerance * worst_growth / slack)
+    if worst_growth > QUADRATURE_SLACK:
+        max_error = max(max_error, tolerance * worst_growth / QUADRATURE_SLACK)
     return VerificationReport(
         "quadrature-agreement", max_error, errors.size,
         max_error <= tolerance, tolerance, _worst_offenders(ts, errors[-1]),
@@ -188,17 +209,16 @@ def quadrature_check(zipper, line, lift, panel_ladder=(256, 1024, 4096),
 
 
 def derivative_check(zipper, line, lift, sample_count=100,
-                     deltas=(1e-4, 1e-6, 1e-8), holder_exponent=0.5, seed=0,
-                     slack=1.5, noise_floor=1e-3, g_tol=1e-13, f_tol=1e-11):
+                     deltas=(1e-4, 1e-6, 1e-8), seed=0):
     """Central differences of the integral curve against the parametrization.
 
     For random parameters t and each step delta, compares
     (g(t+delta) - g(t-delta)) / (2 delta) with f(t).  Passes when every
     sample's error at the smallest delta is below
-    ``10 * delta**holder_exponent`` and errors do not grow (within
-    ``slack``) as delta shrinks; errors below ``noise_floor`` times the
-    per-delta bound count as converged, since truncation noise of order
-    g_tol/delta dominates once the true difference error reaches zero.
+    ``10 * delta**exponent`` and errors do not grow (within the slack) as
+    delta shrinks; errors below the noise floor times the per-delta bound
+    count as converged, since truncation noise of order g_tol/delta
+    dominates once the true difference error reaches zero.
     """
     deltas = tuple(float(d) for d in deltas)
     if any(d <= 0 for d in deltas) or any(
@@ -208,35 +228,34 @@ def derivative_check(zipper, line, lift, sample_count=100,
     rng = np.random.default_rng(seed)
     margin = deltas[0]
     ts = rng.uniform(margin, 1.0 - margin, _sample_count("sample_count", sample_count))
-    f_values, _ = eval_f_many(ts, zipper, line, tol=f_tol)
-    bounds = np.array([10.0 * d**holder_exponent for d in deltas])
+    f_values, _ = eval_f_many(ts, zipper, line, tol=DERIVATIVE_F_TOL)
+    bounds = np.array([10.0 * d**DERIVATIVE_EXPONENT for d in deltas])
     errors = np.zeros((ts.size, len(deltas)))
     for col, delta in enumerate(deltas):
-        upper, _ = eval_g_many(ts + delta, zipper, line, lift, tol=g_tol)
-        lower, _ = eval_g_many(ts - delta, zipper, line, lift, tol=g_tol)
+        upper, _ = eval_g_many(ts + delta, zipper, line, lift, tol=DERIVATIVE_G_TOL)
+        lower, _ = eval_g_many(ts - delta, zipper, line, lift, tol=DERIVATIVE_G_TOL)
         diff = (upper - lower) / (2.0 * delta)
         errors[:, col] = _row_norms(diff - f_values)
     tolerance = float(bounds[-1])
     max_error = float(errors[:, -1].max())
-    clipped = np.maximum(errors, noise_floor * bounds[None, :])
+    clipped = np.maximum(errors, DERIVATIVE_NOISE_FLOOR * bounds[None, :])
     growth = clipped[:, 1:] / clipped[:, :-1]
     worst_growth = float(growth.max()) if growth.size else 0.0
-    if worst_growth > slack:
-        max_error = max(max_error, tolerance * worst_growth / slack)
+    if worst_growth > DERIVATIVE_SLACK:
+        max_error = max(max_error, tolerance * worst_growth / DERIVATIVE_SLACK)
     return VerificationReport(
         "derivative-check", max_error, ts.size, max_error <= tolerance,
         tolerance, _worst_offenders(ts, errors[:, -1]),
     )
 
 
-def tangent_scan(zipper, line, lift, sample_count, t_min=1.0 / 64.0,
-                 doubling_factor=1.8, f_tol=1e-9):
+def tangent_scan(zipper, line, lift, sample_count, t_min=1.0 / 64.0, f_tol=1e-9):
     """Regularity probe of the integral curve's tangent field away from 0.
 
     The tangent of the integral curve is the parametrization itself, so the
     scan samples unit parametrization directions on [t_min, 1] and measures
     the largest angle between consecutive samples.  It passes when that
-    largest increment shrinks by at least ``doubling_factor`` under sample
+    largest increment shrinks by at least :data:`TANGENT_DOUBLING` under sample
     doubling.  Raises :class:`ZeroTangent` when a sampled tangent magnitude
     falls to 1e-12: the curve then fails the nonvanishing-derivative
     hypothesis away from the origin and no smoothness claim holds there.
@@ -260,7 +279,7 @@ def tangent_scan(zipper, line, lift, sample_count, t_min=1.0 / 64.0,
 
     coarse = max_increment(int(sample_count))
     fine = max_increment(2 * int(sample_count))
-    tolerance = 1.0 / doubling_factor
+    tolerance = 1.0 / TANGENT_DOUBLING
     max_error = fine / coarse if coarse > 0.0 else 0.0
     return VerificationReport(
         "tangent-scan", max_error, 3 * int(sample_count),
@@ -277,9 +296,7 @@ def eventual_contraction_check(zipper, max_word_length=EVENTUAL_WORD_LENGTH):
     value.  Raises :class:`CombinatorialBudget` when the enumeration would
     exceed :data:`~zipperlift.geometry.WORD_BUDGET` words.
     """
-    scan = eventual_contraction_scan(
-        [mp.linear for mp in zipper.maps], int(max_word_length)
-    )
+    scan = eventual_contraction_scan(zipper.maps, zipper.vertices[0], int(max_word_length))
     if scan.passed:
         max_error = scan.values[-1][1]
     else:

@@ -24,19 +24,14 @@ import numpy as np
 
 from .errors import (
     CountMismatch,
+    DegenerateInput,
     DimensionMismatch,
     InvalidNodes,
     NotNormalized,
     SignatureMismatch,
     ZipperViolation,
 )
-from .geometry import (
-    AffineMap,
-    apply,
-    eventual_contraction_scan,
-    operator_norm,
-    word_reach_bound,
-)
+from .geometry import AffineMap, ContractionScan, apply, eventual_contraction_scan, operator_norm
 
 #: Tolerance of the vertex conditions.
 VERTEX_TOLERANCE = 1e-9
@@ -75,12 +70,13 @@ class ValidationReport:
     valid: bool
     violations: tuple[ConditionViolation, ...]
     contraction_factors: tuple[float, ...]
-    contraction_mode: str
+    word_scan: ContractionScan | None = None  # run exactly in eventual mode
 
     def summary(self):
         if self.valid:
+            mode = "per-map" if self.word_scan is None else "eventual"
             factors = ", ".join(f"{f:.6g}" for f in self.contraction_factors)
-            return f"valid zipper ({self.contraction_mode} contraction; factors {factors})"
+            return f"valid zipper ({mode} contraction; factors {factors})"
         lines = [f"{len(self.violations)} zipper axiom violation(s):"]
         for v in self.violations:
             lines.append(
@@ -102,7 +98,11 @@ class Zipper:
     signature: tuple[int, ...]
     dimension: int
     linear_norms: tuple[float, ...]  # operator norms of the linear parts
-    contraction_mode: str = "per-map"
+    word_scan: ContractionScan | None = None  # the certificate of eventual mode
+
+    @property
+    def contraction_mode(self):
+        return "per-map" if self.word_scan is None else "eventual"
 
     @property
     def map_count(self):
@@ -121,7 +121,7 @@ class Zipper:
         lmax = max(self.linear_norms)
         if lmax < 1.0:
             return reach / (1.0 - lmax)
-        return word_reach_bound(self.maps, z0, EVENTUAL_WORD_LENGTH)
+        return self.word_scan.reach
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,10 +230,9 @@ def inspect_zipper(maps, vertices, signature):
                 f"expected {expected_end.tolist()}",
             ))
 
-    mode = "per-map"
+    scan = None
     if not all(factor < 1.0 - CONTRACTION_MARGIN for factor in factors):
-        mode = "eventual"
-        scan = eventual_contraction_scan([mp.linear for mp in maps], EVENTUAL_WORD_LENGTH)
+        scan = eventual_contraction_scan(maps, vertices[0], EVENTUAL_WORD_LENGTH)
         if not scan.passed:
             worst = min(value for _, value in scan.values)
             violations.append(ConditionViolation(
@@ -246,7 +245,7 @@ def inspect_zipper(maps, vertices, signature):
         valid=not violations,
         violations=tuple(violations),
         contraction_factors=factors,
-        contraction_mode=mode,
+        word_scan=scan,
     )
 
 
@@ -269,7 +268,7 @@ def validate_zipper(maps, vertices, signature):
         signature=as_signature(signature, count=len(maps)),
         dimension=maps[0].dimension,
         linear_norms=report.contraction_factors,
-        contraction_mode=report.contraction_mode,
+        word_scan=report.word_scan,
     )
 
 
@@ -332,6 +331,22 @@ def check_pairing(zipper, line):
         raise SignatureMismatch(
             f"signatures differ: {zipper.signature} vs {line.signature}"
         )
+
+
+def check_graph(zipper, line):
+    """Require ``zipper`` to act on its first coordinate exactly as ``line``
+    acts on t, from vertices whose first coordinates are the nodes, so that
+    its attractor is a graph over [0, 1] with t as its first coordinate:
+    product and lifted zippers are.  Raises :class:`DegenerateInput` if not.
+    """
+    check_pairing(zipper, line)
+    graph = np.array_equal(zipper.vertices[:, 0], line.nodes) and all(
+        mp.linear[0, 0] == lm.linear[0, 0] and not mp.linear[0, 1:].any()
+        and mp.translation[0] == lm.translation[0]
+        for mp, lm in zip(zipper.maps, line.maps)
+    )
+    if not graph:
+        raise DegenerateInput("the zipper is not a graph over the line zipper's parameter")
 
 
 def product_zipper(zipper, line):

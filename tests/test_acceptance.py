@@ -97,8 +97,8 @@ def test_criterion_03_rotation_family_fixed_point():
 def test_criterion_04_functional_equation_residuals(interval_03, rotation_half):
     worst = 0.0
     for zipper, line, lift in (interval_03, rotation_half):
-        feq = parametrization_residual(zipper, line, samples=1000, tol=1e-9)
-        geq = integral_residual(zipper, line, lift, samples=1000, tol=1e-9)
+        feq = parametrization_residual(zipper, line, samples=1000)
+        geq = integral_residual(zipper, line, lift, samples=1000)
         worst = max(worst, feq.max_error, geq.max_error)
     _verdict("criterion 4 (functional-equation residuals)", worst <= 2e-9,
              f"worst residual {worst:.3e} over 1000 samples per example (tol 2e-9)")
@@ -114,10 +114,7 @@ def test_criterion_05_fundamental_theorem():
         for config in configs:
             zipper, line = build(config)
             lift = build_lift(zipper, line)
-            report = derivative_check(
-                zipper, line, lift, sample_count=100, deltas=deltas,
-                holder_exponent=0.5,
-            )
+            report = derivative_check(zipper, line, lift, sample_count=100, deltas=deltas)
             results.append(report)
     worst = max(report.max_error for report in results)
     passed = all(report.passed for report in results)
@@ -271,7 +268,7 @@ def test_criterion_10_discrepancy_adjudication():
         [1.0 / (2.0 * scale), config.h_param / scale]
     )
     gap = abs(alternative[0] - derived[0])
-    residual = integral_residual(zipper, line, lift, samples=500, tol=1e-9)
+    residual = integral_residual(zipper, line, lift, samples=500)
     passed = residual.max_error <= 2e-9 and gap > 0.3
     _verdict("criterion 10 (constant adjudication)", passed,
              f"derived constant {derived[0]:+.6f} vs alternative {alternative[0]:+.6f} "

@@ -53,6 +53,13 @@ def test_refine_point_count_and_params_interleave(graph_zipper):
         assert np.array_equal(polyline.params, polyline.points[:, 0])
 
 
+def test_refine_params_are_a_view_of_the_first_coordinate(graph_zipper):
+    product, line = graph_zipper
+    polyline = refine(product, 6, line=line)
+    assert np.shares_memory(polyline.params, polyline.points)
+    assert not polyline.params.flags.writeable
+
+
 def test_refine_mesh_bound_shrinks_geometrically(graph_zipper):
     product, line = graph_zipper
     bounds = [refine(product, depth).mesh_bound for depth in range(6)]

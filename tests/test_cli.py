@@ -28,7 +28,7 @@ def test_validate_bad_config(tmp_path, capsys):
     assert main(["validate", str(path)]) == 1
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     assert main(["validate"]) == 2  # no config at all
     assert main(["validate", "--example1", "p=0.3", "--example2", "h=0.5"]) == 2
     assert main(["validate", "--example1", "p=nope"]) == 2
@@ -45,6 +45,39 @@ def test_usage_errors(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {name} must be at least 1, got {value}\n"
+    assert main(["validate", "--example1", "p=0.3,p=0.4"]) == 2
+    assert capsys.readouterr().err == "error: --example1: parameter 'p' given twice\n"
+    # the product of example 1 lives in R^2: axes 0 and 1, once each
+    svg, csv = tmp_path / "out.svg", tmp_path / "out.csv"
+    for axes in ("0,5", "0,-1", "0,0", "1,1", "0,1,1"):
+        argv = ["render", "--example1", "p=0.3", "--svg", str(svg), "--csv", str(csv),
+                "--project", axes]
+        assert main(argv) == 2
+        assert "does not select two axes of R^2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+VALID_CONFIG = (
+    '{"dimension": 1, "maps": [{"linear": [[0.5]], "translation": [0]}, '
+    '{"linear": [[0.5]], "translation": [0.5]}], '
+    '"vertices": [[0], [0.5], [1]], "signature": [0, 0]}'
+)
+
+
+@pytest.mark.parametrize("text, key", [
+    (VALID_CONFIG.replace('"signature": [0, 0]', '"signature": [0, 0], "signature": [1, 1]'),
+     "signature"),
+    (VALID_CONFIG.replace('"translation": [0]', '"translation": [0], "translation": [0.1]'),
+     "translation"),
+], ids=["top-level", "map-entry"])
+def test_duplicate_config_keys_are_parse_errors(tmp_path, capsys, text, key):
+    path = tmp_path / "twice.json"
+    path.write_text(VALID_CONFIG)
+    assert main(["validate", str(path)]) == 0
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: duplicate key {key!r}\n"
 
 
 def test_parse_error_exit_code(tmp_path):
@@ -377,6 +410,29 @@ def test_traced_benchmark_layers_are_cli_names():
             names.append(ast.literal_eval(key))
     assert "build_lift" in names and "eventual_contraction_check" in names
     assert [name for name in names if not hasattr(cli, name)] == []
+
+
+def test_benchmark_imports_resolve():
+    # perfbench/ runs outside tier-1 testpaths; read its zipperlift imports
+    # from source, without importing or writing anything there
+    import importlib
+    import inspect
+
+    from zipperlift import refine
+
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    imported = []
+    for path in sorted(bench.glob("*.py")) + sorted(bench.glob("tests/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "zipperlift"):
+                imported += [(node.module, alias.name) for alias in node.names]
+    assert ("zipperlift", "refine") in imported and ("zipperlift.cli", "main") in imported
+    missing = [f"{module}.{name}" for module, name in imported
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+    # perfbench/checks.py asks refine for the mesh bound of a graph zipper
+    assert "line" in inspect.signature(refine).parameters
 
 
 def test_graph_render_of_an_eventually_contracting_zipper(tmp_path, capsys):

@@ -131,8 +131,12 @@ def test_operator_norm_dominates_random_directions(rng):
         assert norm == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], abs=1e-6)
 
 
+def _linear_maps(mats):
+    return [AffineMap(mat, np.zeros(mat.shape[0])) for mat in mats]
+
+
 def test_eventual_contraction_scan_uniform():
-    scan = eventual_contraction_scan([0.5 * np.eye(2), 0.5 * np.eye(2)], 4)
+    scan = eventual_contraction_scan(_linear_maps([0.5 * np.eye(2)] * 2), np.zeros(2), 4)
     assert scan.word_length == 1
     assert scan.values[0][1] == pytest.approx(0.5, abs=1e-9)
 
@@ -141,7 +145,7 @@ def test_eventual_contraction_scan_needs_words():
     # one direction expands, but every length-2 product contracts
     first = np.array([[0.0, 1.2], [0.0, 0.0]])
     second = np.array([[0.0, 0.0], [0.4, 0.0]])
-    scan = eventual_contraction_scan([first, second], 4)
+    scan = eventual_contraction_scan(_linear_maps([first, second]), np.zeros(2), 4)
     assert scan.values[0][1] > 1.0
     assert scan.word_length == 2
     assert scan.values[1][1] == pytest.approx(math.sqrt(0.48), abs=1e-9)
@@ -149,25 +153,23 @@ def test_eventual_contraction_scan_needs_words():
 
 def test_eventual_contraction_budget():
     # 1001 words of length 1 fit the budget; the 1001^2 of length 2 do not
-    mats = [np.eye(1)] * 1001
+    maps = _linear_maps([np.eye(1)] * 1001)
     with pytest.raises(CombinatorialBudget):
-        eventual_contraction_scan(mats, 2)
+        eventual_contraction_scan(maps, np.zeros(1), 2)
     # 6^8 words exceed the budget, but a certificate at length 1 forms 6
-    scan = eventual_contraction_scan([0.5 * np.eye(2)] * 6, 8)
+    scan = eventual_contraction_scan(_linear_maps([0.5 * np.eye(2)] * 6), np.zeros(2), 8)
     assert scan.word_length == 1 and len(scan.values) == 1
 
 
 def test_word_reach_bound_contains_orbits(rng):
     # a family contracting only at word length 2: the certified reach must
     # dominate every random-iteration orbit started at the base point
-    from zipperlift.geometry import word_reach_bound
-
     maps = [
         AffineMap([[0.0, 1.2], [0.0, 0.0]], [0.3, 0.1]),
         AffineMap([[0.0, 0.0], [0.4, 0.0]], [0.2, 0.5]),
     ]
     base = np.zeros(2)
-    reach = word_reach_bound(maps, base, 4)
+    reach = eventual_contraction_scan(maps, base, 4).reach
     assert np.isfinite(reach) and reach > 0
     for _ in range(200):
         point = base.copy()
@@ -178,8 +180,6 @@ def test_word_reach_bound_contains_orbits(rng):
 
 
 def test_word_reach_bound_needs_certificate():
-    from zipperlift.geometry import word_reach_bound
-
     expanding = [AffineMap([[1.1, 0.0], [0.0, 1.1]], [0.0, 0.0])]
-    with pytest.raises(ValueError):
-        word_reach_bound(expanding, np.zeros(2), 3)
+    scan = eventual_contraction_scan(expanding, np.zeros(2), 3)
+    assert not scan.passed and scan.reach is None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zipperlift.errors import OutOfDomain, SignatureMismatch, ToleranceUnreachable
+from zipperlift import parametrization
 from zipperlift.families import Example1Config, build_example1
 from zipperlift.geometry import apply
 from zipperlift.parametrization import eval_f, eval_f_many
@@ -95,10 +96,11 @@ def test_eval_f_bound_monotone_in_depth(interval_03):
     assert all(b <= tol for b, tol in zip(bounds, (1e-3, 1e-6, 1e-9, 1e-12)))
 
 
-def test_eval_f_tolerance_unreachable(interval_03):
+def test_eval_f_tolerance_unreachable(interval_03, monkeypatch):
     zipper, line, _ = interval_03
+    monkeypatch.setattr(parametrization, "MAX_DEPTH", 3)
     with pytest.raises(ToleranceUnreachable):
-        eval_f(1.0 / 3.0, zipper, line, tol=1e-9, max_depth=3)
+        eval_f(1.0 / 3.0, zipper, line, tol=1e-9)
 
 
 def test_eval_f_requires_matching_signature(interval_03):

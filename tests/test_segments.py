@@ -78,7 +78,7 @@ def test_segments_concatenate_to_refine_bitwise(name, kind):
     # the last depth cuts the polyline into 16 to 27 segments
     for depth in (0, 1, level, level + 1, level + {2: 4, 3: 3}.get(m, 2)):
         segments = Segments(target, refine(target, segment_level(target, depth), line=line),
-                            depth, line=line)
+                            depth)
         assert segments.count == m ** (depth - segment_level(target, depth))
         parts = [segments(i) for i in range(segments.count)]
         assert max(len(points) for points, _ in parts) <= SEGMENT_ROWS
@@ -101,9 +101,7 @@ def test_segment_level_is_the_deepest_level_that_fits():
 def test_segments_need_the_base_level_polyline():
     product, line = _target("example1", "product")
     with pytest.raises(ValueError, match="level-11"):
-        Segments(product, refine(product, 10, line=line), 14, line=line)
-    with pytest.raises(ValueError, match="params"):
-        Segments(product, refine(product, 11), 14, line=line)
+        Segments(product, refine(product, 10, line=line), 14)
 
 
 #: A one-dimensional zipper whose vertex deviations, 0.99e-9 at S1(z_0) and
@@ -135,7 +133,7 @@ def test_junction_violation_above_the_base_level_raises_like_refine():
             refine(target, 14, line=with_line)
         assert "junction between pieces 1 and 2" in str(expected.value)
         with pytest.raises(ZipperViolation) as raised:
-            Segments(target, base, 14, line=with_line)
+            Segments(target, base, 14)
         assert str(raised.value) == str(expected.value)
 
 

@@ -172,5 +172,5 @@ def test_eventual_contraction_budget():
 def test_quadrature_vs_recursion_grid(interval_03, rotation_half):
     # the two routes agree on the decimal grid at every ladder rung
     for zipper, line, lift in (interval_03, rotation_half):
-        report = quadrature_check(zipper, line, lift, panel_ladder=(256, 1024, 4096))
+        report = quadrature_check(zipper, line, lift)
         assert report.passed, report

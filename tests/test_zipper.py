@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from zipperlift.attractor import refine
+from zipperlift.config_io import build_system, config_from_system, config_to_json, parse_config
 from zipperlift.errors import (
     CountMismatch,
+    DegenerateInput,
     InvalidNodes,
     NotNormalized,
     SignatureMismatch,
@@ -13,6 +16,7 @@ from zipperlift.families import Example1Config, Example2Config, build_example1, 
 from zipperlift.smoothing import build_lift, smooth_zipper
 from zipperlift.zipper import (
     VERTEX_TOLERANCE,
+    check_graph,
     inspect_zipper,
     line_zipper,
     normalize_zipper,
@@ -232,3 +236,19 @@ def test_signature_reversal_decomposition():
     assert parts[0].sign == -1
     assert parts[0].linear_part[0, 0] == pytest.approx(0.6)
     assert np.array_equal(parts[0].offset, [0.6])
+
+
+def test_check_graph_accepts_products_and_lifts_only():
+    # t is the first coordinate of a graph zipper, so refine reads it there
+    for zipper, line in (build_example1(Example1Config(p=0.3)),
+                         build_example2(Example2Config(h_param=0.5))):
+        lifted = smooth_zipper(zipper, line, build_lift(zipper, line))
+        check_graph(product_zipper(zipper, line), line)
+        check_graph(lifted, line)
+        check_graph(*build_system(parse_config(config_to_json(config_from_system(lifted, line)))))
+        check_graph(validate_zipper(line.maps, line.nodes[:, None], line.signature), line)
+    # the base zipper of example 2 is a curve in the plane, not a graph over t
+    with pytest.raises(DegenerateInput):
+        check_graph(zipper, line)
+    with pytest.raises(DegenerateInput):
+        refine(zipper, 2, line=line)
