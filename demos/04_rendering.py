@@ -47,7 +47,7 @@ for name, system in (("interval_graph", graph), ("interval_arc", arc)):
     residual = invariance_residual(polyline, system)
     print(f"{name}: {polyline.points.shape[0]} points, "
           f"mesh bound {polyline.mesh_bound:.2e}, invariance residual {residual:.2e}")
-    export_svg(polyline, RenderSpec(depth=12), out / f"{name}.svg")
+    export_svg(polyline, RenderSpec(), out / f"{name}.svg")
     export_csv(polyline, out / f"{name}.csv")
 
 # the rotation family's integral arc lives in R^3; project out the
@@ -55,7 +55,7 @@ for name, system in (("interval_graph", graph), ("interval_arc", arc)):
 rotation, rline = build_example2(Example2Config(h_param=0.5))
 rarc = smooth_zipper(rotation, rline, build_lift(rotation, rline))
 polyline = refine(rarc, 12, line=rline)
-export_svg(polyline, RenderSpec(depth=12, projection=(1, 2)), out / "rotation_arc.svg")
+export_svg(polyline, RenderSpec(projection=(1, 2)), out / "rotation_arc.svg")
 print(f"rotation_arc: {polyline.points.shape[0]} points -> rotation_arc.svg")
 
 # chaos game: random iteration accumulates on the same attractor

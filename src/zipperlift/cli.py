@@ -26,8 +26,10 @@ from .config_io import (
 )
 from .errors import (
     DegenerateInput,
+    DepthCap,
     DimensionUnsupported,
     InvalidConfig,
+    NotNormalized,
     OutOfDomain,
     ParseError,
     ShapeError,
@@ -109,8 +111,7 @@ def _add_config_arguments(parser):
 def _cmd_validate(args):
     # _resolve_system raises on an invalid zipper, so this one is valid
     zipper, line = _resolve_system(args)
-    report = ValidationReport(True, (), zipper.linear_norms, zipper.word_scan)
-    print(report.summary())
+    print(ValidationReport((), zipper).summary())
     return 0
 
 
@@ -161,13 +162,14 @@ def _cmd_render(args):
     # export_svg rejects anything but two distinct axes before it opens a file
     projection = tuple(map(int, args.project.split(","))) if args.project else None
     spec = RenderSpec(
-        depth=args.depth, width=args.width, height=args.height,
+        width=args.width, height=args.height,
         stroke_width=args.stroke_width, projection=projection,
     )
     # the depth-d rows are computed segment by segment in the exports, from
-    # the small polyline P_k; the junction check runs before any file opens
-    base = refine(target, segment_level(target, spec.depth), line=line)
-    segments = Segments(target, base, spec.depth)
+    # the small polyline P_k; the depth and junction checks run before any
+    # file opens
+    base = refine(target, segment_level(target, args.depth), line=line)
+    segments = Segments(target, base, args.depth)
     export_svg(segments, spec, args.svg)
     written = [args.svg]
     if args.csv:
@@ -297,7 +299,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ParseError, ShapeError, InvalidConfig, DegenerateInput, OutOfDomain,
-            DimensionUnsupported, ValueError) as exc:
+            DimensionUnsupported, DepthCap, NotNormalized, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ZipperViolation as exc:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attractor import DEPTH_CAP, Segments
+from .attractor import Segments
 from .errors import DimensionUnsupported, ParseError, ShapeError
 from .geometry import AffineMap
 from .zipper import line_zipper, validate_zipper
@@ -179,14 +179,14 @@ def config_to_json(config):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def config_from_system(zipper, line=None):
-    """Describe a validated zipper (and optionally its line nodes) as a config."""
+def config_from_system(zipper, line):
+    """Describe a validated zipper and its line nodes as a config."""
     return ZipperConfig(
         dimension=zipper.dimension,
         maps=zipper.maps,
         vertices=zipper.vertices,
         signature=zipper.signature,
-        line_nodes=None if line is None else line.nodes,
+        line_nodes=line.nodes,
     )
 
 
@@ -417,17 +417,14 @@ def export_csv(data, path):
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """How to draw a polyline: subdivision depth, canvas, projection."""
+    """How to draw a polyline: canvas, stroke and projection."""
 
-    depth: int = 12
     width: int = 800
     height: int = 600
     stroke_width: float = 1.0
     projection: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.depth > DEPTH_CAP or self.depth < 0:
-            raise ValueError(f"depth must lie in 0..{DEPTH_CAP}, got {self.depth}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("canvas dimensions must be positive")
         if not (math.isfinite(self.stroke_width) and self.stroke_width >= 0.0):

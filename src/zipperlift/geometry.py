@@ -52,13 +52,11 @@ def as_vector(values, dim=None):
     return vec
 
 
-def as_matrix(values, dim=None):
+def as_matrix(values):
     """Coerce ``values`` to a read-only square float64 matrix."""
     mat = np.array(values, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
         raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
-    if dim is not None and mat.shape[0] != dim:
-        raise DimensionMismatch(f"expected dimension {dim}, got {mat.shape[0]}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix entries must be finite")
     mat.setflags(write=False)

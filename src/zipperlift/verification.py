@@ -288,15 +288,19 @@ def tangent_scan(zipper, line, lift, sample_count, t_min=1.0 / 64.0, f_tol=1e-9)
     )
 
 
-def eventual_contraction_check(zipper, max_word_length=EVENTUAL_WORD_LENGTH):
+def eventual_contraction_check(zipper):
     """Certify that word products of the zipper's linear parts contract.
 
-    Scans word lengths L = 1..max_word_length for the first L where every
-    length-L product has operator norm^(1/L) below 1; reports the certified
-    value.  Raises :class:`CombinatorialBudget` when the enumeration would
-    exceed :data:`~zipperlift.geometry.WORD_BUDGET` words.
+    Reports the word scan that validation stored on an eventually
+    contracting zipper; otherwise scans word lengths
+    L = 1..:data:`~zipperlift.zipper.EVENTUAL_WORD_LENGTH` for the first L
+    where every length-L product has operator norm^(1/L) below 1.  Raises
+    :class:`CombinatorialBudget` when that enumeration would exceed
+    :data:`~zipperlift.geometry.WORD_BUDGET` words.
     """
-    scan = eventual_contraction_scan(zipper.maps, zipper.vertices[0], int(max_word_length))
+    scan = zipper.word_scan
+    if scan is None:
+        scan = eventual_contraction_scan(zipper.maps, zipper.vertices[0], EVENTUAL_WORD_LENGTH)
     if scan.passed:
         max_error = scan.values[-1][1]
     else:

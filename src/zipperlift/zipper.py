@@ -65,17 +65,19 @@ class ConditionViolation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Everything a failed (or passed) zipper validation observed."""
+    """What a zipper validation observed: the violations, or the zipper."""
 
-    valid: bool
     violations: tuple[ConditionViolation, ...]
-    contraction_factors: tuple[float, ...]
-    word_scan: ContractionScan | None = None  # run exactly in eventual mode
+    zipper: Zipper | None = None  # built exactly when no axiom fails
+
+    @property
+    def valid(self):
+        return self.zipper is not None
 
     def summary(self):
         if self.valid:
-            mode = "per-map" if self.word_scan is None else "eventual"
-            factors = ", ".join(f"{f:.6g}" for f in self.contraction_factors)
+            mode, norms = self.zipper.contraction_mode, self.zipper.linear_norms
+            factors = ", ".join(f"{f:.6g}" for f in norms)
             return f"valid zipper ({mode} contraction; factors {factors})"
         lines = [f"{len(self.violations)} zipper axiom violation(s):"]
         for v in self.violations:
@@ -96,9 +98,12 @@ class Zipper:
     maps: tuple[AffineMap, ...]
     vertices: np.ndarray  # (m+1, n), read-only
     signature: tuple[int, ...]
-    dimension: int
     linear_norms: tuple[float, ...]  # operator norms of the linear parts
     word_scan: ContractionScan | None = None  # the certificate of eventual mode
+
+    @property
+    def dimension(self):
+        return self.maps[0].dimension
 
     @property
     def contraction_mode(self):
@@ -178,6 +183,9 @@ class SimilarityDecomposition:
 def inspect_zipper(maps, vertices, signature):
     """Check the zipper axioms, returning a full :class:`ValidationReport`.
 
+    The report holds the :class:`Zipper` built from the checked values
+    exactly when every axiom holds.
+
     Vertex conditions hold to :data:`VERTEX_TOLERANCE`.  The contraction
     mode is ``"per-map"`` when every linear part has operator norm below
     ``1 - CONTRACTION_MARGIN``.  Otherwise it is ``"eventual"``, and the
@@ -211,24 +219,18 @@ def inspect_zipper(maps, vertices, signature):
     # the vertex axioms only mean something at finite vertices
     for k, mp in enumerate(maps if not violations else ()):
         bit = signature[k]
-        expected_start = vertices[k + bit]
-        expected_end = vertices[k + 1 - bit]
-        observed_start = apply(mp, vertices[0])
-        observed_end = apply(mp, vertices[-1])
-        dev_start = float(np.linalg.norm(observed_start - expected_start))
-        dev_end = float(np.linalg.norm(observed_end - expected_end))
-        if dev_start > VERTEX_TOLERANCE:
-            violations.append(ConditionViolation(
-                k + 1, "start-vertex", dev_start,
-                f"maps first vertex to {observed_start.tolist()}, "
-                f"expected {expected_start.tolist()}",
-            ))
-        if dev_end > VERTEX_TOLERANCE:
-            violations.append(ConditionViolation(
-                k + 1, "end-vertex", dev_end,
-                f"maps last vertex to {observed_end.tolist()}, "
-                f"expected {expected_end.tolist()}",
-            ))
+        for condition, end, source, expected in (
+            ("start-vertex", "first", vertices[0], vertices[k + bit]),
+            ("end-vertex", "last", vertices[-1], vertices[k + 1 - bit]),
+        ):
+            observed = apply(mp, source)
+            deviation = float(np.linalg.norm(observed - expected))
+            if deviation > VERTEX_TOLERANCE:
+                violations.append(ConditionViolation(
+                    k + 1, condition, deviation,
+                    f"maps {end} vertex to {observed.tolist()}, "
+                    f"expected {expected.tolist()}",
+                ))
 
     scan = None
     if not all(factor < 1.0 - CONTRACTION_MARGIN for factor in factors):
@@ -241,12 +243,10 @@ def inspect_zipper(maps, vertices, signature):
                 f"(best normalized norm {worst:.12g})",
             ))
 
-    return ValidationReport(
-        valid=not violations,
-        violations=tuple(violations),
-        contraction_factors=factors,
-        word_scan=scan,
-    )
+    if violations:
+        return ValidationReport(tuple(violations))
+    vertices.setflags(write=False)
+    return ValidationReport((), Zipper(maps, vertices, signature, factors, scan))
 
 
 def validate_zipper(maps, vertices, signature):
@@ -255,21 +255,9 @@ def validate_zipper(maps, vertices, signature):
     The raised error carries the report listing every violated condition.
     """
     report = inspect_zipper(maps, vertices, signature)
-    if not report.valid:
+    if report.zipper is None:
         raise ZipperViolation(report)
-    maps = tuple(maps)
-    vertices = np.array(vertices, dtype=float)
-    if vertices.ndim == 1:
-        vertices = vertices[:, None]
-    vertices.setflags(write=False)
-    return Zipper(
-        maps=maps,
-        vertices=vertices,
-        signature=as_signature(signature, count=len(maps)),
-        dimension=maps[0].dimension,
-        linear_norms=report.contraction_factors,
-        word_scan=report.word_scan,
-    )
+    return report.zipper
 
 
 def line_zipper(nodes, signature):
@@ -294,9 +282,7 @@ def line_zipper(nodes, signature):
     nodes.setflags(write=False)
     ratios.setflags(write=False)
     line = LineZipper(nodes=nodes, signature=signature, ratios=ratios)
-    report = inspect_zipper(line.maps, nodes[:, None], signature)
-    if not report.valid:
-        raise ZipperViolation(report)
+    validate_zipper(line.maps, nodes[:, None], signature)
     return line
 
 
@@ -378,8 +364,7 @@ def similarity_decomposition(zipper):
     """
     if float(np.linalg.norm(zipper.vertices[0])) > VERTEX_TOLERANCE:
         raise NotNormalized(
-            f"first vertex {zipper.vertices[0].tolist()} is not the origin; "
-            "call normalize_zipper first"
+            f"vertices[0] must be the origin, got {zipper.vertices[0].tolist()}"
         )
     b = zipper.vertices[-1]
     decomposed = []

@@ -151,7 +151,6 @@ def test_refine_junction_agreement_is_checked(graph_zipper):
         maps=broken_maps,
         vertices=np.array([[0.0, 0.0], [0.5, 0.3], [1.0, 1.1]]),
         signature=(0, 0),
-        dimension=2,
         linear_norms=(0.5, 0.7),
     )
     with pytest.raises(ZipperViolation):

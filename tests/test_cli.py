@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +79,43 @@ def test_duplicate_config_keys_are_parse_errors(tmp_path, capsys, text, key):
     capsys.readouterr()
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err == f"error: duplicate key {key!r}\n"
+
+
+#: VALID_CONFIG moved by 0.1: a valid zipper whose vertices[0] is not the origin.
+SHIFTED_CONFIG = (
+    '{"dimension": 1, "maps": [{"linear": [[0.5]], "translation": [0.05]}, '
+    '{"linear": [[0.5]], "translation": [0.55]}], '
+    '"vertices": [[0.1], [0.6], [1.1]], "signature": [0, 0]}'
+)
+
+
+def test_commands_that_lift_need_vertices_0_at_the_origin(tmp_path, capsys):
+    config = tmp_path / "shifted.json"
+    config.write_text(SHIFTED_CONFIG)
+    for command in (["lift", "--out", str(tmp_path / "lifted.json")], ["verify"],
+                    ["eval-g", "--t", "0.5"],
+                    ["render", "--lifted", "--svg", str(tmp_path / "lifted.svg")]):
+        assert main([command[0], str(config), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: vertices[0] must be the origin, got [0.1]\n"
+    assert list(tmp_path.iterdir()) == [config]
+    svg = tmp_path / "plain.svg"
+    assert main(["validate", str(config)]) == 0
+    assert main(["eval-f", str(config), "--t", "0.5"]) == 0
+    assert main(["render", str(config), "--depth", "4", "--svg", str(svg)]) == 0
+    assert svg.read_text().count("<polyline") == 1
+
+
+@pytest.mark.parametrize("depth, message", [
+    ("31", "depth 31 exceeds the cap 30"), ("-1", "depth must be nonnegative"),
+])
+def test_render_depth_outside_0_to_the_cap_writes_nothing(tmp_path, capsys, depth, message):
+    argv = ["render", "--example1", "p=0.3", "--depth", depth,
+            "--svg", str(tmp_path / "out.svg"), "--csv", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_parse_error_exit_code(tmp_path):
@@ -312,6 +350,14 @@ def test_package_imports_only_numpy_and_the_standard_library():
     assert outside == []
 
 
+def test_declared_numpy_floor_has_vecdot():
+    # verification._row_norms calls np.vecdot, new in numpy 2.0; the
+    # floor is read with a regex, as Python 3.10 has no tomllib
+    text = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', text)
+    assert floor is not None and (int(floor[1]), int(floor[2])) >= (2, 0)
+
+
 @pytest.mark.parametrize("width", ["nan", "-2"])
 def test_render_rejects_bad_stroke_width(tmp_path, capsys, width):
     svg = tmp_path / "out.svg"
@@ -353,6 +399,69 @@ def test_eventual_contraction_is_derived_by_validation():
     zipper = validate_zipper(config.maps, config.vertices, config.signature)
     assert zipper.contraction_mode == "eventual"
     assert max(zipper.linear_norms) > 3.0
+
+
+def test_verify_reports_the_scan_validation_stored(tmp_path, monkeypatch):
+    # validation scans the eventual source and its eventual lift once each;
+    # the contraction check reports the lift's stored scan
+    from zipperlift import verification
+    from zipperlift import zipper as zipper_module
+    from zipperlift.geometry import eventual_contraction_scan
+
+    scans = []
+
+    def counted(*args):
+        scans.append(args)
+        return eventual_contraction_scan(*args)
+
+    monkeypatch.setattr(zipper_module, "eventual_contraction_scan", counted)
+    monkeypatch.setattr(verification, "eventual_contraction_scan", counted)
+    config = tmp_path / "eventual.json"
+    config.write_text(json.dumps(EVENTUAL_CONFIG))
+    assert main(["verify", str(config), "--suite", "contraction"]) == 0
+    assert len(scans) == 2
+
+
+def test_contraction_check_equals_a_fresh_scan():
+    from zipperlift.config_io import build_system
+    from zipperlift.families import (
+        Example1Config, Example2Config, build_example1, build_example2,
+    )
+    from zipperlift.geometry import eventual_contraction_scan
+    from zipperlift.smoothing import build_lift, smooth_zipper
+    from zipperlift.verification import eventual_contraction_check
+    from zipperlift.zipper import EVENTUAL_WORD_LENGTH
+
+    systems = (build_system(parse_config(json.dumps(EVENTUAL_CONFIG))),
+               build_example1(Example1Config(p=0.3)),
+               build_example2(Example2Config(h_param=0.5)))
+    modes = []
+    for zipper, line in systems:
+        lifted = smooth_zipper(zipper, line, build_lift(zipper, line))
+        modes.append(lifted.contraction_mode)
+        report = eventual_contraction_check(lifted)
+        scan = eventual_contraction_scan(lifted.maps, lifted.vertices[0], EVENTUAL_WORD_LENGTH)
+        assert scan.passed and report.passed
+        fresh = [scan.values[-1][1]] + [v for pair in scan.values for v in pair]
+        reported = [report.max_error] + [v for pair in report.details for v in pair]
+        assert np.array(reported).tobytes() == np.array(fresh, dtype=float).tobytes()
+    assert modes == ["eventual", "per-map", "per-map"]
+
+
+@pytest.mark.parametrize("config", [EVENTUAL_CONFIG, VALID_CONFIG], ids=["eventual", "per-map"])
+def test_inspect_zipper_holds_the_zipper_that_validation_returns(config):
+    from zipperlift.zipper import inspect_zipper, validate_zipper
+
+    parsed = parse_config(config if isinstance(config, str) else json.dumps(config))
+    args = (parsed.maps, parsed.vertices, parsed.signature)
+    report, built = inspect_zipper(*args), validate_zipper(*args)
+    assert report.valid and report.violations == ()
+    held = report.zipper
+    assert np.array(held.linear_norms).tobytes() == np.array(built.linear_norms).tobytes()
+    assert held.word_scan == built.word_scan
+    assert held.vertices.tobytes() == built.vertices.tobytes()
+    assert not held.vertices.flags.writeable
+    assert held.dimension == built.dimension == held.maps[0].dimension
 
 
 def six_map_config():

@@ -144,7 +144,7 @@ def test_export_svg_structure(tmp_path):
     product = product_zipper(zipper, line)
     polyline = refine(product, 8, line=line)
     path = tmp_path / "curve.svg"
-    export_svg(polyline, RenderSpec(depth=8), path)
+    export_svg(polyline, RenderSpec(), path)
     text = path.read_text()
     assert text.count("<polyline") == 1
     assert 'viewBox="0 0 800 600"' in text
@@ -171,8 +171,6 @@ def test_export_svg_rejects_one_dimensional(tmp_path):
 
 
 def test_render_spec_validation():
-    with pytest.raises(ValueError):
-        RenderSpec(depth=31)
     with pytest.raises(ValueError):
         RenderSpec(width=0)
 
@@ -264,7 +262,7 @@ def _assert_exports_stream(tmp_path):
     polyline = refine(product_zipper(zipper, line), 16, line=line)
     exports = {
         "curve.csv": lambda path: export_csv(polyline, path),
-        "curve.svg": lambda path: export_svg(polyline, RenderSpec(depth=16), path),
+        "curve.svg": lambda path: export_svg(polyline, RenderSpec(), path),
     }
     for name, export in exports.items():
         path = tmp_path / name

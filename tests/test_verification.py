@@ -8,7 +8,7 @@ from zipperlift.families import (
     build_example1,
     build_example2,
 )
-from zipperlift.geometry import AffineMap
+from zipperlift.geometry import AffineMap, eventual_contraction_scan
 from zipperlift.smoothing import build_lift, smooth_zipper
 from zipperlift.verification import (
     derivative_check,
@@ -160,13 +160,13 @@ def test_eventual_contraction_budget():
     maps = [AffineMap(0.5 * np.eye(1), [0.0]), AffineMap(0.5 * np.eye(1), [0.5])]
     zipper = validate_zipper(maps, [[0.0], [0.5], [1.0]], (0, 0))
     # certified at length 1, so the 2^21 longer words are never formed
-    assert eventual_contraction_check(zipper, max_word_length=21).passed
+    assert eventual_contraction_scan(zipper.maps, zipper.vertices[0], 21).passed
     # identities never certify; length 2 would form 1001^2 more words
     identity = AffineMap(np.eye(1), [0.0])
     never = Zipper(maps=(identity,) * 1001, vertices=np.zeros((1002, 1)),
-                   signature=(0,) * 1001, dimension=1, linear_norms=(1.0,) * 1001)
+                   signature=(0,) * 1001, linear_norms=(1.0,) * 1001)
     with pytest.raises(CombinatorialBudget):
-        eventual_contraction_check(never, max_word_length=2)
+        eventual_contraction_check(never)
 
 
 def test_quadrature_vs_recursion_grid(interval_03, rotation_half):
