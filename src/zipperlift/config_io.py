@@ -221,40 +221,139 @@ def format_number(value):
     return repr(value)
 
 
-#: Rows formatted and written per block.  It bounds the text and the string
-#: objects alive at once, independent of the polyline's length.
+#: Rows formatted and written per block.  It bounds the text and the arrays
+#: alive at once, independent of the polyline's length.
 _BLOCK_ROWS = 4096
 
+#: An entry's text is right-aligned in a frame of this many bytes, NUL
+#: before it; the first 4 bytes stay NUL, room for a separator.
+_FRAME = 28
+#: ``_DIGITS[v]``: ``v`` in 0..9999 as one word of 4 ASCII digits.
+_DIGITS = (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+           % 10 + 48).astype(np.uint8).view(np.uint32)
+#: ``_MASKS[start]``: the words of a frame that clear its bytes before ``start``.
+_MASKS = np.triu(np.full((_FRAME + 1, _FRAME), 255, np.uint8)).view(np.uint32)
+_POW5 = np.array([5.0**k for k in range(23)])  # exact doubles
+_POW10 = np.array([10**k for k in range(19)])
 
-def _column_text(values):
-    """:func:`format_number` of every entry of a 1-D float array."""
-    floats = values.tolist()
-    text = list(map(repr, floats))
-    integral = (values == np.trunc(values)) & (np.abs(values) < 1e16)
-    for k in np.flatnonzero(integral).tolist():
-        text[k] = str(int(floats[k]))
-    return text
+
+def _two_product(a, b):
+    """``(p, e)`` with ``p = fl(a*b)`` and ``a*b == p + e`` exactly (Dekker)."""
+    halves = []
+    for x in (a, b):  # Veltkamp's split into 26-bit halves
+        high = x * 134217729.0
+        high -= high - x
+        halves += [high, x - high]
+    a1, a2, b1, b2 = halves
+    product = a * b
+    return product, (((a1 * b1 - product) + a1 * b2) + a2 * b1) + a2 * b2
+
+
+def _shortest_digits(ax, s):
+    """``(digits, places, exact)``: where ``exact``, ``digits / 10^places``
+    is the shortest decimal that reads back as ``ax``, nearest to it, ties
+    to an even last digit as in CPython's dtoa (Steele & White 1990).
+
+    ``ax`` holds positive doubles, neither integral nor powers of two, and
+    ``exact`` says where ``ax 10^s`` lies in [1e17, 1e18).  Every step is
+    exact: with ``ax = M 2^E``, the interval ``ax ± ulp/2`` scaled by
+    ``10^s`` is wider than 10, and its ends come from the product ``M 5^s``.
+    """
+    significand, shift = np.frexp(ax)
+    shift += s - 53
+    five = _POW5[s]
+    product, frac = _two_product(significand * 2.0**53, five)
+    # ax 10^s == (product + frac) 2^shift == whole + frac, frac in [0, 1)
+    frac = np.ldexp(frac, shift)
+    whole = np.floor(frac)
+    frac -= whole
+    whole = whole.astype(np.int64) + np.ldexp(product, shift).astype(np.int64)
+    # the half-width is half + half_frac; an odd M leaves the interval open
+    half = np.ldexp(five, shift - 1)
+    half_frac = half - np.floor(half)
+    half = half.astype(np.int64)
+    odd = (ax.view(np.int64) & 1).astype(bool)
+    low = whole - half + ((frac > half_frac) | (odd & (frac == half_frac)))
+    top = frac + half_frac
+    high = whole + half + (top >= 1.0) - (odd & ((top == 0.0) | (top == 1.0)))
+    # k: the most trailing zeros of an integer in [low, high], at least one
+    k = np.ones_like(whole)
+    todo = np.flatnonzero(high // 100 * 100 >= low)
+    for j in range(2, 18):
+        if not todo.size:
+            break
+        k[todo] = j
+        todo = todo[high[todo] // _POW10[j + 1] * _POW10[j + 1] >= low[todo]]
+    k[todo] = 18
+    # the multiple of 10^k nearest ax 10^s, ties to even, kept in the interval
+    step = _POW10[k]
+    digits = whole // step
+    above = (2 * (whole - digits * step) - step).astype(float) + 2.0 * frac
+    digits += (above > 0.0) | ((above == 0.0) & (digits & 1).astype(bool))
+    digits = np.clip(digits, -(-low // step), high // step)
+    return digits, s - k, (whole >= 10**17) & (whole < 10**18)
+
+
+def _column_frames(values):
+    """:func:`format_number` of a 1-D float array as ``(frames, start)``:
+    row ``i`` of the ``(N, _FRAME)`` uint8 array holds entry ``i``'s ASCII
+    text from byte ``start[i]`` on, NUL before it.  Non-integral entries
+    with ``1e-4 <= |x| < 1e15`` (``repr``'s fixed notation) are formatted
+    at once.  The rest and powers of two, whose rounding interval is
+    lopsided, go one by one: about 0.1% of the presets' entries.
+    """
+    ax = np.abs(values)
+    fast = (ax >= 1e-4) & (ax < 1e15)
+    ax = np.where(fast, ax, 0.3)  # a harmless stand-in for the rest
+    fast &= (np.frexp(ax)[0] != 0.5) & (ax != np.trunc(ax))
+    s = 17 - np.floor(np.log10(ax)).astype(np.int64)
+    digits, places, exact = _shortest_digits(ax, s)
+    fast &= exact
+    places[~fast] = 1
+    # a 0 put in `places` digits from the right becomes the point: "0.ddd" below 1
+    digits = 10 * digits - 9 * (digits % _POW10[np.minimum(places, 18)])
+    negative = np.signbit(values)
+    start = _FRAME - 2 - places - np.maximum(17 - s, 0) - negative
+    frames = np.empty((len(values), _FRAME // 4), np.uint32)
+    for w in range(_FRAME // 4 - 1, -1, -1):  # a scalar // is numpy's fast one
+        quotient = digits // 10000
+        frames[:, w] = _DIGITS.take(digits - quotient * 10000)
+        digits = quotient
+    frames &= _MASKS[start]
+    frames = frames.view(np.uint8)
+    rows = np.flatnonzero(fast)
+    frames[rows, _FRAME - 1 - places[rows]] = ord(".")
+    rows = np.flatnonzero(fast & negative)
+    frames[rows, start[rows]] = ord("-")
+    rows = np.flatnonzero(~fast)
+    texts = [format_number(value).encode() for value in values[rows].tolist()]
+    start[rows] = [_FRAME - len(text) for text in texts]
+    frames[rows] = np.frombuffer(b"".join(t.rjust(_FRAME, b"\0") for t in texts),
+                                 np.uint8).reshape(-1, _FRAME)
+    return frames, start
 
 
 def _block_text(columns, row_sep):
-    """One block of rows: entries joined by commas, rows by ``row_sep``.
+    """One block of rows as ASCII bytes: entries joined by commas, rows by
+    ``row_sep``, a single character.
 
     A column bitwise equal to its left neighbour reuses the neighbour's
-    strings instead of formatting them again.
+    text instead of formatting it again.
     """
-    texts = []
+    frames = []
     for j, column in enumerate(columns):
         if j and np.array_equal(column.view(np.int64), columns[j - 1].view(np.int64)):
-            texts.append(texts[-1])
+            frames.append(frames[-1])
         else:
-            texts.append(_column_text(column))
-    width = 2 * len(texts)
-    parts = [","] * (width * len(texts[0]))
-    for j, text in enumerate(texts):
-        parts[2 * j :: width] = text
-    parts[width - 1 :: width] = [row_sep] * len(texts[0])
-    parts[-1] = ""
-    return "".join(parts)
+            frames.append(_column_frames(column))
+    # every entry and the separator before it, in the bytes the widest needs
+    cut = min(int(start.min()) for _, start in frames) - 1
+    rows = np.empty((len(columns[0]), len(columns), _FRAME - cut), np.uint8)
+    for j, (chars, start) in enumerate(frames):
+        rows[:, j] = chars[:, cut:]
+        rows[np.arange(len(start)), j, start - cut - 1] = ord("," if j else row_sep)
+    rows[0, 0, frames[0][1][0] - cut - 1] = 0  # nothing before the first row
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _usable_cpus():
@@ -291,7 +390,7 @@ def _format_share(block, indices, row_sep, out_fd, readers):
             reader.close()
         with open(out_fd, "wb") as out:
             for i in indices:
-                text = _block_text(block(i), row_sep).encode()
+                text = _block_text(block(i), row_sep)
                 out.write(len(text).to_bytes(8, "little"))
                 out.write(text)
     except BaseException:
@@ -316,7 +415,7 @@ def _block_texts(block, count, row_sep):
     """
     workers = min(_usable_cpus(), count) if hasattr(os, "fork") else 1
     if workers < 2:
-        yield (_block_text(block(i), row_sep).encode() for i in range(count))
+        yield (_block_text(block(i), row_sep) for i in range(count))
         return
     pids, readers = [], []
     try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormalized, ZeroTangent
+from .errors import ZeroTangent
 from .geometry import CONTRACTION_THRESHOLD, eventual_contraction_scan
 from .parametrization import _matvec, eval_f_many
 from .smoothing import eval_g_many
@@ -259,11 +259,11 @@ def tangent_scan(zipper, line, lift, sample_count, t_min=1.0 / 64.0, f_tol=1e-9)
     doubling.  Raises :class:`ZeroTangent` when a sampled tangent magnitude
     falls to 1e-12: the curve then fails the nonvanishing-derivative
     hypothesis away from the origin and no smoothness claim holds there.
+    A ``lift`` exists only for a zipper whose first vertex is the origin to
+    :data:`~zipperlift.zipper.VERTEX_TOLERANCE`, the origin the scan needs.
     """
     if int(sample_count) < 16:
         raise ValueError("sample_count must be at least 16")
-    if float(np.linalg.norm(zipper.vertices[0])) > 1e-12:
-        raise NotNormalized("tangent scan requires the first vertex at the origin")
 
     def max_increment(count):
         ts = np.linspace(t_min, 1.0, count)

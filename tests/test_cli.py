@@ -107,6 +107,31 @@ def test_commands_that_lift_need_vertices_0_at_the_origin(tmp_path, capsys):
     assert svg.read_text().count("<polyline") == 1
 
 
+#: The two-map 0.5·x zipper moved off the origin by 1e-10, inside the vertex
+#: tolerance that the lift accepts.
+NEAR_ORIGIN_CONFIG = (
+    '{"dimension": 1, "maps": [{"linear": [[0.5]], "translation": [5e-11]}, '
+    '{"linear": [[0.5]], "translation": [0.50000000005]}], '
+    '"vertices": [[1e-10], [0.5000000001], [1.0000000001]], "signature": [0, 0]}'
+)
+
+
+def test_verify_accepts_a_first_vertex_that_lift_accepts(tmp_path, capsys):
+    config = tmp_path / "near.json"
+    config.write_text(NEAR_ORIGIN_CONFIG)
+    assert main(["lift", str(config), "--out", str(tmp_path / "lifted.json")]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(config), "--suite", "all"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    reports = json.loads(captured.out)
+    assert [report["check"] for report in reports] == [
+        "parametrization-residual", "integral-residual", "quadrature-agreement",
+        "derivative-check", "tangent-scan", "eventual-contraction",
+    ]
+    assert all(report["passed"] for report in reports)
+
+
 @pytest.mark.parametrize("depth, message", [
     ("31", "depth 31 exceeds the cap 30"), ("-1", "depth must be nonnegative"),
 ])

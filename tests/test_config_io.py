@@ -107,6 +107,60 @@ def test_format_number():
     assert float(format_number(1e-7)) == 1e-7
 
 
+def _neighbours(values, reach=1):
+    """``values`` and the doubles up to ``reach`` ulps on either side."""
+    bits = np.asarray(values, dtype=float).view(np.int64)
+    return (bits[:, None] + np.arange(-reach, reach + 1)).view(float).ravel()
+
+
+def _formatter_cases(rng):
+    """About 1.07 M doubles where shortest-decimal formatting goes wrong first."""
+    def signs(count):
+        return rng.choice([-1.0, 1.0], count)
+
+    # random bit patterns: every exponent, NaN and infinity included
+    parts = [np.copysign(rng.integers(0, 2**63, 40_000).view(float), signs(40_000))]
+    # short decimals of 0 to 17 places: the digits stop early
+    scaled = rng.uniform(-1.0, 1.0, 290_000) * 10.0 ** rng.integers(-5, 16, 290_000)
+    parts += [_neighbours(np.round(scaled[k::18], k)) for k in range(18)]
+    # dyadic rationals: their decimals end in 5, so digits tie
+    parts.append(signs(150_000) * rng.integers(1, 2**20, 150_000)
+                 / 2.0 ** rng.integers(1, 33, 150_000))
+    # powers of two, whose rounding interval is lopsided, and their neighbours
+    parts.append(_neighbours(np.ldexp(1.0, np.arange(-1073, 1024))))
+    parts.append(_neighbours(10.0 ** np.arange(-30, 31), 3))
+    # both ends of the range formatted in bulk, and where integers stop
+    parts.append(_neighbours([1e-4, -1e-4, 1e15, -1e15, 1e16, -1e16], 40))
+    parts.append([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                  math.nan, math.inf, -math.inf])
+    return np.concatenate(parts)
+
+
+def test_block_text_matches_format_number_on_a_million_values():
+    values = _formatter_cases(np.random.default_rng(15))
+    assert values.size >= 1_000_000
+    got = b"\n".join(config_io._block_text([values[i : i + 4096]], "\n")
+                     for i in range(0, values.size, 4096)).decode().split("\n")
+    expected = [format_number(v) for v in values.tolist()]
+    if got != expected:
+        assert len(got) == len(expected)
+        wrong = [(v, g, e) for v, g, e in zip(values.tolist(), got, expected) if g != e]
+        assert wrong[:5] == []
+
+
+@pytest.mark.parametrize("value, text", [
+    (12345 / 2**19, "0.023546218872070312"),  # ...0703125: the tie goes to even
+    (0.3, "0.3"),
+    (1e-4, "0.0001"),
+    (-(0.1 + 0.2), "-0.30000000000000004"),  # 17 digits
+    (2.0**-14, "6.103515625e-05"),
+])
+def test_block_text_named_cases(value, text):
+    assert format_number(value) == text
+    column = np.array([value, 1.5])
+    assert config_io._block_text([column, column], " ") == f"{text},{text} 1.5,1.5".encode()
+
+
 def test_export_csv_graph_rows(tmp_path):
     zipper, line = build_example1(Example1Config(p=0.3))
     product = product_zipper(zipper, line)

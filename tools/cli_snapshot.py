@@ -23,6 +23,8 @@ PRESETS = {"ex1-p0.3": ["--example1", "p=0.3"], "ex1-q1": ["--example1", "q1=0.4
            "ex2-h0.5": ["--example2", "h=0.5"], "ex2-h0.1": ["--example2", "h=0.1"]}
 SEEDS = range(4)
 RENDER = ["--depth", "6", "--project", "0,1", "--svg"]
+#: Chaos renders whose CSVs hold about 10^5 formatted numbers of every sign and size.
+CHAOS = ["--depth", "4", "--project", "0,1", "--points", "50000", "--svg"]
 MATRIX = [
     ["validate"], ["lift", "--out", "lifted.json"], ["validate", "lifted.json"],
     ["verify", "--suite", "all"], ["verify", "--suite", "contraction"],
@@ -33,6 +35,8 @@ MATRIX = [
     ["render", "--depth", "31", "--svg", "deep.svg"],
     ["render", "--depth", "-1", "--svg", "negative.svg"],
     ["eval-f", "--t", "0.3141"], ["eval-g", "--t", "0.3141"],
+    ["render", *CHAOS, "product-chaos.svg", "--chaos", "product-chaos.csv"],
+    ["render", *CHAOS, "lifted-chaos.svg", "--lifted", "--chaos", "lifted-chaos.csv"],
 ]
 
 
