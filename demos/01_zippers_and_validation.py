@@ -7,18 +7,14 @@ exactly those conditions plus contraction, and reports every violation
 with the map index and the observed deviation.
 """
 
-import numpy as np
-
 from zipperlift import (
     Example1Config,
     Example2Config,
     build_example1,
     build_example2,
     inspect_zipper,
-    normalize_zipper,
     validate_zipper,
 )
-from zipperlift.geometry import AffineMap
 
 # the interval family: two increasing similarities splitting [0, 1] at p
 zipper, line = build_example1(Example1Config(p=0.3))
@@ -39,13 +35,3 @@ try:
     validate_zipper(zipper.maps, [[0.0], [0.5], [1.0]], (0, 0))
 except Exception as exc:
     print(" ", exc)
-
-# zippers living away from the origin normalize by a recorded translation
-shift_target = np.array([2.0])
-moved_maps = tuple(
-    AffineMap(mp.linear, mp.translation + shift_target - mp.linear @ shift_target)
-    for mp in zipper.maps
-)
-moved = validate_zipper(moved_maps, zipper.vertices + shift_target, zipper.signature)
-normalized, shift = normalize_zipper(moved)
-print("\nnormalized shifted copy: vertices", normalized.vertices.ravel(), "shift", shift)

@@ -44,5 +44,5 @@ for label, (zipper, line) in (
     # the tangent scan demands a 1.8x shrink of the largest direction
     # increment per sample doubling; rougher families shrink like
     # 2^theta < 1.8, so expect honest failures at larger apex heights
-    show(tangent_scan(zipper, line, lift, 256))
+    show(tangent_scan(zipper, line, 256))
     print()

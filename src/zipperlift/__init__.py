@@ -75,7 +75,6 @@ from .zipper import (
     Zipper,
     inspect_zipper,
     line_zipper,
-    normalize_zipper,
     product_zipper,
     similarity_decomposition,
     validate_zipper,

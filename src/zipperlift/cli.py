@@ -115,27 +115,18 @@ def _cmd_validate(args):
     return 0
 
 
-def _evaluation_payload(t, result):
-    return {
-        "t": t,
+def _cmd_eval(args):
+    zipper, line = _resolve_system(args)
+    if args.command == "eval-g":
+        result = eval_g(args.t, zipper, line, build_lift(zipper, line), tol=args.tol)
+    else:
+        result = eval_f(args.t, zipper, line, tol=args.tol)
+    print(json.dumps({
+        "t": args.t,
         "value": [float(v) for v in result.value],
         "errorBound": float(result.error_bound),
         "depth": int(result.depth),
-    }
-
-
-def _cmd_eval_f(args):
-    zipper, line = _resolve_system(args)
-    result = eval_f(args.t, zipper, line, tol=args.tol)
-    print(json.dumps(_evaluation_payload(args.t, result)))
-    return 0
-
-
-def _cmd_eval_g(args):
-    zipper, line = _resolve_system(args)
-    lift = build_lift(zipper, line)
-    result = eval_g(args.t, zipper, line, lift, tol=args.tol)
-    print(json.dumps(_evaluation_payload(args.t, result)))
+    }))
     return 0
 
 
@@ -201,12 +192,10 @@ def _cmd_verify(args):
                 zipper, line, lift, sample_count=args.deriv_samples, seed=args.seed))
         elif suite == "tangent":
             try:
-                reports.append(tangent_scan(
-                    zipper, line, lift, sample_count=args.tangent_samples))
+                reports.append(tangent_scan(zipper, line, args.tangent_samples))
             except ZeroTangent as exc:
                 print(f"tangent scan aborted: {exc}", file=sys.stderr)
-                reports.append(VerificationReport(
-                    "tangent-scan", float("inf"), 0, False, 0.0))
+                reports.append(VerificationReport("tangent-scan", float("inf"), 0, 0.0))
         elif suite == "contraction":
             reports.append(eventual_contraction_check(lifted))
     print(json.dumps([report.as_dict() for report in reports], indent=2))
@@ -237,17 +226,13 @@ def build_parser():
     _add_config_arguments(sub)
     sub.set_defaults(func=_cmd_validate)
 
-    sub = commands.add_parser("eval-f", help="evaluate the parametrization")
-    _add_config_arguments(sub)
-    sub.add_argument("--t", type=float, required=True)
-    sub.add_argument("--tol", type=float, default=1e-9)
-    sub.set_defaults(func=_cmd_eval_f)
-
-    sub = commands.add_parser("eval-g", help="evaluate the integral curve")
-    _add_config_arguments(sub)
-    sub.add_argument("--t", type=float, required=True)
-    sub.add_argument("--tol", type=float, default=1e-9)
-    sub.set_defaults(func=_cmd_eval_g)
+    for name, text in (("eval-f", "evaluate the parametrization"),
+                       ("eval-g", "evaluate the integral curve")):
+        sub = commands.add_parser(name, help=text)
+        _add_config_arguments(sub)
+        sub.add_argument("--t", type=float, required=True)
+        sub.add_argument("--tol", type=float, default=1e-9)
+        sub.set_defaults(func=_cmd_eval)
 
     sub = commands.add_parser("lift", help="emit the lifted zipper as a config")
     _add_config_arguments(sub)

@@ -28,7 +28,7 @@ MAX_POWER_ITERATIONS = 10_000
 #: Residual contract of :func:`solve_linear`, relative to 1 + |rhs|.
 SOLVE_RESIDUAL_BOUND = 1e-12
 
-#: A word scan certifies contraction once every normalized norm is below this.
+#: A word scan certifies contraction once every normalized norm is at most this.
 CONTRACTION_THRESHOLD = 1.0 - 1e-9
 
 #: Most word products a contraction scan may enumerate.
@@ -172,7 +172,7 @@ class ContractionScan:
     """Outcome of a word-product contraction search.
 
     ``word_length`` is the first length L at which every length-L product
-    of the scanned linear parts has operator norm^(1/L) below
+    of the scanned linear parts has operator norm^(1/L) at most
     :data:`CONTRACTION_THRESHOLD`, or ``None`` when no tested length
     succeeds.  ``values`` lists the tested ``(L, worst norm^(1/L))`` pairs
     in order.  ``reach`` bounds the distance of every attractor point from
@@ -193,7 +193,7 @@ def eventual_contraction_scan(maps, base_point, max_word_length):
 
     For each length L the scan forms all m^L affine words of the maps and
     records the worst ``operator_norm(linear part) ** (1/L)``; it stops at
-    the first L with every such value below :data:`CONTRACTION_THRESHOLD`.
+    the first L with every such value at most :data:`CONTRACTION_THRESHOLD`.
     If no word up to that length moves ``base_point`` farther than D, the
     attractor lies within ``reach = D / (1 - worst**L)`` of it.  Raises
     :class:`CombinatorialBudget` before forming a length whose words would
@@ -221,6 +221,6 @@ def eventual_contraction_scan(maps, base_point, max_word_length):
             farthest,
             max(float(np.linalg.norm(lin @ base_point + off - base_point)) for lin, off in level),
         )
-        if worst < CONTRACTION_THRESHOLD:
+        if worst <= CONTRACTION_THRESHOLD:
             return ContractionScan(length, tuple(values), farthest / (1.0 - worst**length))
     return ContractionScan(None, tuple(values))

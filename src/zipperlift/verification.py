@@ -6,7 +6,7 @@ curve from parametrization samples alone, central differences recover the
 parametrization from the integral curve, the tangent scan probes the
 regularity of the lifted arc, and the word-norm scan certifies that lifted
 map families contract eventually.  Every check returns a
-:class:`VerificationReport` whose ``passed`` flag is exactly
+:class:`VerificationReport` whose verdict ``passed`` is
 ``max_error <= tolerance``.
 """
 
@@ -43,6 +43,10 @@ DERIVATIVE_F_TOL = 1e-11
 
 #: Shrink factor that :func:`tangent_scan` demands per sample doubling.
 TANGENT_DOUBLING = 1.8
+#: Left end of the parameter interval that :func:`tangent_scan` samples.
+TANGENT_T_MIN = 1.0 / 64.0
+#: Evaluation tolerance of the tangents that :func:`tangent_scan` samples.
+TANGENT_F_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,18 +55,21 @@ class VerificationReport:
 
     ``details`` lists the worst offending (location, error) pairs; for
     scans indexed by something other than a parameter (word length, sample
-    count) the first entry of each pair is that index.  When a check folds
-    a secondary condition (such as errors shrinking across a ladder) into
-    its verdict, a violation inflates ``max_error`` past ``tolerance`` so
-    that ``passed == (max_error <= tolerance)`` always holds.
+    count) the first entry of each pair is that index.  The verdict is
+    ``passed``, that is ``max_error <= tolerance``: when a check folds a
+    secondary condition (such as errors shrinking across a ladder) into its
+    verdict, a violation inflates ``max_error`` past ``tolerance``.
     """
 
     check_name: str
     max_error: float
     samples: int
-    passed: bool
     tolerance: float
     details: tuple[tuple[float, float], ...] = ()
+
+    @property
+    def passed(self):
+        return self.max_error <= self.tolerance
 
     def as_dict(self):
         return {
@@ -86,6 +93,18 @@ def _sample_count(name, count):
     if int(count) < 1:
         raise ValueError(f"{name} must be at least 1, got {count}")
     return int(count)
+
+
+def _inflate_on_growth(max_error, tolerance, errors, floor, slack):
+    """``max_error``, inflated past ``tolerance`` when ``errors``, clipped
+    below at ``floor``, grow by more than ``slack`` from one rung of the
+    ladder (their last axis) to the next."""
+    clipped = np.maximum(errors, floor)
+    growth = clipped[..., 1:] / clipped[..., :-1]
+    worst_growth = float(growth.max()) if growth.size else 0.0
+    if worst_growth > slack:
+        return max(max_error, tolerance * worst_growth / slack)
+    return max_error
 
 
 def _worst_offenders(locations, errors, keep=5):
@@ -140,8 +159,8 @@ def parametrization_residual(zipper, line, samples=1000, seed=0):
     max_error = float(worst_errors.max())
     tolerance = 2.0 * RESIDUAL_TOL
     return VerificationReport(
-        "parametrization-residual", max_error, ts.size, max_error <= tolerance,
-        tolerance, _worst_offenders(ts, worst_errors),
+        "parametrization-residual", max_error, ts.size, tolerance,
+        _worst_offenders(ts, worst_errors),
     )
 
 
@@ -171,8 +190,8 @@ def integral_residual(zipper, line, lift, samples=1000, seed=0):
     max_error = float(worst_errors.max())
     tolerance = 2.0 * RESIDUAL_TOL
     return VerificationReport(
-        "integral-residual", max_error, ts.size, max_error <= tolerance,
-        tolerance, _worst_offenders(ts, worst_errors),
+        "integral-residual", max_error, ts.size, tolerance,
+        _worst_offenders(ts, worst_errors),
     )
 
 
@@ -196,15 +215,11 @@ def quadrature_check(zipper, line, lift):
             errors[row, col] = np.linalg.norm(oracle - direct[col])
     envelope = QUADRATURE_COEFFICIENT * QUADRATURE_PANELS[-1] ** -QUADRATURE_EXPONENT
     tolerance = max(1e-6, envelope)
-    max_error = float(errors[-1].max())
-    clipped = np.maximum(errors.max(axis=1), QUADRATURE_FLOOR)
-    growth = clipped[1:] / clipped[:-1]
-    worst_growth = float(growth.max()) if growth.size else 0.0
-    if worst_growth > QUADRATURE_SLACK:
-        max_error = max(max_error, tolerance * worst_growth / QUADRATURE_SLACK)
+    max_error = _inflate_on_growth(float(errors[-1].max()), tolerance, errors.max(axis=1),
+                                   QUADRATURE_FLOOR, QUADRATURE_SLACK)
     return VerificationReport(
-        "quadrature-agreement", max_error, errors.size,
-        max_error <= tolerance, tolerance, _worst_offenders(ts, errors[-1]),
+        "quadrature-agreement", max_error, errors.size, tolerance,
+        _worst_offenders(ts, errors[-1]),
     )
 
 
@@ -237,37 +252,32 @@ def derivative_check(zipper, line, lift, sample_count=100,
         diff = (upper - lower) / (2.0 * delta)
         errors[:, col] = _row_norms(diff - f_values)
     tolerance = float(bounds[-1])
-    max_error = float(errors[:, -1].max())
-    clipped = np.maximum(errors, DERIVATIVE_NOISE_FLOOR * bounds[None, :])
-    growth = clipped[:, 1:] / clipped[:, :-1]
-    worst_growth = float(growth.max()) if growth.size else 0.0
-    if worst_growth > DERIVATIVE_SLACK:
-        max_error = max(max_error, tolerance * worst_growth / DERIVATIVE_SLACK)
+    max_error = _inflate_on_growth(float(errors[:, -1].max()), tolerance, errors,
+                                   DERIVATIVE_NOISE_FLOOR * bounds, DERIVATIVE_SLACK)
     return VerificationReport(
-        "derivative-check", max_error, ts.size, max_error <= tolerance,
-        tolerance, _worst_offenders(ts, errors[:, -1]),
+        "derivative-check", max_error, ts.size, tolerance,
+        _worst_offenders(ts, errors[:, -1]),
     )
 
 
-def tangent_scan(zipper, line, lift, sample_count, t_min=1.0 / 64.0, f_tol=1e-9):
+def tangent_scan(zipper, line, sample_count):
     """Regularity probe of the integral curve's tangent field away from 0.
 
     The tangent of the integral curve is the parametrization itself, so the
-    scan samples unit parametrization directions on [t_min, 1] and measures
-    the largest angle between consecutive samples.  It passes when that
-    largest increment shrinks by at least :data:`TANGENT_DOUBLING` under sample
-    doubling.  Raises :class:`ZeroTangent` when a sampled tangent magnitude
-    falls to 1e-12: the curve then fails the nonvanishing-derivative
-    hypothesis away from the origin and no smoothness claim holds there.
-    A ``lift`` exists only for a zipper whose first vertex is the origin to
-    :data:`~zipperlift.zipper.VERTEX_TOLERANCE`, the origin the scan needs.
+    scan samples unit parametrization directions on [:data:`TANGENT_T_MIN`,
+    1] and measures the largest angle between consecutive samples.  It
+    passes when that largest increment shrinks by at least
+    :data:`TANGENT_DOUBLING` under sample doubling.  Raises
+    :class:`ZeroTangent` when a sampled tangent magnitude falls to 1e-12:
+    the curve then fails the nonvanishing-derivative hypothesis away from
+    the origin and no smoothness claim holds there.
     """
     if int(sample_count) < 16:
         raise ValueError("sample_count must be at least 16")
 
     def max_increment(count):
-        ts = np.linspace(t_min, 1.0, count)
-        values, _ = eval_f_many(ts, zipper, line, tol=f_tol)
+        ts = np.linspace(TANGENT_T_MIN, 1.0, count)
+        values, _ = eval_f_many(ts, zipper, line, tol=TANGENT_F_TOL)
         magnitudes = np.linalg.norm(values, axis=1)
         vanished = magnitudes <= 1e-12
         if vanished.any():
@@ -282,8 +292,7 @@ def tangent_scan(zipper, line, lift, sample_count, t_min=1.0 / 64.0, f_tol=1e-9)
     tolerance = 1.0 / TANGENT_DOUBLING
     max_error = fine / coarse if coarse > 0.0 else 0.0
     return VerificationReport(
-        "tangent-scan", max_error, 3 * int(sample_count),
-        max_error <= tolerance, tolerance,
+        "tangent-scan", max_error, 3 * int(sample_count), tolerance,
         ((float(sample_count), coarse), (float(2 * sample_count), fine)),
     )
 
@@ -294,7 +303,8 @@ def eventual_contraction_check(zipper):
     Reports the word scan that validation stored on an eventually
     contracting zipper; otherwise scans word lengths
     L = 1..:data:`~zipperlift.zipper.EVENTUAL_WORD_LENGTH` for the first L
-    where every length-L product has operator norm^(1/L) below 1.  Raises
+    where every length-L product has operator norm^(1/L) at most
+    :data:`~zipperlift.geometry.CONTRACTION_THRESHOLD`.  Raises
     :class:`CombinatorialBudget` when that enumeration would exceed
     :data:`~zipperlift.geometry.WORD_BUDGET` words.
     """
@@ -307,6 +317,6 @@ def eventual_contraction_check(zipper):
         max_error = min(value for _, value in scan.values)
     tested = sum(zipper.map_count**length for length, _ in scan.values)
     return VerificationReport(
-        "eventual-contraction", max_error, tested, scan.passed, CONTRACTION_THRESHOLD,
+        "eventual-contraction", max_error, tested, CONTRACTION_THRESHOLD,
         tuple((float(length), value) for length, value in scan.values),
     )

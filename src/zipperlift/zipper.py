@@ -286,27 +286,6 @@ def line_zipper(nodes, signature):
     return line
 
 
-def normalize_zipper(zipper):
-    """Conjugate ``zipper`` by a translation so its first vertex is the origin.
-
-    Returns ``(normalized, shift)`` where ``shift = -z_0``; each new vertex is
-    ``old + shift``, so subtracting ``shift`` from points of the normalized
-    attractor reproduces the original one.  Idempotent.
-    """
-    shift = -zipper.vertices[0]
-    if not shift.any():
-        shift = np.zeros(zipper.dimension)
-        shift.setflags(write=False)
-        return zipper, shift
-    moved_maps = tuple(
-        AffineMap(mp.linear, mp.translation + shift - mp.linear @ shift)
-        for mp in zipper.maps
-    )
-    moved_vertices = zipper.vertices + shift
-    shift.setflags(write=False)
-    return validate_zipper(moved_maps, moved_vertices, zipper.signature), shift
-
-
 def check_pairing(zipper, line):
     """Require matching map counts and signatures between a zipper and a line."""
     if zipper.map_count != line.map_count:

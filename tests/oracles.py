@@ -60,7 +60,7 @@ def graph_identity_check(polyline, evaluate, samples=1000, tol=1e-6):
     errors = _row_norms(polyline.points[take, 1:] - expected)
     max_error = float(errors.max())
     return VerificationReport(
-        "graph-identity", max_error, take.size, max_error <= tol, tol,
+        "graph-identity", max_error, take.size, tol,
         _worst_offenders(polyline.params[take], errors),
     )
 

@@ -27,6 +27,8 @@ from zipperlift.smoothing import (
     smooth_zipper,
 )
 from zipperlift.verification import (
+    TANGENT_F_TOL,
+    TANGENT_T_MIN,
     derivative_check,
     eventual_contraction_check,
     integral_residual,
@@ -220,15 +222,14 @@ def test_criterion_09_tangent_continuity():
     # count can show continuity there and the height is left out of the
     # rate clause; it keeps the nonvanishing check.  A pi jump (f flipped
     # past t = 1/2) must break the bound, so the clause can fail.
-    count, tol, t_min = 16384, 1e-9, 1.0 / 64.0
+    count, tol, t_min = 16384, TANGENT_F_TOL, TANGENT_T_MIN
     ts = np.linspace(t_min, 1.0, 2 * count)
     spacing = (1.0 - t_min) / (2 * count - 1)
     rows = []
     passed = True
     for h in (0.1, 0.3, 0.5):
         zipper, line = build_example2(Example2Config(h_param=h))
-        lift = build_lift(zipper, line)
-        report = tangent_scan(zipper, line, lift, count, t_min=t_min, f_tol=tol)
+        report = tangent_scan(zipper, line, count)
         values, _ = eval_f_many(ts, zipper, line, tol=tol)
         fine = report.details[1][1]
         bound = _certified_increment_bound(zipper, line, values, spacing, tol)
@@ -242,7 +243,7 @@ def test_criterion_09_tangent_continuity():
             jump_bound = _certified_increment_bound(zipper, line, jumped, spacing, tol)
             passed &= jump > jump_bound
     zipper, line = build_example2(Example2Config(h_param=0.8))
-    tangent_scan(zipper, line, build_lift(zipper, line), 256)  # ZeroTangent fails
+    tangent_scan(zipper, line, 256)  # ZeroTangent fails
     _verdict("criterion 9 (tangent continuity, certified Hoelder bound)", passed,
              f"fine increments [{', '.join(rows)}] rad; pi jump {jump:.2f} > "
              f"{jump_bound:.3f} rejected; no ZeroTangent at h=0.1..0.8")

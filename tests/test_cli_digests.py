@@ -100,6 +100,7 @@ def test_cli_bytes_match_pinned_digests(tmp_path):
     got = matrix_digests(tmp_path)
     assert list(got) == list(expected)
     for label, commands in expected.items():
+        assert list(got[label]) == list(commands), label
         for command, record in commands.items():
             assert got[label][command] == record, (label, command)
 

@@ -8,7 +8,7 @@ from zipperlift.families import (
     build_example1,
     build_example2,
 )
-from zipperlift.geometry import AffineMap, eventual_contraction_scan
+from zipperlift.geometry import CONTRACTION_THRESHOLD, AffineMap, eventual_contraction_scan
 from zipperlift.smoothing import build_lift, smooth_zipper
 from zipperlift.verification import (
     derivative_check,
@@ -96,8 +96,7 @@ def test_tangent_scan_interval_graph(interval_03):
     # the graph curve (t, g(t)) has tangent direction (1, f(t)): never zero
     zipper, line, _ = interval_03
     product = product_zipper(zipper, line)
-    lift = build_lift(product, line)
-    report = tangent_scan(product, line, lift, 64)
+    report = tangent_scan(product, line, 64)
     assert report.max_error <= 1.0  # increments do not grow under doubling
 
 
@@ -112,9 +111,8 @@ def test_tangent_scan_zero_tangent_path():
         maps.append(AffineMap([[dx, -dy], [dy, dx]], vertices[k]))
     zipper = validate_zipper(maps, vertices, (0, 0, 0, 0))
     line = line_zipper((0.0, 0.25, 0.5, 0.75, 1.0), (0, 0, 0, 0))
-    lift = build_lift(zipper, line)
     with pytest.raises(ZeroTangent):
-        tangent_scan(zipper, line, lift, 64)
+        tangent_scan(zipper, line, 64)
 
 
 def test_tangent_scan_rotation_family_no_zero_tangent():
@@ -122,8 +120,7 @@ def test_tangent_scan_rotation_family_no_zero_tangent():
     # the doubling-rate clause is a separate (stricter) question
     for h in (0.1, 0.3, 0.5, 0.8):
         zipper, line = build_example2(Example2Config(h_param=h))
-        lift = build_lift(zipper, line)
-        report = tangent_scan(zipper, line, lift, 256)
+        report = tangent_scan(zipper, line, 256)
         assert len(report.details) == 2  # both scans completed, no ZeroTangent
 
 
@@ -167,6 +164,18 @@ def test_eventual_contraction_budget():
                    signature=(0,) * 1001, linear_norms=(1.0,) * 1001)
     with pytest.raises(CombinatorialBudget):
         eventual_contraction_check(never)
+
+
+def test_eventual_contraction_certifies_at_the_threshold():
+    # a normalized norm equal to the threshold certifies, and the check's
+    # verdict is max_error <= tolerance like every other report's
+    at = AffineMap([[CONTRACTION_THRESHOLD]], [0.0])
+    scan = eventual_contraction_scan((at,), np.zeros(1), 1)
+    assert scan.word_length == 1 and scan.values == ((1, CONTRACTION_THRESHOLD),)
+    zipper = Zipper(maps=(at,), vertices=np.zeros((2, 1)), signature=(0,),
+                    linear_norms=(CONTRACTION_THRESHOLD,))
+    report = eventual_contraction_check(zipper)
+    assert report.passed and report.max_error == report.tolerance
 
 
 def test_quadrature_vs_recursion_grid(interval_03, rotation_half):

@@ -19,7 +19,6 @@ from zipperlift.zipper import (
     check_graph,
     inspect_zipper,
     line_zipper,
-    normalize_zipper,
     product_zipper,
     similarity_decomposition,
     validate_zipper,
@@ -109,44 +108,6 @@ def test_line_zipper_single_interval_is_not_contracting():
     # nodes (0, 1) induce the identity map, which fails the axioms
     with pytest.raises(ZipperViolation):
         line_zipper((0.0, 1.0), (0,))
-
-
-def test_normalize_already_normalized():
-    zipper, _ = build_example1(Example1Config(p=0.3))
-    normalized, shift = normalize_zipper(zipper)
-    assert normalized is zipper
-    assert np.array_equal(shift, [0.0])
-
-
-def test_normalize_shifted_interval_family():
-    zipper, _ = build_example1(Example1Config(p=0.3))
-    shifted_maps = tuple(
-        AffineMap(mp.linear, mp.translation + 2.0 - mp.linear @ np.array([2.0]))
-        for mp in zipper.maps
-    )
-    shifted = validate_zipper(shifted_maps, zipper.vertices + 2.0, zipper.signature)
-    normalized, shift = normalize_zipper(shifted)
-    assert np.allclose(normalized.vertices.ravel(), [0.0, 0.3, 1.0], atol=1e-12)
-    assert np.allclose(shift, [-2.0])
-    # vertices of the old attractor are recovered by undoing the shift
-    assert np.allclose(normalized.vertices - shift, shifted.vertices, atol=1e-12)
-
-
-def test_normalize_shifted_rotation_family():
-    zipper, _ = build_example2(Example2Config(h_param=0.5))
-    offset = np.array([1.0, 1.0])
-    moved_maps = tuple(
-        AffineMap(mp.linear, mp.translation + offset - mp.linear @ offset)
-        for mp in zipper.maps
-    )
-    moved = validate_zipper(moved_maps, zipper.vertices + offset, zipper.signature)
-    normalized, shift = normalize_zipper(moved)
-    assert np.allclose(shift, [-1.0, -1.0])
-    assert np.allclose(normalized.vertices, zipper.vertices, atol=1e-12)
-    # idempotent
-    again, zero_shift = normalize_zipper(normalized)
-    assert again is normalized
-    assert np.array_equal(zero_shift, [0.0, 0.0])
 
 
 def test_product_zipper_interval_family():
