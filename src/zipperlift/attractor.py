@@ -150,6 +150,10 @@ class Segments:
     Construction runs ``refine``'s junction check for levels k + 1..d on
     the tracked end points of each level, so a violation raises the same
     :class:`ZipperViolation` before any segment exists.
+
+    ``bounds`` is the componentwise least and greatest point, as a pair of
+    arrays, once an export that computed every segment has recorded it,
+    and None before.
     """
 
     def __init__(self, zipper, base, depth):
@@ -158,7 +162,7 @@ class Segments:
         m = zipper.map_count
         if base.points.shape[0] != m ** (level + 1) + 1:
             raise ValueError(f"base must be the level-{level} refine polyline")
-        self.zipper, self.base = zipper, base
+        self.zipper, self.base, self.bounds = zipper, base, None
         self.length = depth - level
         self.count = m**self.length
         ends = base.points[[0, -1]]
@@ -221,13 +225,18 @@ def chaos_game(zipper, count, seed):
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)
-    choices = rng.integers(0, zipper.map_count, size=BURN_IN + count)
+    choices = rng.integers(0, zipper.map_count, size=BURN_IN + count).tolist()
+    linears = [mp.linear for mp in zipper.maps]
+    translations = [mp.translation for mp in zipper.maps]
     point = np.array(zipper.vertices[0], dtype=float)
+    for choice in choices[:BURN_IN]:
+        point = linears[choice] @ point + translations[choice]
     out = np.empty((count, zipper.dimension))
-    for step, choice in enumerate(choices):
-        mp = zipper.maps[choice]
-        point = mp.linear @ point + mp.translation
-        if step >= BURN_IN:
-            out[step - BURN_IN] = point
+    product = np.empty(zipper.dimension)
+    # the same `linear @ point + translation`, written into the step's own
+    # row, which the next step reads: no lookups or copies per step
+    for row, choice in zip(out, choices[BURN_IN:]):
+        np.add(np.matmul(linears[choice], point, product), translations[choice], row)
+        point = row
     out.setflags(write=False)
     return out

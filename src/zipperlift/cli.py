@@ -150,22 +150,22 @@ def _cmd_render(args):
         target = smooth_zipper(zipper, line, build_lift(zipper, line))
     else:
         target = product_zipper(zipper, line)
-    # export_svg rejects anything but two distinct axes before it opens a file
     projection = tuple(map(int, args.project.split(","))) if args.project else None
     spec = RenderSpec(
         width=args.width, height=args.height,
         stroke_width=args.stroke_width, projection=projection,
     )
     # the depth-d rows are computed segment by segment in the exports, from
-    # the small polyline P_k; the depth and junction checks run before any
-    # file opens
+    # the small polyline P_k; the depth, junction and projection checks run
+    # before any file opens.  The CSV export records the bounding box that
+    # the SVG needs, so each segment is computed twice, not three times.
     base = refine(target, segment_level(target, args.depth), line=line)
     segments = Segments(target, base, args.depth)
-    export_svg(segments, spec, args.svg)
-    written = [args.svg]
+    spec.axes(target.dimension)
     if args.csv:
         export_csv(segments, args.csv)
-        written.append(args.csv)
+    export_svg(segments, spec, args.svg)
+    written = [args.svg, args.csv] if args.csv else [args.svg]
     if args.chaos:
         export_csv(chaos_game(target, args.points, args.seed), args.chaos)
         written.append(args.chaos)

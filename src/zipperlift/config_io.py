@@ -20,6 +20,7 @@ All emitters write deterministic bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -225,16 +226,18 @@ def format_number(value):
 #: alive at once, independent of the polyline's length.
 _BLOCK_ROWS = 4096
 
-#: An entry's text is right-aligned in a frame of this many bytes, NUL
-#: before it; the first 4 bytes stay NUL, room for a separator.
+#: An entry's text is right-aligned in a frame of this many bytes; the first
+#: 4 bytes are never text, room for the separator before it.
 _FRAME = 28
 #: ``_DIGITS[v]``: ``v`` in 0..9999 as one word of 4 ASCII digits.
 _DIGITS = (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
-           % 10 + 48).astype(np.uint8).view(np.uint32)
-#: ``_MASKS[start]``: the words of a frame that clear its bytes before ``start``.
-_MASKS = np.triu(np.full((_FRAME + 1, _FRAME), 255, np.uint8)).view(np.uint32)
+           % 10 + 48).astype(np.uint8).view(np.uint32).ravel()
 _POW5 = np.array([5.0**k for k in range(23)])  # exact doubles
-_POW10 = np.array([10**k for k in range(19)])
+#: ``_MODULI[places + 1]``: the part of the digits after the point; -1
+#: places, an integral entry, keeps every digit before it.
+_MODULI = np.array([10**18] + [10 ** min(k, 18) for k in range(21)])
+#: An entry's decimal places run from -1, none, to 20.
+_PLACES = 22
 
 
 def _two_product(a, b):
@@ -250,14 +253,15 @@ def _two_product(a, b):
 
 
 def _shortest_digits(ax, s):
-    """``(digits, places, exact)``: where ``exact``, ``digits / 10^places``
-    is the shortest decimal that reads back as ``ax``, nearest to it, ties
-    to an even last digit as in CPython's dtoa (Steele & White 1990).
+    """``(digits, places, exact)``: where ``exact`` and ``ax`` is not a
+    power of two, ``digits / 10^places`` is the shortest decimal that reads
+    back as ``ax``, nearest to it, ties to an even last digit as in
+    CPython's dtoa (Steele & White 1990).
 
-    ``ax`` holds positive doubles, neither integral nor powers of two, and
-    ``exact`` says where ``ax 10^s`` lies in [1e17, 1e18).  Every step is
-    exact: with ``ax = M 2^E``, the interval ``ax ± ulp/2`` scaled by
-    ``10^s`` is wider than 10, and its ends come from the product ``M 5^s``.
+    ``ax`` holds positive doubles, and ``exact`` says where ``ax 10^s``
+    lies in [1e17, 1e18).  Every step is exact: with ``ax = M 2^E``, the
+    interval ``ax ± ulp/2`` scaled by ``10^s`` is 11 to 222 wide, and its
+    ends come from the product ``M 5^s``.
     """
     significand, shift = np.frexp(ax)
     shift += s - 53
@@ -276,61 +280,91 @@ def _shortest_digits(ax, s):
     low = whole - half + ((frac > half_frac) | (odd & (frac == half_frac)))
     top = frac + half_frac
     high = whole + half + (top >= 1.0) - (odd & ((top == 0.0) | (top == 1.0)))
-    # k: the most trailing zeros of an integer in [low, high], at least one
-    k = np.ones_like(whole)
-    todo = np.flatnonzero(high // 100 * 100 >= low)
-    for j in range(2, 18):
-        if not todo.size:
-            break
-        k[todo] = j
-        todo = todo[high[todo] // _POW10[j + 1] * _POW10[j + 1] >= low[todo]]
-    k[todo] = 18
-    # the multiple of 10^k nearest ax 10^s, ties to even, kept in the interval
-    step = _POW10[k]
-    digits = whole // step
+    # [low, high] holds a multiple of 10, maybe one of 100, and at most one
+    # of 1000.  The shortest digits drop k = 1 or 2 of whole's 18: the
+    # multiple of 10^k nearest ax 10^s (ties to even) kept in the interval ...
+    tens = whole // 10
+    hundreds = high // 100 * 100 >= low
+    digits = np.where(hundreds, tens // 10, tens)
+    step = np.where(hundreds, 100, 10)
     above = (2 * (whole - digits * step) - step).astype(float) + 2.0 * frac
     digits += (above > 0.0) | ((above == 0.0) & (digits & 1).astype(bool))
-    digits = np.clip(digits, -(-low // step), high // step)
-    return digits, s - k, (whole >= 10**17) & (whole < 10**18)
+    scaled = digits * step
+    digits += (scaled < low).view(np.int8) - (scaled > high).view(np.int8)
+    places = s - 1 - hundreds
+    # ... or at that multiple of 1000, stripped of its trailing zeros
+    thousands = high // 1000
+    rows = np.flatnonzero(thousands * 1000 >= low)
+    if rows.size:
+        tail, places_tail = thousands[rows], s[rows] - 3
+        for k in (8, 4, 2, 1):
+            cut = tail // 10**k
+            drop = cut * 10**k == tail
+            tail = np.where(drop, cut, tail)
+            places_tail -= k * drop
+        digits[rows], places[rows] = tail, places_tail
+    return digits, places, (whole >= 10**17) & (whole < 10**18)
 
 
 def _column_frames(values):
-    """:func:`format_number` of a 1-D float array as ``(frames, start)``:
-    row ``i`` of the ``(N, _FRAME)`` uint8 array holds entry ``i``'s ASCII
-    text from byte ``start[i]`` on, NUL before it.  Non-integral entries
-    with ``1e-4 <= |x| < 1e15`` (``repr``'s fixed notation) are formatted
-    at once.  The rest and powers of two, whose rounding interval is
-    lopsided, go one by one: about 0.1% of the presets' entries.
+    """:func:`format_number` of a 1-D float array as ``(frames, marks,
+    start)``, for :func:`_block_text`.
+
+    Row ``i`` of the ``(N, _FRAME / 4)`` uint32 array ``frames`` holds entry
+    ``i``'s text in ASCII from byte ``start[i]`` on, '0' bytes before it,
+    and '0' where its point or sign go.  ``marks[i]`` indexes the table
+    that puts them in.  Integral entries below 1e16 and non-integral ones
+    with ``1e-4 <= |x| < 1e15`` (``repr``'s fixed notation) are formatted at
+    once.  The rest and non-integral powers of two, whose rounding interval
+    is lopsided, go one by one: about 0.1% of the presets' entries.
     """
-    ax = np.abs(values)
-    fast = (ax >= 1e-4) & (ax < 1e15)
-    ax = np.where(fast, ax, 0.3)  # a harmless stand-in for the rest
-    fast &= (np.frexp(ax)[0] != 0.5) & (ax != np.trunc(ax))
+    absv = np.abs(values)
+    ax = np.where(absv < 1e16, absv, 1e-300)  # NaN and the too-large go slow
+    integral = ax == np.trunc(ax)
+    power_of_two = ax.view(np.int64) << 12 == 0  # no fraction bits
+    fast = integral | (ax >= 1e-4) & (ax < 1e15) & ~power_of_two
+    ax = np.where(fast & (ax != 0.0), ax, 1.0)  # a harmless stand-in for the rest
     s = 17 - np.floor(np.log10(ax)).astype(np.int64)
     digits, places, exact = _shortest_digits(ax, s)
     fast &= exact
-    places[~fast] = 1
-    # a 0 put in `places` digits from the right becomes the point: "0.ddd" below 1
-    digits = 10 * digits - 9 * (digits % _POW10[np.minimum(places, 18)])
-    negative = np.signbit(values)
+    digits[integral] = absv[integral]
+    places[integral] = -1
+    negative = np.signbit(values) & (absv != 0.0)
     start = _FRAME - 2 - places - np.maximum(17 - s, 0) - negative
-    frames = np.empty((len(values), _FRAME // 4), np.uint32)
-    for w in range(_FRAME // 4 - 1, -1, -1):  # a scalar // is numpy's fast one
-        quotient = digits // 10000
-        frames[:, w] = _DIGITS.take(digits - quotient * 10000)
-        digits = quotient
-    frames &= _MASKS[start]
-    frames = frames.view(np.uint8)
-    rows = np.flatnonzero(fast)
-    frames[rows, _FRAME - 1 - places[rows]] = ord(".")
-    rows = np.flatnonzero(fast & negative)
-    frames[rows, start[rows]] = ord("-")
+    # a 0 put in `places` digits from the right becomes the point: "0.ddd" below 1
+    digits = 10 * digits - 9 * (digits % _MODULI[places + 1])
+    frames = np.full((len(values), _FRAME // 4), _DIGITS[0])
+    high = digits // 10**8  # a scalar // is numpy's fast one
+    low = digits - high * 10**8
+    top = high // 10**8
+    frames[:, 2] = _DIGITS.take(top)
+    for w, part in ((3, high - top * 10**8), (5, low)):
+        quotient = part // 10000
+        frames[:, w] = _DIGITS.take(quotient)
+        frames[:, w + 1] = _DIGITS.take(part - quotient * 10000)
+    marks = start + (_FRAME + 1) * (places + 1 + _PLACES * negative)
     rows = np.flatnonzero(~fast)
-    texts = [format_number(value).encode() for value in values[rows].tolist()]
-    start[rows] = [_FRAME - len(text) for text in texts]
-    frames[rows] = np.frombuffer(b"".join(t.rjust(_FRAME, b"\0") for t in texts),
-                                 np.uint8).reshape(-1, _FRAME)
-    return frames, start
+    if rows.size:
+        texts = [format_number(value).encode() for value in values[rows].tolist()]
+        start[rows] = marks[rows] = [_FRAME - len(text) for text in texts]
+        frames[rows] = np.frombuffer(b"".join(t.rjust(_FRAME, b"0") for t in texts),
+                                     np.uint32).reshape(-1, _FRAME // 4)
+    return frames, marks, start
+
+
+@functools.cache
+def _mark_table(sep):
+    """Row ``m`` XORed onto a frame with marks ``m`` turns the '0' bytes
+    before its text into NULs, the one just before into ``sep``, and puts
+    in its sign and point."""
+    negative, places, start, byte = np.ogrid[:2, -1:_PLACES - 1, :_FRAME + 1, :_FRAME]
+    zero = ord("0")
+    table = ((byte < start - 1) * zero + (byte == start - 1) * (zero ^ ord(sep))
+             + (negative & (byte == start)) * (zero ^ ord("-"))
+             + ((places >= 0) & (byte == _FRAME - 1 - places)) * (zero ^ ord(".")))
+    table = table.astype(np.uint8).reshape(-1, _FRAME).view(np.uint32)
+    table.setflags(write=False)
+    return table
 
 
 def _block_text(columns, row_sep):
@@ -338,22 +372,28 @@ def _block_text(columns, row_sep):
     ``row_sep``, a single character.
 
     A column bitwise equal to its left neighbour reuses the neighbour's
-    text instead of formatting it again.
+    frames instead of formatting them again.  Each column takes the bytes
+    its widest entry and separator need; the NULs left are deleted.
     """
-    frames = []
+    parts = []
     for j, column in enumerate(columns):
         if j and np.array_equal(column.view(np.int64), columns[j - 1].view(np.int64)):
-            frames.append(frames[-1])
+            parts.append(parts[-1])
         else:
-            frames.append(_column_frames(column))
-    # every entry and the separator before it, in the bytes the widest needs
-    cut = min(int(start.min()) for _, start in frames) - 1
-    rows = np.empty((len(columns[0]), len(columns), _FRAME - cut), np.uint8)
-    for j, (chars, start) in enumerate(frames):
-        rows[:, j] = chars[:, cut:]
-        rows[np.arange(len(start)), j, start - cut - 1] = ord("," if j else row_sep)
-    rows[0, 0, frames[0][1][0] - cut - 1] = 0  # nothing before the first row
-    return rows.tobytes().translate(None, b"\0")
+            parts.append(_column_frames(column))
+    widths = [_FRAME + 1 - int(start.min()) for _, _, start in parts]
+    text = bytearray(len(columns[0]) * sum(widths))
+    rows = np.frombuffer(text, np.uint8).reshape(len(columns[0]), -1)
+    offset = 0
+    for j, ((frames, marks, _), width) in enumerate(zip(parts, widths)):
+        frames = frames ^ _mark_table("," if j else row_sep).take(marks, axis=0)
+        kind = f"V{width}"  # whole entries at a time, not byte by byte
+        rows[:, offset:offset + width].view(kind)[...] = (
+            frames.view(np.uint8)[:, _FRAME - width:].view(kind))
+        offset += width
+    start = parts[0][2]
+    rows[0, start[0] - start.min()] = 0  # nothing before the first row
+    return text.translate(None, b"\0")
 
 
 def _usable_cpus():
@@ -375,24 +415,30 @@ def _read_record(reader):
     raise ChildProcessError("a row-formatting child stopped before its last block")
 
 
-def _format_share(block, indices, row_sep, out_fd, readers):
-    """Forked child: send the text of each block ``block(i)``, ``i`` in
-    ``indices``, to ``out_fd``, then exit.
+def _format_share(texts, indices, out_fd, readers):
+    """Forked child: send the pair of texts ``texts(i)`` of each block
+    ``i`` in ``indices`` to ``out_fd``, then exit.
 
-    Each block goes out as an 8-byte little-endian length and its UTF-8
-    text.  The child first closes its copies of the read ends, so that its
+    Each text goes out as an 8-byte little-endian length and its bytes.
+    The child first closes its copies of the read ends, so that its
     writes fail, and it exits, once the parent is gone.  It never returns
     into its parent's stack: it leaves by ``os._exit`` whatever happens,
     after printing any error to stderr.
     """
     try:
+        # Freeing one 8 MB array raises glibc's mmap and trim thresholds to 8
+        # and 16 MB.  Then the blocks' buffers of a few hundred kB stay in
+        # the heap rather than go back to the system and fault in again for
+        # every block: a tenth of the page faults of a child without it.
+        np.empty(1 << 20)
         for reader in readers:
             reader.close()
         with open(out_fd, "wb") as out:
             for i in indices:
-                text = _block_text(block(i), row_sep)
-                out.write(len(text).to_bytes(8, "little"))
-                out.write(text)
+                for text in texts(i):
+                    out.write(len(text).to_bytes(8, "little"))
+                    out.write(text)
+                out.flush()  # the parent waits for each whole block
     except BaseException:
         sys.excepthook(*sys.exc_info())
         sys.stderr.flush()
@@ -401,21 +447,21 @@ def _format_share(block, indices, row_sep, out_fd, readers):
 
 
 @contextmanager
-def _block_texts(block, count, row_sep):
-    """Yield an iterator over the UTF-8 text of blocks ``block(0)`` to
-    ``block(count - 1)``.
+def _block_texts(texts, count):
+    """Yield an iterator over the pairs of byte strings ``texts(0)`` to
+    ``texts(count - 1)``.
 
     With ``k = min(usable CPUs, count) >= 2`` and ``os.fork`` available,
     forked child ``j`` computes and formats blocks ``i = j (mod k)`` only,
     and writes them to its own pipe, which the iterator reads round-robin
-    in block order.  A full pipe stalls its child, so
-    memory stays bounded.  Otherwise the blocks are formatted in-process.
-    The bytes are the same either way.  Every child is reaped on exit; one
-    that failed, or stopped early, raises :class:`ChildProcessError`.
+    in block order.  A full pipe stalls its child, so memory stays bounded.
+    Otherwise the blocks are formatted in-process.  The bytes are the same
+    either way.  Every child is reaped on exit; one that failed, or
+    stopped early, raises :class:`ChildProcessError`.
     """
     workers = min(_usable_cpus(), count) if hasattr(os, "fork") else 1
     if workers < 2:
-        yield (_block_text(block(i), row_sep) for i in range(count))
+        yield (texts(i) for i in range(count))
         return
     pids, readers = [], []
     try:
@@ -425,12 +471,12 @@ def _block_texts(block, count, row_sep):
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _format_share(block, range(share, count, workers), row_sep,
-                                  write_end, readers)
+                    _format_share(texts, range(share, count, workers), write_end, readers)
             finally:
                 os.close(write_end)
             pids.append(pid)
-        yield (_read_record(readers[i % workers]) for i in range(count))
+        yield ((_read_record(readers[i % workers]), _read_record(readers[i % workers]))
+               for i in range(count))
     except BaseException:
         # Children still formatting are stopped, not left to find their pipe
         # closed.  signal is imported here, not at module level, because
@@ -449,31 +495,42 @@ def _block_texts(block, count, row_sep):
 
 
 def _write_rows(handle, block, count, row_sep):
-    """Write float rows to a binary file as UTF-8 text, block by block.
+    """Write float rows to a binary file as UTF-8 text, block by block, and
+    return the least and the greatest entry of each column.
 
     ``block(i)`` gives block ``i`` of ``count`` as a list of equal-length
     1-D float columns.  Rows are separated by ``row_sep``, with none after
     the last row.  Only a few blocks' strings are alive at a time.
     """
-    lead, sep = b"", row_sep.encode()
-    with _block_texts(block, count, row_sep) as texts:
-        for text in texts:
-            handle.write(lead)
+    def texts(i):
+        columns = block(i)
+        extents = [[column.min() for column in columns], [column.max() for column in columns]]
+        return _block_text(columns, row_sep), np.array(extents).tobytes()
+
+    sep, low, high = row_sep.encode(), np.inf, -np.inf
+    with _block_texts(texts, count) as records:
+        for i, (text, extents) in enumerate(records):
+            if i:
+                handle.write(sep)
             handle.write(text)
-            lead = sep
+            extents = np.frombuffer(extents).reshape(2, -1)
+            low, high = np.minimum(low, extents[0]), np.maximum(high, extents[1])
+    return low, high
 
 
 def _row_blocks(data):
-    """``(block, count)``: the rows of ``data`` as ``count`` blocks, where
-    ``block(i)`` gives block i's points and params (None without a ``t``
-    column).
+    """``(block, count, dimension, graph)``: the rows of ``data`` in
+    ``dimension`` coordinates as ``count`` blocks, where ``block(i)`` gives
+    block i's points and params, None unless ``graph``: without a ``t``
+    column.
 
     ``data`` is a segment source (:class:`~zipperlift.attractor.Segments`),
     whose blocks are its segments, or a polyline or an ``(N, d)`` array of
     points, cut into ``_BLOCK_ROWS``-row blocks.
     """
     if isinstance(data, Segments):
-        return data, data.count
+        base = data.base
+        return data, data.count, base.points.shape[1], base.params is not None
     if isinstance(data, np.ndarray):
         points, params = np.asarray(data, dtype=float), None
     else:
@@ -483,7 +540,7 @@ def _row_blocks(data):
         rows = slice(i * _BLOCK_ROWS, (i + 1) * _BLOCK_ROWS)
         return points[rows], None if params is None else params[rows]
 
-    return block, -(-points.shape[0] // _BLOCK_ROWS)
+    return block, -(-points.shape[0] // _BLOCK_ROWS), points.shape[1], params is not None
 
 
 def export_csv(data, path):
@@ -495,23 +552,26 @@ def export_csv(data, path):
     (:func:`format_number`) and rows end with a bare newline, so identical
     input gives identical bytes.  Rows are written in blocks, so memory
     stays bounded whatever the row count, and the blocks are computed and
-    formatted on every CPU the process may use.
+    formatted on every CPU the process may use.  A segment source keeps
+    the bounding box of its points (:attr:`Segments.bounds`), so that an
+    SVG export after this one computes each segment once, not twice.
     """
-    rows, count = _row_blocks(data)
-    points, params = rows(0)
-    names = [f"x{j + 1}" for j in range(points.shape[1])]
-    if params is not None:
+    rows, count, dimension, graph = _row_blocks(data)
+    names = [f"x{j + 1}" for j in range(dimension)]
+    if graph:
         names.insert(0, "t")
 
     def block(i):
         points, params = rows(i)
-        columns = [points[:, j] for j in range(points.shape[1])]
+        columns = [points[:, j] for j in range(dimension)]
         return columns if params is None else [params] + columns
 
     with open(path, "wb") as handle:
         handle.write((",".join(names) + "\n").encode())
-        _write_rows(handle, block, count, "\n")
+        low, high = _write_rows(handle, block, count, "\n")
         handle.write(b"\n")
+    if isinstance(data, Segments):  # the point columns, after any t column
+        data.bounds = low[int(graph):], high[int(graph):]
 
 
 @dataclass(frozen=True)
@@ -529,20 +589,22 @@ class RenderSpec:
         if not (math.isfinite(self.stroke_width) and self.stroke_width >= 0.0):
             raise ValueError(f"stroke width must be finite and >= 0, got {self.stroke_width}")
 
-
-def _projected_axes(dim, projection):
-    if projection is not None:
-        if (len(projection) != 2 or projection[0] == projection[1]
-                or any(not 0 <= a < dim for a in projection)):
-            raise DimensionUnsupported(
-                f"projection {projection} does not select two axes of R^{dim}"
-            )
-        return tuple(projection)
-    if dim in (2, 3):
-        return (0, 1)
-    raise DimensionUnsupported(
-        f"cannot draw {dim}-dimensional data without a two-axis projection"
-    )
+    def axes(self, dimension):
+        """The two axes of R^dimension drawn: the projection's, or (0, 1) in
+        R^2 and R^3.  Raises :class:`DimensionUnsupported` otherwise."""
+        projection = self.projection
+        if projection is not None:
+            if (len(projection) != 2 or projection[0] == projection[1]
+                    or any(not 0 <= a < dimension for a in projection)):
+                raise DimensionUnsupported(
+                    f"projection {projection} does not select two axes of R^{dimension}"
+                )
+            return tuple(projection)
+        if dimension in (2, 3):
+            return (0, 1)
+        raise DimensionUnsupported(
+            f"cannot draw {dimension}-dimensional data without a two-axis projection"
+        )
 
 
 def export_svg(data, spec, path):
@@ -551,15 +613,20 @@ def export_svg(data, spec, path):
     The drawing fits the data bounding box with a 5% margin and flips the
     vertical axis into mathematical orientation.  Output bytes are
     deterministic for identical input, and the points are written in blocks
-    like CSV rows.
+    like CSV rows.  A segment source's bounding box comes from an earlier
+    CSV export when there was one, and from a pass over its segments
+    otherwise.
     """
-    rows, count = _row_blocks(data)
-    axes = _projected_axes(rows(0)[0].shape[1], spec.projection)
-    low, high = np.full(2, np.inf), np.full(2, -np.inf)
-    for i in range(count):
-        coords = rows(i)[0][:, axes]
-        low = np.minimum(low, coords.min(axis=0))
-        high = np.maximum(high, coords.max(axis=0))
+    rows, count, dimension, _ = _row_blocks(data)
+    axes = spec.axes(dimension)
+    if isinstance(data, Segments) and data.bounds is not None:
+        low, high = (bound[list(axes)] for bound in data.bounds)
+    else:
+        low, high = np.full(2, np.inf), np.full(2, -np.inf)
+        for i in range(count):
+            coords = rows(i)[0][:, axes]
+            low = np.minimum(low, coords.min(axis=0))
+            high = np.maximum(high, coords.max(axis=0))
     spans = []
     bounds = []
     for low_j, high_j in zip(low.tolist(), high.tolist()):

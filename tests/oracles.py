@@ -120,3 +120,18 @@ def address_of(t, line, depth):
             orientation = -orientation
         u = float(pull_back(line, index, u))
     return Address(tuple(digits), orientation, u)
+
+
+def chaos_game_reference(zipper, count, seed, burn_in=64):
+    """The chaos game as a plain loop: one map lookup, ``linear @ point +
+    translation`` and one row copy per step, on the same seeded draws as
+    :func:`zipperlift.attractor.chaos_game`."""
+    choices = np.random.default_rng(seed).integers(0, zipper.map_count, size=burn_in + count)
+    point = np.array(zipper.vertices[0], dtype=float)
+    out = np.empty((count, zipper.dimension))
+    for step, choice in enumerate(choices):
+        mp = zipper.maps[choice]
+        point = mp.linear @ point + mp.translation
+        if step >= burn_in:
+            out[step - burn_in] = point
+    return out

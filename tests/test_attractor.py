@@ -1,13 +1,18 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
 from zipperlift.attractor import Polyline, chaos_game, refine
+from zipperlift.config_io import build_system, parse_config
 from zipperlift.errors import DepthCap
-from zipperlift.families import Example1Config, build_example1
+from zipperlift.families import Example1Config, Example2Config, build_example1, build_example2
 from zipperlift.geometry import AffineMap
+from zipperlift.smoothing import build_lift, smooth_zipper
 from zipperlift.zipper import line_zipper, product_zipper, validate_zipper
-from oracles import hausdorff_distance, hausdorff_residual
+from oracles import chaos_game_reference, hausdorff_distance, hausdorff_residual
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +115,25 @@ def test_chaos_game_deterministic(graph_zipper):
     assert np.array_equal(first, second)
     other = chaos_game(product, 500, seed=43)
     assert not np.array_equal(first, other)
+
+
+def _chaos_targets():
+    """A preset product zipper and the lifts of the seed-1 generated zippers."""
+    zipper, line = build_example2(Example2Config(h_param=0.5))
+    yield product_zipper(zipper, line)
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    build_workload = runpy.run_path(str(workloads))["build_workload"]
+    for text in build_workload("generated-zippers", 1).configs.values():
+        zipper, line = build_system(parse_config(text))
+        yield smooth_zipper(zipper, line, build_lift(zipper, line))
+
+
+def test_chaos_game_matches_the_plain_loop_bit_for_bit():
+    for target in _chaos_targets():
+        points = chaos_game(target, 10_000, seed=5)
+        expected = chaos_game_reference(target, 10_000, seed=5)
+        assert points.shape == expected.shape
+        assert np.array_equal(points.view(np.int64), expected.view(np.int64))
 
 
 def test_chaos_game_stays_near_attractor(graph_zipper):

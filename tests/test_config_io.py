@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from zipperlift import config_io
-from zipperlift.attractor import Polyline, refine
+from zipperlift.attractor import Polyline, Segments, refine, segment_level
+from zipperlift.cli import main
 from zipperlift.config_io import (
     RenderSpec,
     build_system,
@@ -159,6 +160,30 @@ def test_block_text_named_cases(value, text):
     assert format_number(value) == text
     column = np.array([value, 1.5])
     assert config_io._block_text([column, column], " ") == f"{text},{text} 1.5,1.5".encode()
+
+
+def _integral_columns(rng):
+    """Integral columns, one of them mixed with fractions, and one of zeros."""
+    integral = np.concatenate([
+        np.arange(-1000.0, 1001.0),
+        rng.integers(-(2**53), 2**53, 5000).astype(float),
+        10.0 ** np.arange(16), -(10.0 ** np.arange(16)), 10.0 ** np.arange(16) - 1.0,
+        np.ldexp(1.0, np.arange(54)), [9999999999999998.0, -9999999999999998.0, 1e16, -1e16],
+    ])
+    rng.shuffle(integral)
+    mixed = integral.copy()
+    mixed[::3] = rng.normal(size=mixed[::3].size) * 10.0 ** rng.integers(-3, 12, mixed[::3].size)
+    mixed[1::7] = -0.0
+    return integral, mixed, np.resize([0.0, -0.0, -0.0], 4096)
+
+
+def test_block_text_formats_integral_columns_like_format_number():
+    for column in _integral_columns(np.random.default_rng(28)):
+        for i in range(0, column.size, 4096):
+            block = column[i : i + 4096]
+            text = config_io._block_text([block, -block], "\n").decode()
+            expected = [f"{format_number(v)},{format_number(-v)}" for v in block.tolist()]
+            assert text.split("\n") == expected
 
 
 def test_export_csv_graph_rows(tmp_path):
@@ -402,6 +427,77 @@ def test_dead_worker_raises_child_process_error_and_reaps(tmp_path, kill_worker,
         os.waitpid(-1, os.WNOHANG)
 
 
+def _render_segments(depth):
+    """The segment source of ``render --example1 p=0.3 --depth depth``."""
+    zipper, line = build_example1(Example1Config(p=0.3))
+    target = product_zipper(zipper, line)
+    return Segments(target, refine(target, segment_level(target, depth), line=line), depth)
+
+
+@pytest.mark.parametrize("depth", [10, 14])
+def test_render_computes_each_segment_at_most_twice(tmp_path, monkeypatch, depth):
+    monkeypatch.setattr(config_io, "_usable_cpus", lambda: 1)
+    calls, sources = [], set()
+    segment = Segments.__call__
+
+    def counting(self, i):
+        calls.append(i)
+        sources.add(self)
+        return segment(self, i)
+
+    monkeypatch.setattr(Segments, "__call__", counting)
+    argv = ["render", "--example1", "p=0.3", "--depth", str(depth),
+            "--svg", str(tmp_path / "curve.svg"), "--csv", str(tmp_path / "curve.csv")]
+    assert main(argv) == 0
+    (source,) = sources
+    assert source.count == 2 ** (depth - segment_level(source.zipper, depth))
+    # one pass for the CSV, which records the bounding box, and one for the SVG
+    assert sorted(calls) == sorted(2 * list(range(source.count)))
+
+
+def test_render_exports_write_the_same_bytes_at_any_worker_count(tmp_path, monkeypatch):
+    spec = RenderSpec(width=640, height=480)
+    monkeypatch.setattr(config_io, "_usable_cpus", lambda: 1)
+    export_svg(_render_segments(14), spec, tmp_path / "alone.svg")  # its own box pass
+    expected = (tmp_path / "alone.svg").read_bytes()
+    fork = os.fork
+    for workers in (1, 2, 3):
+        made = []
+
+        def counting_fork():
+            pid = fork()
+            made.append(pid)
+            return pid
+
+        monkeypatch.setattr(config_io, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        segments = _render_segments(14)  # 8 segments
+        export_csv(segments, tmp_path / f"{workers}.csv")
+        assert segments.bounds is not None
+        export_svg(segments, spec, tmp_path / f"{workers}.svg")
+        assert (tmp_path / f"{workers}.svg").read_bytes() == expected
+        assert (tmp_path / f"{workers}.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+        assert len(made) == (2 * workers if workers >= 2 else 0)  # one round per file
+
+
+def test_render_export_failure_raises_and_reaps(tmp_path, forks, monkeypatch):
+    workers, _ = forks
+    block_text = config_io._block_text
+
+    def failing(columns, row_sep):
+        if columns[0][0] > 0.5:  # a block of the second half
+            raise RuntimeError("formatting failed")
+        return block_text(columns, row_sep)
+
+    monkeypatch.setattr(config_io, "_block_text", failing)
+    segments = _render_segments(14)
+    with pytest.raises(RuntimeError if workers == 1 else ChildProcessError):
+        export_csv(segments, tmp_path / "curve.csv")
+    assert segments.bounds is None  # a failed export records nothing
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child is left, not even a zombie
+
+
 def _row_blocks(rows):
     """``(block, count)``: the 4096-row blocks of a 2-D array, ``block(i)``
     giving block i as a list of columns."""
@@ -425,6 +521,33 @@ def test_interrupted_export_reaps_its_children(monkeypatch):
         config_io._write_rows(Interrupted(), *_row_blocks(np.zeros((5 * 4096, 1))), "\n")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_each_block_reaches_the_parent_before_the_next_is_formatted(monkeypatch):
+    monkeypatch.setattr(config_io, "_usable_cpus", lambda: 2)
+    block_text = config_io._block_text
+
+    def stalling(columns, row_sep):
+        if columns[0][0] >= 2 * 4096:  # each child stalls on its second block
+            time.sleep(30.0)
+        return block_text(columns, row_sep)
+
+    class TwoBlocks:
+        """A file that stops the export once it has the first two blocks."""
+
+        writes = 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 3:
+                raise KeyboardInterrupt
+
+    monkeypatch.setattr(config_io, "_block_text", stalling)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        config_io._write_rows(TwoBlocks(), *_row_blocks(np.arange(5.0 * 4096)[:, None]), "\n")
+    # a block's last record left in a child's write buffer would wait 30 s
+    assert time.monotonic() - start < 15.0
 
 
 def test_slow_writes_keep_blocks_in_flight_bounded(monkeypatch):
