@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .attractor import Segments, chaos_game, refine, segment_level
@@ -145,6 +146,12 @@ def _cmd_lift(args):
 def _cmd_render(args):
     if args.chaos and args.points < 1:
         raise InvalidConfig(f"--points must be at least 1, got {args.points}")
+    claimed = {}  # real output path -> the first flag that names it
+    for flag in ("svg", "csv", "chaos"):
+        path = getattr(args, flag)
+        first = claimed.setdefault(os.path.realpath(path), flag) if path else flag
+        if first != flag:
+            raise InvalidConfig(f"--{first} and --{flag} name the same file {path!r}")
     zipper, line = _resolve_system(args)
     if args.lifted:
         target = smooth_zipper(zipper, line, build_lift(zipper, line))
@@ -176,7 +183,6 @@ def _cmd_render(args):
 def _cmd_verify(args):
     zipper, line = _resolve_system(args)
     lift = build_lift(zipper, line)
-    lifted = smooth_zipper(zipper, line, lift)
     wanted = SUITES if args.suite == "all" else (args.suite,)
     reports = []
     for suite in wanted:
@@ -197,7 +203,7 @@ def _cmd_verify(args):
                 print(f"tangent scan aborted: {exc}", file=sys.stderr)
                 reports.append(VerificationReport("tangent-scan", float("inf"), 0, 0.0))
         elif suite == "contraction":
-            reports.append(eventual_contraction_check(lifted))
+            reports.append(eventual_contraction_check(smooth_zipper(zipper, line, lift)))
     print(json.dumps([report.as_dict() for report in reports], indent=2))
     return 0 if all(report.passed for report in reports) else 1
 

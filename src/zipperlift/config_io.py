@@ -192,7 +192,7 @@ def config_from_system(zipper, line):
 
 
 def build_system(config):
-    """Validate a parsed config into a (Zipper, LineZipper) pair.
+    """Validate a parsed config into a (zipper, line zipper) pair.
 
     Validation derives the contraction mode, so lifted systems load through
     the same path.  Line nodes default to a uniform split.

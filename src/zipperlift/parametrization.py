@@ -61,10 +61,9 @@ def _descend(ts, line, linears, local, gains, node_rows, tail_row, reach, tol):
     if not np.all(inside):
         raise OutOfDomain(f"parameter {float(ts[np.argmin(inside)])!r} outside [0, 1]")
     nodes = line.nodes
-    # interval map k pulls u back to (u - t_k) / q_k, or where it reverses
-    # to (u - t_{k+1}) / -q_k: the same float as (t_{k+1} - u) / q_k
-    starts = np.where(line.signature, nodes[1:], nodes[:-1])
-    scales = np.where(line.signature, -line.ratios, line.ratios)
+    # interval map k, u -> start + scale * u, pulls u back to (u - start) / scale
+    starts = np.array([mp.translation[0] for mp in line.maps])
+    scales = np.array([mp.linear[0, 0] for mp in line.maps])
     count, n = ts.size, tail_row.size
     values = np.empty((count, n))
     bounds = np.zeros(count)

@@ -12,6 +12,7 @@ map families contract eventually.  Every check returns a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ QUADRATURE_SLACK = 1.05
 QUADRATURE_G_TOL = QUADRATURE_F_TOL = 1e-10
 
 #: Settings of :func:`derivative_check`, named there.
+DERIVATIVE_DELTAS = (1e-4, 1e-6, 1e-8)
 DERIVATIVE_EXPONENT = 0.5
 DERIVATIVE_SLACK = 1.5
 DERIVATIVE_NOISE_FLOOR = 1e-3
@@ -72,9 +74,10 @@ class VerificationReport:
         return self.max_error <= self.tolerance
 
     def as_dict(self):
+        """The report as strict JSON values: a non-finite ``max_error`` is None."""
         return {
             "check": self.check_name,
-            "maxError": self.max_error,
+            "maxError": self.max_error if math.isfinite(self.max_error) else None,
             "samples": self.samples,
             "passed": self.passed,
             "tolerance": self.tolerance,
@@ -223,11 +226,11 @@ def quadrature_check(zipper, line, lift):
     )
 
 
-def derivative_check(zipper, line, lift, sample_count=100,
-                     deltas=(1e-4, 1e-6, 1e-8), seed=0):
+def derivative_check(zipper, line, lift, sample_count=100, seed=0):
     """Central differences of the integral curve against the parametrization.
 
-    For random parameters t and each step delta, compares
+    For random parameters t and each step delta of the decreasing
+    :data:`DERIVATIVE_DELTAS`, compares
     (g(t+delta) - g(t-delta)) / (2 delta) with f(t).  Passes when every
     sample's error at the smallest delta is below
     ``10 * delta**exponent`` and errors do not grow (within the slack) as
@@ -235,14 +238,9 @@ def derivative_check(zipper, line, lift, sample_count=100,
     count as converged, since truncation noise of order g_tol/delta
     dominates once the true difference error reaches zero.
     """
-    deltas = tuple(float(d) for d in deltas)
-    if any(d <= 0 for d in deltas) or any(
-        deltas[j + 1] >= deltas[j] for j in range(len(deltas) - 1)
-    ):
-        raise ValueError("deltas must be positive and strictly decreasing")
+    deltas = DERIVATIVE_DELTAS
     rng = np.random.default_rng(seed)
-    margin = deltas[0]
-    ts = rng.uniform(margin, 1.0 - margin, _sample_count("sample_count", sample_count))
+    ts = rng.uniform(deltas[0], 1.0 - deltas[0], _sample_count("sample_count", sample_count))
     f_values, _ = eval_f_many(ts, zipper, line, tol=DERIVATIVE_F_TOL)
     bounds = np.array([10.0 * d**DERIVATIVE_EXPONENT for d in deltas])
     errors = np.zeros((ts.size, len(deltas)))
@@ -281,7 +279,7 @@ def tangent_scan(zipper, line, sample_count):
         magnitudes = np.linalg.norm(values, axis=1)
         vanished = magnitudes <= 1e-12
         if vanished.any():
-            where = ts[vanished][0]
+            where = float(ts[vanished][0])
             raise ZeroTangent(f"tangent magnitude <= 1e-12 at t = {where!r}")
         units = values / magnitudes[:, None]
         cosines = np.clip(np.einsum("pi,pi->p", units[:-1], units[1:]), -1.0, 1.0)

@@ -128,41 +128,23 @@ class Zipper:
             return reach / (1.0 - lmax)
         return self.word_scan.reach
 
-
-@dataclass(frozen=True, eq=False)
-class LineZipper:
-    """A zipper on [0, 1]: nodes t_0..t_m with orientation signature.
-
-    ``ratios[i]`` is the width t_{i+1} - t_i of interval i (0-based); the
-    induced maps send [0, 1] onto the intervals, reversed where the
-    signature bit is set.
-    """
-
-    nodes: np.ndarray  # (m+1,), read-only
-    signature: tuple[int, ...]
-    ratios: np.ndarray  # (m,), read-only
-
     @property
-    def map_count(self):
-        return len(self.signature)
+    def nodes(self):
+        """First coordinates of the vertices: the nodes t_0..t_m of a line
+        zipper, and of any graph zipper over it."""
+        return self.vertices[:, 0]
 
     @cached_property
-    def maps(self):
-        """The induced interval maps as 1-D affine maps."""
-        built = []
-        for k, bit in enumerate(self.signature):
-            if bit:
-                built.append(AffineMap([[-self.ratios[k]]], [self.nodes[k + 1]]))
-            else:
-                built.append(AffineMap([[self.ratios[k]]], [self.nodes[k]]))
-        return tuple(built)
+    def ratios(self):
+        """The widths ``np.diff(nodes)``, read-only."""
+        ratios = np.diff(self.nodes)
+        ratios.setflags(write=False)
+        return ratios
 
     def forward(self, index, t):
-        """Image of ``t`` under interval map ``index`` (1-based).  Vectorized."""
-        k = index - 1
-        if self.signature[k]:
-            return self.nodes[k + 1] - self.ratios[k] * t
-        return self.nodes[k] + self.ratios[k] * t
+        """Image of ``t`` under map ``index`` (1-based) of a line zipper.  Vectorized."""
+        mp = self.maps[index - 1]
+        return mp.translation[0] + mp.linear[0, 0] * t
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +243,9 @@ def validate_zipper(maps, vertices, signature):
 
 
 def line_zipper(nodes, signature):
-    """Build a :class:`LineZipper` from nodes 0 = t_0 < ... < t_m = 1.
+    """Build the line zipper on nodes 0 = t_0 < ... < t_m = 1: the 1-D
+    :class:`Zipper` whose map k sends [0, 1] onto [t_{k-1}, t_k], reversed
+    where its signature bit is set.
 
     Raises :class:`InvalidNodes` for non-monotone nodes or wrong endpoints,
     and :class:`ZipperViolation` when the induced maps fail the axioms (a
@@ -273,17 +257,16 @@ def line_zipper(nodes, signature):
         raise InvalidNodes(f"expected at least two nodes, got shape {nodes.shape}")
     if nodes[0] != 0.0 or nodes[-1] != 1.0:
         raise InvalidNodes(f"endpoints must be exactly 0 and 1, got {nodes[0]}..{nodes[-1]}")
-    if not np.all(np.diff(nodes) > 0.0):
-        raise InvalidNodes("nodes must be strictly increasing")
     ratios = np.diff(nodes)
+    if not np.all(ratios > 0.0):
+        raise InvalidNodes("nodes must be strictly increasing")
     if abs(float(ratios.sum()) - 1.0) > 1e-12:
         raise InvalidNodes("interval widths must sum to 1")
     signature = as_signature(signature, count=nodes.size - 1)
-    nodes.setflags(write=False)
-    ratios.setflags(write=False)
-    line = LineZipper(nodes=nodes, signature=signature, ratios=ratios)
-    validate_zipper(line.maps, nodes[:, None], signature)
-    return line
+    # t -> t_k + q_k t, or t_{k+1} - q_k t where the map reverses
+    maps = [AffineMap([[-q]], [end]) if bit else AffineMap([[q]], [start])
+            for start, end, q, bit in zip(nodes[:-1], nodes[1:], ratios, signature)]
+    return validate_zipper(maps, nodes[:, None], signature)
 
 
 def check_pairing(zipper, line):

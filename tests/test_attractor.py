@@ -41,8 +41,7 @@ def test_refine_depth_one_contains_endpoint_images(graph_zipper):
 
 def test_refine_orientation_keeps_params_monotone():
     line = line_zipper((0.0, 0.5, 1.0), (1, 0))
-    zipper = validate_zipper(line.maps, line.nodes[:, None], line.signature)
-    polyline = refine(zipper, 1, line=line)
+    polyline = refine(line, 1, line=line)  # a line zipper is a graph over itself
     assert np.all(np.diff(polyline.params) >= 0)
     for t in (0.0, 0.5, 1.0):
         assert t in polyline.params

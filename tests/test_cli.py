@@ -253,6 +253,22 @@ def test_render_rejects_no_chaos_points_before_writing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("first, second", [("--svg", "--csv"), ("--csv", "--chaos")])
+def test_render_refuses_two_outputs_on_one_file(tmp_path, capsys, first, second):
+    outputs = {"--svg": "curve.svg", "--csv": "curve.csv", "--chaos": "cloud.csv",
+               first: "same.out", second: str(tmp_path / "sub" / ".." / "same.out")}
+    (tmp_path / "sub").mkdir()
+    argv = ["render", "--example1", "p=0.3", "--depth", "4"]
+    for flag, name in outputs.items():
+        argv += [flag, str(tmp_path / name)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"{first} and {second}" in captured.err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["sub"]
+
+
 def test_render_deterministic(tmp_path):
     outputs = []
     for name in ("one", "two"):
@@ -280,6 +296,48 @@ def test_verify_single_suite(capsys):
     reports = json.loads(capsys.readouterr().out)
     assert len(reports) == 1
     assert reports[0]["check"] == "eventual-contraction"
+
+
+ZERO_TANGENT_CONFIG = {  # f vanishes on [0, 1/3]
+    "dimension": 1,
+    "maps": [{"linear": [[0.0]], "translation": [0.0]},
+             {"linear": [[0.5]], "translation": [0.0]},
+             {"linear": [[0.5]], "translation": [0.5]}],
+    "vertices": [[0.0], [0.0], [0.5], [1.0]],
+    "signature": [0, 0, 0],
+}
+
+
+def test_verify_prints_strict_json_when_the_tangent_vanishes(tmp_path, capsys):
+    config = tmp_path / "zt.json"
+    config.write_text(json.dumps(ZERO_TANGENT_CONFIG))
+    assert main(["verify", str(config), "--suite", "tangent"]) == 1
+    captured = capsys.readouterr()
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    (report,) = json.loads(captured.out, parse_constant=refuse)
+    assert report["check"] == "tangent-scan" and report["maxError"] is None
+    assert not report["passed"]
+    assert captured.err == ("tangent scan aborted: tangent magnitude <= 1e-12 "
+                            "at t = 0.015625\n")
+
+
+@pytest.mark.parametrize("suite, calls", [("quad", 0), ("contraction", 1), ("all", 1)])
+def test_verify_validates_the_lift_only_for_the_contraction_check(monkeypatch, suite, calls):
+    from zipperlift import cli
+
+    lifts = []
+
+    def counted(*args):
+        lifts.append(args)
+        return smooth_zipper(*args)
+
+    smooth_zipper = cli.smooth_zipper
+    monkeypatch.setattr(cli, "smooth_zipper", counted)
+    main(["verify", "--example1", "p=0.3", "--suite", suite])
+    assert len(lifts) == calls
 
 
 def test_inverse_design_output(capsys):

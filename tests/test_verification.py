@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from zipperlift import verification
 from zipperlift.errors import CombinatorialBudget, ZeroTangent
 from zipperlift.families import (
     Example1Config,
@@ -59,9 +60,10 @@ def test_residual_suites_pass(interval_03, rotation_half):
         assert geq.passed, geq
 
 
-def test_derivative_check_parabola(interval_half):
+def test_derivative_check_parabola(interval_half, monkeypatch):
     zipper, line, lift = interval_half
-    report = derivative_check(zipper, line, lift, sample_count=50, deltas=(1e-4,))
+    monkeypatch.setattr(verification, "DERIVATIVE_DELTAS", (1e-4,))
+    report = derivative_check(zipper, line, lift, sample_count=50)
     # central differences of t^2/2 are exact; errors sit at truncation noise
     assert report.passed
     assert report.max_error <= 1e-8

@@ -1,6 +1,10 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import zipperlift
 from zipperlift.attractor import refine
 from zipperlift.config_io import build_system, config_from_system, config_to_json, parse_config
 from zipperlift.errors import (
@@ -16,6 +20,7 @@ from zipperlift.families import Example1Config, Example2Config, build_example1, 
 from zipperlift.smoothing import build_lift, smooth_zipper
 from zipperlift.zipper import (
     VERTEX_TOLERANCE,
+    Zipper,
     check_graph,
     inspect_zipper,
     line_zipper,
@@ -108,6 +113,48 @@ def test_line_zipper_single_interval_is_not_contracting():
     # nodes (0, 1) induce the identity map, which fails the axioms
     with pytest.raises(ZipperViolation):
         line_zipper((0.0, 1.0), (0,))
+
+
+def _line_cases():
+    """(line zipper, the nodes it was built from) over the presets, the
+    seed-0 generated configs and a non-dyadic line with reversed bits."""
+    build_workload = runpy.run_path(
+        str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))["build_workload"]
+    cases = [
+        (build_example1(Example1Config(p=0.3))[1], [0.0, 0.5, 1.0]),
+        (build_example1(Example1Config(q1=0.4, y1=0.3, y2=1.0))[1], [0.0, 0.4, 1.0]),
+        (build_example2(Example2Config(h_param=0.5))[1], [0.0, 0.5, 1.0]),
+    ]
+    for text in build_workload("generated-zippers", 0).configs.values():
+        config = parse_config(text)
+        cases.append((build_system(config)[1], config.line_nodes))
+    handmade = [0.0, 0.1, 0.35, 0.4, 1.0]
+    cases.append((line_zipper(handmade, (1, 0, 1, 1)), handmade))
+    return cases
+
+
+def test_line_zipper_is_a_zipper_with_the_interval_formulas():
+    assert not hasattr(zipperlift, "LineZipper")
+    ts = np.concatenate([[0.0, 0.25, 0.5, 1.0], np.random.default_rng(3).uniform(0.0, 1.0, 64)])
+    reversed_lines = 0
+    for line, source in _line_cases():
+        assert isinstance(line, Zipper) and line.dimension == 1
+        nodes = np.array(source, dtype=float)
+        ratios = np.diff(nodes)
+        assert line.nodes.tobytes() == nodes.tobytes()
+        assert line.ratios.tobytes() == ratios.tobytes()
+        assert not line.nodes.flags.writeable and not line.ratios.flags.writeable
+        reversed_lines += any(line.signature)
+        for k, (mp, bit) in enumerate(zip(line.maps, line.signature)):
+            # the formulas of the interval maps, bit for bit
+            if bit:
+                linear, entry, image = -ratios[k], nodes[k + 1], nodes[k + 1] - ratios[k] * ts
+            else:
+                linear, entry, image = ratios[k], nodes[k], nodes[k] + ratios[k] * ts
+            assert mp.linear.tobytes() == np.array([[linear]]).tobytes()
+            assert mp.translation.tobytes() == np.array([entry]).tobytes()
+            assert line.forward(k + 1, ts).tobytes() == image.tobytes()
+    assert reversed_lines == 4
 
 
 def test_product_zipper_interval_family():
@@ -207,7 +254,7 @@ def test_check_graph_accepts_products_and_lifts_only():
         check_graph(product_zipper(zipper, line), line)
         check_graph(lifted, line)
         check_graph(*build_system(parse_config(config_to_json(config_from_system(lifted, line)))))
-        check_graph(validate_zipper(line.maps, line.nodes[:, None], line.signature), line)
+        check_graph(line, line)
     # the base zipper of example 2 is a curve in the plane, not a graph over t
     with pytest.raises(DegenerateInput):
         check_graph(zipper, line)
