@@ -69,7 +69,6 @@ from .verification import (
     tangent_scan,
 )
 from .zipper import (
-    SimilarityDecomposition,
     ValidationReport,
     Zipper,
     inspect_zipper,

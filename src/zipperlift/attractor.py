@@ -121,7 +121,7 @@ def refine(zipper, depth, line=None):
 
 #: A segment source starts from the deepest level whose polyline, of
 #: m^(k+1) + 1 rows, has at most this many rows, so that every segment is
-#: about one 4096-row export block.
+#: about one 4096-row export block, the size ``config_io`` derives from it.
 SEGMENT_ROWS = 4097
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attractor import Segments
+from .attractor import SEGMENT_ROWS, Segments
 from .errors import DimensionUnsupported, ParseError, ShapeError
 from .geometry import AffineMap
 from .zipper import line_zipper, validate_zipper
@@ -90,14 +90,17 @@ def _unique_keys(pairs):
 def parse_config(text):
     """Parse strict JSON config text into a :class:`ZipperConfig`.
 
-    Raises :class:`ParseError` (with line and column) for malformed JSON or
-    unknown or repeated keys, and :class:`ShapeError` naming the offending
-    field for shape or type problems and for non-finite numbers.
+    Raises :class:`ParseError` (with line and column) for malformed JSON,
+    and for JSON nested past the recursion limit or unknown or repeated
+    keys, and :class:`ShapeError` naming the offending field for shape or
+    type problems and for non-finite numbers.
     """
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
     if not isinstance(raw, dict):
         raise ShapeError("<root>", "config must be a JSON object")
     allowed = set(_REQUIRED_KEYS) | set(_OPTIONAL_KEYS)
@@ -223,8 +226,9 @@ def format_number(value):
 
 
 #: Rows formatted and written per block.  It bounds the text and the arrays
-#: alive at once, independent of the polyline's length.
-_BLOCK_ROWS = 4096
+#: alive at once, independent of the polyline's length.  A segment, less
+#: the junction row it shares with its neighbour, fills at most one block.
+_BLOCK_ROWS = SEGMENT_ROWS - 1
 
 #: An entry's text is right-aligned in a frame of this many bytes; the first
 #: 4 bytes are never text, room for the separator before it.

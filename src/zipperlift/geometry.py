@@ -139,10 +139,16 @@ def operator_norm(matrix):
     against a start orthogonal to the top singular subspace.  Deterministic,
     converging to relative accuracy ~1e-9 within 10^4 iterations for
     matrices with a reasonable spectral gap.  The zero matrix returns 0.
+    The iteration runs on the matrix scaled by the power of two that brings
+    its largest entry into [0.5, 1), which is exact, so the norm neither
+    overflows nor underflows anywhere in the float range; a norm past the
+    largest float reads inf.
     """
     m = as_matrix(matrix)
     if not m.any():
         return 0.0
+    _, exponent = math.frexp(float(np.abs(m).max()))
+    m = np.ldexp(m, -exponent)
     gram = m.T @ m
     d = m.shape[0]
     starts = [np.ones(d)]
@@ -164,7 +170,10 @@ def operator_norm(matrix):
             if abs(estimate - previous) <= 0.5 * NORM_RELATIVE_ACCURACY * max(estimate, 1e-300):
                 break
         best = max(best, estimate)
-    return best
+    try:
+        return math.ldexp(best, exponent)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -193,7 +202,9 @@ def eventual_contraction_scan(maps, base_point, max_word_length):
 
     For each length L the scan forms all m^L affine words of the maps and
     records the worst ``operator_norm(linear part) ** (1/L)``; it stops at
-    the first L with every such value at most :data:`CONTRACTION_THRESHOLD`.
+    the first L with every such value at most :data:`CONTRACTION_THRESHOLD`,
+    or, certifying nothing, at the first L whose words are not all finite,
+    recorded as inf.
     If no word up to that length moves ``base_point`` farther than D, the
     attractor lies within ``reach = D / (1 - worst**L)`` of it.  Raises
     :class:`CombinatorialBudget` before forming a length whose words would
@@ -210,11 +221,16 @@ def eventual_contraction_scan(maps, base_point, max_word_length):
             raise CombinatorialBudget(
                 f"{formed} words up to length {length} exceed the {WORD_BUDGET:g} budget"
             )
-        level = [
-            (lin @ mp.linear, lin @ mp.translation + off)
-            for lin, off in level
-            for mp in maps
-        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            level = [
+                (lin @ mp.linear, lin @ mp.translation + off)
+                for lin, off in level
+                for mp in maps
+            ]
+        if not all(np.isfinite(lin).all() and np.isfinite(off).all() for lin, off in level):
+            # products past the float range cannot certify, nor can longer words
+            values.append((length, math.inf))
+            break
         worst = max(operator_norm(lin) for lin, _ in level) ** (1.0 / length)
         values.append((length, worst))
         farthest = max(

@@ -29,12 +29,7 @@ import numpy as np
 from .errors import DegenerateInput
 from .geometry import AffineMap, solve_linear
 from .parametrization import ParamEvaluation, _descend
-from .zipper import (
-    SimilarityDecomposition,
-    check_pairing,
-    similarity_decomposition,
-    validate_zipper,
-)
+from .zipper import check_pairing, similarity_decomposition, validate_zipper
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,13 +40,14 @@ class SmoothLift:
     g(t_0)..g(t_m) row-wise (the first row is zero and the last equals
     ``h``); ``lifted_maps`` are the affine maps on R^{n+1} whose attractor
     is the graph of g; ``normal_form`` is the zipper's
-    :func:`similarity_decomposition`, which evaluating g reads again.
+    :func:`similarity_decomposition` ``(offsets, linear_parts, signs)``,
+    which evaluating g reads again.
     """
 
     h: np.ndarray
     node_integrals: np.ndarray
     lifted_maps: tuple[AffineMap, ...]
-    normal_form: tuple[SimilarityDecomposition, ...]
+    normal_form: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def build_lift(zipper, line):
@@ -66,32 +62,30 @@ def build_lift(zipper, line):
     at the origin (:class:`NotNormalized` otherwise).
     """
     check_pairing(zipper, line)
-    normal_form = similarity_decomposition(zipper)
+    offsets, linear_parts, signs = normal_form = similarity_decomposition(zipper)
+    scales = signs * line.ratios
     n = zipper.dimension
     matrix = np.eye(n)
     rhs = np.zeros(n)
-    for part, width in zip(normal_form, line.ratios):
-        matrix -= part.sign * width * part.linear_part
-        rhs += width * part.offset
+    # one map at a time: a vectorized sum adds in another order and moves h
+    for scale, width, part, offset in zip(scales, line.ratios, linear_parts, offsets):
+        matrix -= scale * part
+        rhs += width * offset
     h = solve_linear(matrix, rhs)
 
-    increments = [
-        part.offset * width + part.sign * width * (part.linear_part @ h)
-        for part, width in zip(normal_form, line.ratios)
-    ]
+    products = np.array([part @ h for part in linear_parts])
+    increments = offsets * line.ratios[:, None] + scales[:, None] * products
     g_nodes = np.zeros((zipper.map_count + 1, n))
     np.cumsum(increments, axis=0, out=g_nodes[1:])
     g_nodes.setflags(write=False)
 
-    lifted_maps = []
-    for k, (part, width) in enumerate(zip(normal_form, line.ratios)):
-        block = np.zeros((n + 1, n + 1))
-        block[0, 0] = 1.0
-        block[1:, 0] = part.offset
-        block[1:, 1:] = part.sign * part.linear_part
-        entry = k + zipper.signature[k]
-        translation = np.concatenate([[line.nodes[entry]], g_nodes[entry]])
-        lifted_maps.append(AffineMap(part.sign * width * block, translation))
+    blocks = np.zeros((zipper.map_count, n + 1, n + 1))
+    blocks[:, 0, 0] = 1.0
+    blocks[:, 1:, 0] = offsets
+    blocks[:, 1:, 1:] = signs[:, None, None] * linear_parts
+    entries = np.arange(zipper.map_count) + np.array(zipper.signature)
+    translations = np.column_stack([line.nodes[entries], g_nodes[entries]])
+    lifted_maps = map(AffineMap, scales[:, None, None] * blocks, translations)
     return SmoothLift(h, g_nodes, tuple(lifted_maps), normal_form)
 
 
@@ -115,8 +109,8 @@ def _descend_g(ts, zipper, line, lift, tol):
             f"worst gain q_i |A_i| is {gains.max():.6g}"
         )
     g_nodes, nodes, zero = lift.node_integrals, line.nodes, np.zeros(zipper.dimension)
-    scaled = np.array([q * part.linear_part for part, q in zip(lift.normal_form, line.ratios)])
-    offsets = np.array([part.offset for part in lift.normal_form])
+    offsets, linear_parts, _ = lift.normal_form
+    scaled = line.ratios[:, None, None] * linear_parts
     # orientation-reversing intervals subtract the rescaled total integral
     shifts = np.array([a @ lift.h if bit else zero for a, bit in zip(scaled, zipper.signature)])
 

@@ -178,8 +178,8 @@ def integral_residual(zipper, line, lift, samples=1000, seed=0):
     ts = rng.uniform(0.0, 1.0, _sample_count("samples", samples))
     worst_errors = np.zeros(ts.size)
     g_values, _ = eval_g_many(ts, zipper, line, lift, tol=RESIDUAL_TOL)
+    offsets, linear_parts, _ = lift.normal_form
     for index in range(1, zipper.map_count + 1):
-        part = lift.normal_form[index - 1]
         width = line.ratios[index - 1]
         g_node = lift.node_integrals[index - 1]
         lhs, _ = eval_g_many(line.forward(index, ts), zipper, line, lift, tol=RESIDUAL_TOL)
@@ -187,8 +187,8 @@ def integral_residual(zipper, line, lift, samples=1000, seed=0):
             local_ts, local_g = 1.0 - ts, g_values - lift.h
         else:
             local_ts, local_g = ts, g_values
-        rhs = (g_node + part.offset * width * local_ts[:, None]
-               + width * _matvec(part.linear_part, local_g))
+        rhs = (g_node + offsets[index - 1] * width * local_ts[:, None]
+               + width * _matvec(linear_parts[index - 1], local_g))
         np.maximum(worst_errors, _row_norms(lhs - rhs), out=worst_errors)
     max_error = float(worst_errors.max())
     tolerance = 2.0 * RESIDUAL_TOL

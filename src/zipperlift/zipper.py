@@ -147,21 +147,6 @@ class Zipper:
         return mp.translation[0] + mp.linear[0, 0] * t
 
 
-@dataclass(frozen=True, eq=False)
-class SimilarityDecomposition:
-    """Normal form of one zipper map around the origin.
-
-    For a zipper with z_0 = 0, map i is ``z -> offset + sign * A z`` with
-    ``offset`` the entry vertex z_{i-1} (or z_i when orientation-reversing),
-    ``sign`` = +/-1 per the signature bit, and A sending the last vertex b
-    to the chord z_i - z_{i-1}.
-    """
-
-    offset: np.ndarray
-    linear_part: np.ndarray
-    sign: int
-
-
 def inspect_zipper(maps, vertices, signature):
     """Check the zipper axioms, returning a full :class:`ValidationReport`.
 
@@ -318,32 +303,31 @@ def product_zipper(zipper, line):
 
 
 def similarity_decomposition(zipper):
-    """Normal-form decomposition of every map of a zipper with z_0 = 0.
+    """Normal form of every map of a zipper with z_0 = 0, as read-only
+    arrays ``(offsets, linear_parts, signs)`` of shapes (m, n), (m, n, n)
+    and (m,).
+
+    Map i is ``z -> offsets[i] + signs[i] * linear_parts[i] @ z``: the
+    offset is its entry vertex z_{i-1} (z_i when orientation-reversing), the
+    sign is -1 exactly where the signature bit is set, and the linear part
+    sends the last vertex b to the chord z_i - z_{i-1}.
 
     Raises :class:`NotNormalized` when the first vertex is not the origin
-    and :class:`ZipperViolation` if the decomposed linear parts fail to send
-    the last vertex onto the vertex chords.
+    and :class:`ZipperViolation` if a linear part misses its chord.
     """
-    if float(np.linalg.norm(zipper.vertices[0])) > VERTEX_TOLERANCE:
-        raise NotNormalized(
-            f"vertices[0] must be the origin, got {zipper.vertices[0].tolist()}"
-        )
-    b = zipper.vertices[-1]
-    decomposed = []
-    for k, mp in enumerate(zipper.maps):
-        sign = -1 if zipper.signature[k] else 1
-        linear_part = sign * mp.linear
-        offset = zipper.vertices[k + zipper.signature[k]]
-        chord = zipper.vertices[k + 1] - zipper.vertices[k]
-        deviation = float(np.linalg.norm(linear_part @ b - chord))
+    vertices, bits = zipper.vertices, np.array(zipper.signature)
+    if float(np.linalg.norm(vertices[0])) > VERTEX_TOLERANCE:
+        raise NotNormalized(f"vertices[0] must be the origin, got {vertices[0].tolist()}")
+    signs = np.where(bits == 1, -1.0, 1.0)
+    linear_parts = signs[:, None, None] * np.array([mp.linear for mp in zipper.maps])
+    offsets = vertices[np.arange(bits.size) + bits]
+    for k, chord in enumerate(np.diff(vertices, axis=0)):
+        deviation = float(np.linalg.norm(linear_parts[k] @ vertices[-1] - chord))
         if deviation > VERTEX_TOLERANCE:
             raise ZipperViolation(message=(
                 f"map {k + 1}: decomposed linear part misses the vertex chord "
                 f"by {deviation:.3e}"
             ))
-        linear_part = np.array(linear_part)
-        linear_part.setflags(write=False)
-        decomposed.append(SimilarityDecomposition(
-            offset=offset, linear_part=linear_part, sign=sign,
-        ))
-    return tuple(decomposed)
+    for array in (offsets, linear_parts, signs):
+        array.setflags(write=False)
+    return offsets, linear_parts, signs

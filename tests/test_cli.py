@@ -81,6 +81,29 @@ def test_duplicate_config_keys_are_parse_errors(tmp_path, capsys, text, key):
     assert capsys.readouterr().err == f"error: duplicate key {key!r}\n"
 
 
+@pytest.mark.parametrize("entry", ["1e50", "1e80"])
+def test_words_past_the_float_range_fail_contraction(tmp_path, capsys, entry):
+    # per-map norms ~entry; longer words overflow, which certifies nothing
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"dimension": 2, "maps": [{"linear": [[0.5, %s], [0.0, %s]], "translation": [0.0, 0.0]}, '
+        '{"linear": [[0.5, 0.0], [0.0, 0.5]], "translation": [0.5, 0.0]}], '
+        '"vertices": [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]], "signature": [0, 0]}' % (entry, entry)
+    )
+    for command in (["validate"], ["eval-f", "--t", "0.3"]):
+        assert main([command[0], str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert "map 0, contraction: deviation" in captured.out + captured.err
+        assert "Warning" not in captured.err
+
+
+def test_deeply_nested_config_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: JSON nested too deeply\n"
+
+
 #: VALID_CONFIG moved by 0.1: a valid zipper whose vertices[0] is not the origin.
 SHIFTED_CONFIG = (
     '{"dimension": 1, "maps": [{"linear": [[0.5]], "translation": [0.05]}, '

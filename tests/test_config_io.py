@@ -71,6 +71,11 @@ def test_parse_rejects_unknown_key():
     assert "colour" in str(excinfo.value)
 
 
+def test_parse_rejects_deeply_nested_json():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_config("[" * 100_000 + "]" * 100_000)
+
+
 def test_parse_rejects_bad_json_with_position():
     with pytest.raises(ParseError) as excinfo:
         parse_config('{"dimension": 1,,}')

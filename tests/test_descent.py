@@ -77,15 +77,15 @@ def _scalar_descent(t, line, step, node_rows, tail, reach, tol=1e-9):
 @pytest.mark.parametrize("name", PRESETS + ("spatial_3d",))
 def test_batched_descent_matches_scalar_loop_bitwise(name, request):
     zipper, line, lift = request.getfixturevalue(name)
-    parts = similarity_decomposition(zipper)
+    offsets, linear_parts, _ = similarity_decomposition(zipper)
     norms = zipper.linear_norms
 
     def f_step(k, u):
         return zipper.maps[k].translation, zipper.maps[k].linear, norms[k]
 
     def g_step(k, u):
-        scaled = line.ratios[k] * parts[k].linear_part
-        local = lift.node_integrals[k] + parts[k].offset * (u - line.nodes[k])
+        scaled = line.ratios[k] * linear_parts[k]
+        local = lift.node_integrals[k] + offsets[k] * (u - line.nodes[k])
         if zipper.signature[k]:
             local = local - scaled @ lift.h
         return local, scaled, line.ratios[k] * norms[k]

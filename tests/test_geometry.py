@@ -131,6 +131,30 @@ def test_operator_norm_dominates_random_directions(rng):
         assert norm == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], abs=1e-6)
 
 
+def test_operator_norm_across_the_float_range():
+    # 1e78 * I overflowed and 1e-100 * I underflowed to a norm of 0
+    worst = 0.0
+    for e in range(-300, 301, 4):
+        c = 10.0**e
+        for matrix in (c * np.eye(2), np.array([[0.5, c], [0.0, c]])):
+            reference = np.linalg.norm(matrix, 2)
+            worst = max(worst, abs(operator_norm(matrix) - reference) / reference)
+    assert worst <= 1e-12
+
+
+def test_operator_norm_scales_by_powers_of_two_exactly(rng):
+    for _ in range(50):
+        d = int(rng.integers(1, 6))
+        matrix = rng.normal(size=(d, d))
+        norm = operator_norm(matrix)
+        for k in (-1000, -200, -3, 5, 300, 1000):
+            assert operator_norm(np.ldexp(matrix, k)) == math.ldexp(norm, k)
+
+
+def test_operator_norm_past_the_float_range_is_inf():
+    assert operator_norm(np.full((2, 2), 1e308)) == math.inf
+
+
 def _linear_maps(mats):
     return [AffineMap(mat, np.zeros(mat.shape[0])) for mat in mats]
 
@@ -183,3 +207,13 @@ def test_word_reach_bound_needs_certificate():
     expanding = [AffineMap([[1.1, 0.0], [0.0, 1.1]], [0.0, 0.0])]
     scan = eventual_contraction_scan(expanding, np.zeros(2), 3)
     assert not scan.passed and scan.reach is None
+
+
+def test_scan_stops_at_words_past_the_float_range():
+    # the length-4 words of 1e80 entries overflow: recorded as inf, no certificate
+    maps = _linear_maps([np.array([[0.5, 1e80], [0.0, 1e80]]), 0.5 * np.eye(2)])
+    scan = eventual_contraction_scan(maps, np.zeros(2), 8)
+    assert not scan.passed and scan.reach is None
+    assert [length for length, _ in scan.values] == [1, 2, 3, 4]
+    assert scan.values[-1][1] == math.inf
+    assert all(math.isfinite(value) and value > 1.0 for _, value in scan.values[:-1])

@@ -1,7 +1,11 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from zipperlift import smoothing
+from zipperlift.config_io import build_system, parse_config
 from zipperlift.errors import DegenerateInput, NotNormalized
 from zipperlift.families import (
     Example1Config,
@@ -9,7 +13,7 @@ from zipperlift.families import (
     build_example1,
     build_example2,
 )
-from zipperlift.geometry import AffineMap, apply
+from zipperlift.geometry import AffineMap, apply, solve_linear
 from zipperlift.smoothing import (
     build_lift,
     eval_g,
@@ -18,7 +22,12 @@ from zipperlift.smoothing import (
     smooth_zipper,
 )
 from zipperlift.verification import integral_residual, quadrature_g
-from zipperlift.zipper import product_zipper, validate_zipper
+from zipperlift.zipper import (
+    line_zipper,
+    product_zipper,
+    similarity_decomposition,
+    validate_zipper,
+)
 
 
 def test_solve_h_interval_family_closed_form():
@@ -210,3 +219,69 @@ def test_lift_decomposes_the_normal_form_once(monkeypatch, rotation_half):
     eval_g_many([0.1, 0.7], zipper, line, lift)
     integral_residual(zipper, line, lift, samples=8)
     assert len(calls) == 1
+
+
+def _map_by_map_lift(zipper, line):
+    """The normal form and the lift built one map at a time, as per-map
+    lists: ``(offsets, linear_parts, signs, h, node_integrals, lifted_maps)``."""
+    n = zipper.dimension
+    offsets, parts, signs = [], [], []
+    for k, (mp, bit) in enumerate(zip(zipper.maps, zipper.signature)):
+        signs.append(-1 if bit else 1)
+        parts.append(signs[-1] * mp.linear)
+        offsets.append(zipper.vertices[k + bit])
+    matrix, rhs = np.eye(n), np.zeros(n)
+    for offset, part, sign, width in zip(offsets, parts, signs, line.ratios):
+        matrix -= sign * width * part
+        rhs += width * offset
+    h = solve_linear(matrix, rhs)
+    node_integrals, lifted = [np.zeros(n)], []
+    for offset, part, sign, width in zip(offsets, parts, signs, line.ratios):
+        node_integrals.append(node_integrals[-1] + (offset * width + sign * width * (part @ h)))
+    for k, (offset, part, sign, width) in enumerate(zip(offsets, parts, signs, line.ratios)):
+        block = np.zeros((n + 1, n + 1))
+        block[0, 0] = 1.0
+        block[1:, 0] = offset
+        block[1:, 1:] = sign * part
+        entry = k + zipper.signature[k]
+        translation = np.concatenate([[line.nodes[entry]], node_integrals[entry]])
+        lifted.append((sign * width * block, translation))
+    return offsets, parts, signs, h, node_integrals, lifted
+
+
+def _normal_form_systems():
+    """(zipper, line) over both presets, the general example-1 form, the
+    seed-0 generated configs and a one-dimensional reversed-bit zipper."""
+    build_workload = runpy.run_path(
+        str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))["build_workload"]
+    systems = [
+        build_example1(Example1Config(p=0.3)),
+        build_example1(Example1Config(q1=0.4, y1=0.3, y2=1.0)),
+        build_example2(Example2Config(h_param=0.5)),
+    ]
+    systems += [build_system(parse_config(text))
+                for text in build_workload("generated-zippers", 0).configs.values()]
+    reversed_maps = (AffineMap([[-0.6]], [0.6]), AffineMap([[0.4]], [0.6]))
+    systems.append((validate_zipper(reversed_maps, [[0.0], [0.6], [1.0]], (1, 0)),
+                    line_zipper([0.0, 0.45, 1.0], (1, 0))))
+    return systems
+
+
+def test_normal_form_arrays_and_lift_match_a_map_by_map_loop():
+    systems = _normal_form_systems()
+    assert any(any(zipper.signature) for zipper, _ in systems)
+    for zipper, line in systems:
+        offsets, parts, signs, h, node_integrals, lifted = _map_by_map_lift(zipper, line)
+        arrays = similarity_decomposition(zipper)
+        m, n = zipper.map_count, zipper.dimension
+        for array, shape, reference in zip(arrays, ((m, n), (m, n, n), (m,)),
+                                           (offsets, parts, signs)):
+            assert array.shape == shape and not array.flags.writeable
+            assert array.tobytes() == np.array(reference, dtype=float).tobytes()
+        lift = build_lift(zipper, line)
+        assert lift.h.tobytes() == h.tobytes()
+        assert lift.node_integrals.tobytes() == np.array(node_integrals).tobytes()
+        assert len(lift.lifted_maps) == m
+        for mp, (linear, translation) in zip(lift.lifted_maps, lifted):
+            assert mp.linear.tobytes() == linear.tobytes()
+            assert mp.translation.tobytes() == translation.tobytes()

@@ -216,12 +216,13 @@ def test_product_zipper_passes_validation_randomized(rng):
 
 def test_similarity_decomposition_interval():
     zipper, _ = build_example1(Example1Config(p=0.3))
-    parts = similarity_decomposition(zipper)
-    assert parts[0].sign == 1 and parts[1].sign == 1
-    assert parts[0].linear_part[0, 0] == pytest.approx(0.3)
-    assert parts[1].linear_part[0, 0] == pytest.approx(0.7)
-    assert np.array_equal(parts[0].offset, [0.0])
-    assert np.array_equal(parts[1].offset, [0.3])
+    offsets, linear_parts, signs = similarity_decomposition(zipper)
+    assert signs.tolist() == [1, 1]
+    assert linear_parts[0, 0, 0] == pytest.approx(0.3)
+    assert linear_parts[1, 0, 0] == pytest.approx(0.7)
+    assert np.array_equal(offsets, [[0.0], [0.3]])
+    for array in (offsets, linear_parts, signs):
+        assert not array.flags.writeable
 
 
 def test_similarity_decomposition_requires_origin():
@@ -240,10 +241,10 @@ def test_signature_reversal_decomposition():
     # plus a second plain map to keep every factor below 1
     maps = (AffineMap([[-0.6]], [0.6]), AffineMap([[0.4]], [0.6]))
     zipper = validate_zipper(maps, [[0.0], [0.6], [1.0]], (1, 0))
-    parts = similarity_decomposition(zipper)
-    assert parts[0].sign == -1
-    assert parts[0].linear_part[0, 0] == pytest.approx(0.6)
-    assert np.array_equal(parts[0].offset, [0.6])
+    offsets, linear_parts, signs = similarity_decomposition(zipper)
+    assert signs[0] == -1
+    assert linear_parts[0, 0, 0] == pytest.approx(0.6)
+    assert np.array_equal(offsets[0], [0.6])
 
 
 def test_check_graph_accepts_products_and_lifts_only():
