@@ -4,8 +4,9 @@ written, over a fixed matrix of systems and commands run in-process.
 The matrix is the four preset forms of ``tools/cli_snapshot.py``, the
 generated-zippers configs at seed 0 and ``test_cli.EVENTUAL_CONFIG``, each
 through ``validate``, ``lift``, ``eval-f``/``eval-g``, ``verify`` and one
-depth-6 render.  ``cli_digests.json`` holds the pins; regenerate it from the
-CLI, never by hand, with
+depth-6 render, plus two ``inverse-design`` runs, which read no system.
+``cli_digests.json`` holds the pins; regenerate it from the CLI, never by
+hand, with
 
     PYTHONPATH=src python tests/test_cli_digests.py --write
 """
@@ -37,6 +38,12 @@ COMMANDS = [
     ["verify", "lifted.json", "--suite", "contraction"],
     ["render", "--depth", "6", "--project", "0,1", "--svg", "render.svg", "--csv", "render.csv",
      "--lifted", "--chaos", "chaos.csv", "--points", "500"],
+]
+
+#: The README's and ``demos/06``'s ``inverse-design`` runs.
+INVERSE_DESIGN = [
+    ["inverse-design", "--q1", "0.5", "--x1", "0.5", "--g1", "0.045", "--g2", "0.3"],
+    ["inverse-design", "--q1", "0.4", "--x1", "0.4", "--g1", "0.1", "--g2", "0.55"],
 ]
 
 
@@ -92,6 +99,10 @@ def matrix_digests(root):
             own = command[1:2] == ["lifted.json"]
             argv = command if own else [command[0], *source, *command[1:]]
             records[label][" ".join(command)] = run_command(directory, argv)
+    directory = Path(root) / "inverse-design"
+    directory.mkdir()
+    records["inverse-design"] = {" ".join(argv): run_command(directory, argv)
+                                 for argv in INVERSE_DESIGN}
     return records
 
 
