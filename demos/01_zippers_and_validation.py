@@ -21,7 +21,8 @@ zipper, line = build_example1(Example1Config(p=0.3))
 print("interval family, p = 0.3")
 print("  vertices:", zipper.vertices.ravel())
 print("  contraction factors:", zipper.linear_norms)
-print("  report:", inspect_zipper(zipper.maps, zipper.vertices, zipper.signature).summary())
+print("  report:", inspect_zipper(zipper.linears, zipper.translations, zipper.vertices,
+                                zipper.signature).summary())
 
 # the rotation family: two rotation-scalings meeting at an apex
 rotation, _ = build_example2(Example2Config(h_param=0.5))
@@ -32,6 +33,6 @@ print("  factors:", tuple(round(f, 6) for f in rotation.linear_norms))
 # break a vertex on purpose: the report names the failing condition
 print("\nperturbing the middle vertex by 0.2 ...")
 try:
-    validate_zipper(zipper.maps, [[0.0], [0.5], [1.0]], (0, 0))
+    validate_zipper(zipper.linears, zipper.translations, [[0.0], [0.5], [1.0]], (0, 0))
 except Exception as exc:
     print(" ", exc)

@@ -28,8 +28,8 @@ print("  node integrals:", lift.node_integrals.ravel())
 
 lifted = smooth_zipper(zipper, line, lift)
 print("  lifted maps (linear part | translation):")
-for mp in lifted.maps:
-    print("   ", mp.linear.tolist(), "|", mp.translation.tolist())
+for linear, translation in zip(lifted.linears, lifted.translations):
+    print("   ", linear.tolist(), "|", translation.tolist())
 print("  (at p = 0.3 these are (x/2, 0.15 y) and (x/2 + 1/2, 0.15 x + 0.35 y + 0.045))")
 
 print("\n  g(0.25) =", eval_g(0.25, zipper, line, lift).value[0], " (= 0.15 * g(0.5))")

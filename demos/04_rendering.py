@@ -31,7 +31,8 @@ from zipperlift import (
 def invariance_residual(polyline, system):
     """Symmetric Hausdorff distance between a polyline and its images."""
     points = polyline.points
-    images = np.concatenate([points @ mp.linear.T + mp.translation for mp in system.maps])
+    images = np.concatenate([points @ linear.T + translation
+                             for linear, translation in zip(system.linears, system.translations)])
     return max(cKDTree(images).query(points)[0].max(), cKDTree(points).query(images)[0].max())
 
 

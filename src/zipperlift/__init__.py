@@ -42,8 +42,6 @@ from .errors import (
 )
 from .families import Example1Config, Example2Config, build_example1, build_example2
 from .geometry import (
-    AffineMap,
-    apply,
     as_matrix,
     as_vector,
     operator_norm,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DepthCap, ZipperViolation
-from .geometry import apply_many
 from .zipper import check_graph
 
 #: Subdivision depth cap; doubling the point count per level makes larger
@@ -72,13 +71,22 @@ def _check_depth(depth):
     return depth
 
 
+def _image(zipper, k, points):
+    """Image of the rows of ``points`` under map ``k`` (0-based)."""
+    images = points @ zipper.linears[k].T
+    # column by column: a broadcast add would loop over rows of d entries
+    for j, shift in enumerate(zipper.translations[k].tolist()):
+        images[:, j] += shift
+    return images
+
+
 def _images(zipper, points):
     """Images of ``points`` under each map in order, reversed where the
     signature bit is set, after asserting that consecutive images meet to
     ``JUNCTION_TOLERANCE``."""
     images = [
-        apply_many(mp, points)[:: -1 if bit else 1]
-        for mp, bit in zip(zipper.maps, zipper.signature)
+        _image(zipper, k, points)[:: -1 if bit else 1]
+        for k, bit in enumerate(zipper.signature)
     ]
     for k in range(1, len(images)):
         gap = float(np.linalg.norm(images[k][0] - images[k - 1][-1]))
@@ -199,7 +207,7 @@ class Segments:
         letters, parities = self._word(i)
         points = self.base.points
         for letter in reversed(letters):
-            points = apply_many(self.zipper.maps[letter], points)
+            points = _image(self.zipper, letter, points)
         # Neighbouring segments share a junction row, of which refine keeps
         # the copy that comes first under the words' common prefix: this
         # segment's first row goes after an even prefix, the earlier
@@ -226,8 +234,7 @@ def chaos_game(zipper, count, seed):
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)
     choices = rng.integers(0, zipper.map_count, size=BURN_IN + count).tolist()
-    linears = [mp.linear for mp in zipper.maps]
-    translations = [mp.translation for mp in zipper.maps]
+    linears, translations = list(zipper.linears), list(zipper.translations)
     point = np.array(zipper.vertices[0], dtype=float)
     for choice in choices[:BURN_IN]:
         point = linears[choice] @ point + translations[choice]

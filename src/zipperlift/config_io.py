@@ -32,7 +32,6 @@ import numpy as np
 
 from .attractor import SEGMENT_ROWS, Segments
 from .errors import DimensionUnsupported, ParseError, ShapeError
-from .geometry import AffineMap
 from .zipper import line_zipper, validate_zipper
 
 #: Top-level schema: required keys and the one optional key.
@@ -45,7 +44,8 @@ class ZipperConfig:
     """Parsed zipper description, shape-checked but not yet validated."""
 
     dimension: int
-    maps: tuple[AffineMap, ...]
+    linears: np.ndarray  # (m, n, n)
+    translations: np.ndarray  # (m, n)
     vertices: np.ndarray
     signature: tuple[int, ...]
     line_nodes: np.ndarray | None = None
@@ -118,7 +118,7 @@ def parse_config(text):
     raw_maps = raw["maps"]
     if not isinstance(raw_maps, list) or not raw_maps:
         raise ShapeError("maps", "field 'maps' must be a nonempty array")
-    maps = []
+    linears, translations = [], []
     for k, entry in enumerate(raw_maps):
         field = f"maps[{k}]"
         if not isinstance(entry, dict):
@@ -128,10 +128,11 @@ def parse_config(text):
                 raise ParseError(f"unknown key {key!r} in {field}")
         if "linear" not in entry or "translation" not in entry:
             raise ShapeError(field, f"field {field!r} needs 'linear' and 'translation'")
-        linear = _matrix(entry["linear"], f"{field}.linear", dimension)
-        translation = _number_list(entry["translation"], f"{field}.translation", dimension)
-        maps.append(AffineMap(linear, translation))
-    count = len(maps)
+        linears.append(_matrix(entry["linear"], f"{field}.linear", dimension))
+        translations.append(
+            _number_list(entry["translation"], f"{field}.translation", dimension)
+        )
+    count = len(linears)
 
     raw_vertices = raw["vertices"]
     if not isinstance(raw_vertices, list) or len(raw_vertices) != count + 1:
@@ -154,10 +155,13 @@ def parse_config(text):
         line_nodes = np.array(_number_list(raw["lineNodes"], "lineNodes", count + 1))
         line_nodes.setflags(write=False)
 
-    vertices.setflags(write=False)
+    linears, translations = np.array(linears), np.array(translations)
+    for array in (linears, translations, vertices):
+        array.setflags(write=False)
     return ZipperConfig(
         dimension=dimension,
-        maps=tuple(maps),
+        linears=linears,
+        translations=translations,
         vertices=vertices,
         signature=tuple(signature),
         line_nodes=line_nodes,
@@ -170,10 +174,10 @@ def config_to_json(config):
         "dimension": config.dimension,
         "maps": [
             {
-                "linear": [[float(v) for v in row] for row in mp.linear],
-                "translation": [float(v) for v in mp.translation],
+                "linear": [[float(v) for v in row] for row in linear],
+                "translation": [float(v) for v in translation],
             }
-            for mp in config.maps
+            for linear, translation in zip(config.linears, config.translations)
         ],
         "vertices": [[float(v) for v in row] for row in config.vertices],
         "signature": list(config.signature),
@@ -187,7 +191,8 @@ def config_from_system(zipper, line):
     """Describe a validated zipper and its line nodes as a config."""
     return ZipperConfig(
         dimension=zipper.dimension,
-        maps=zipper.maps,
+        linears=zipper.linears,
+        translations=zipper.translations,
         vertices=zipper.vertices,
         signature=zipper.signature,
         line_nodes=line.nodes,
@@ -200,8 +205,10 @@ def build_system(config):
     Validation derives the contraction mode, so lifted systems load through
     the same path.  Line nodes default to a uniform split.
     """
-    zipper = validate_zipper(config.maps, config.vertices, config.signature)
-    count = len(config.maps)
+    zipper = validate_zipper(
+        config.linears, config.translations, config.vertices, config.signature
+    )
+    count = len(config.linears)
     nodes = (
         np.linspace(0.0, 1.0, count + 1)
         if config.line_nodes is None

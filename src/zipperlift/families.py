@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .geometry import AffineMap
 from .zipper import line_zipper, validate_zipper
 
 
@@ -75,11 +74,8 @@ def build_example1(config):
         x1, y1, y2 = config.x1, float(config.y1), float(config.y2)
     else:
         x1, y1, y2 = 0.5, float(config.p), 1.0
-    maps = (
-        AffineMap([[y1 / y2]], [0.0]),
-        AffineMap([[(y2 - y1) / y2]], [y1]),
-    )
-    zipper = validate_zipper(maps, np.array([[0.0], [y1], [y2]]), (0, 0))
+    linears = [[[y1 / y2]], [[(y2 - y1) / y2]]]
+    zipper = validate_zipper(linears, [[0.0], [y1]], [[0.0], [y1], [y2]], (0, 0))
     line = line_zipper((0.0, x1, 1.0), (0, 0))
     return zipper, line
 
@@ -122,13 +118,8 @@ def build_example2(config):
     h = float(config.h_param)
     p, alpha = config.p, config.alpha
     cos_a, sin_a = math.cos(alpha), math.sin(alpha)
-    rot_plus = np.array([[cos_a, -sin_a], [sin_a, cos_a]])
-    rot_minus = np.array([[cos_a, sin_a], [-sin_a, cos_a]])
-    maps = (
-        AffineMap(p * rot_plus, [0.0, 0.0]),
-        AffineMap(p * rot_minus, [0.5, h]),
-    )
-    vertices = np.array([[0.0, 0.0], [0.5, h], [1.0, 0.0]])
-    zipper = validate_zipper(maps, vertices, (0, 0))
+    rotations = np.array([[[cos_a, -sin_a], [sin_a, cos_a]], [[cos_a, sin_a], [-sin_a, cos_a]]])
+    vertices = [[0.0, 0.0], [0.5, h], [1.0, 0.0]]
+    zipper = validate_zipper(p * rotations, [[0.0, 0.0], [0.5, h]], vertices, (0, 0))
     line = line_zipper((0.0, 0.5, 1.0), (0, 0))
     return zipper, line

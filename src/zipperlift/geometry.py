@@ -1,11 +1,11 @@
 """Small dense linear algebra over R^d.
 
-Vectors are one-dimensional float64 arrays, matrices are square float64
-arrays, and an :class:`AffineMap` pairs a matrix with a translation.  The
-ambient dimension in this package stays tiny (d <= ~8), so the routines
-favour determinism over asymptotics: LAPACK LU for solves and power
-iteration from fixed start vectors for spectral norms, both
-bit-reproducible across runs.
+Vectors are one-dimensional float64 arrays and matrices are square float64
+arrays.  A family of affine maps is two stacked arrays, linear parts
+(m, d, d) and translations (m, d).  The ambient dimension in this package
+stays tiny (d <= ~8), so the routines favour determinism over asymptotics:
+LAPACK LU for solves and power iteration from fixed start vectors for
+spectral norms, both bit-reproducible across runs.
 """
 
 from __future__ import annotations
@@ -61,46 +61,6 @@ def as_matrix(values):
         raise ValueError("matrix entries must be finite")
     mat.setflags(write=False)
     return mat
-
-
-@dataclass(frozen=True, eq=False)
-class AffineMap:
-    """The affine map ``x -> linear @ x + translation`` on R^d."""
-
-    linear: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        linear = as_matrix(self.linear)
-        translation = as_vector(self.translation, dim=linear.shape[0])
-        object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "translation", translation)
-
-    @property
-    def dimension(self):
-        return self.translation.size
-
-
-def apply(mapping, point):
-    """Evaluate ``mapping`` at ``point``."""
-    point = as_vector(point, dim=mapping.dimension)
-    out = mapping.linear @ point + mapping.translation
-    out.setflags(write=False)
-    return out
-
-
-def apply_many(mapping, points):
-    """Evaluate ``mapping`` at every row of ``points`` (shape (N, d))."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != mapping.dimension:
-        raise DimensionMismatch(
-            f"expected points of shape (N, {mapping.dimension}), got {points.shape}"
-        )
-    images = points @ mapping.linear.T
-    # column by column: a broadcast add would loop over rows of d entries
-    for j, shift in enumerate(mapping.translation.tolist()):
-        images[:, j] += shift
-    return images
 
 
 def solve_linear(matrix, rhs):
@@ -197,10 +157,11 @@ class ContractionScan:
         return self.word_length is not None
 
 
-def eventual_contraction_scan(maps, base_point, max_word_length):
+def eventual_contraction_scan(linears, translations, base_point, max_word_length):
     """Search word lengths 1..max_word_length for a contraction certificate.
 
-    For each length L the scan forms all m^L affine words of the maps and
+    For each length L the scan forms all m^L affine words of the maps with
+    stacked ``linears`` (m, d, d) and ``translations`` (m, d), and
     records the worst ``operator_norm(linear part) ** (1/L)``; it stops at
     the first L with every such value at most :data:`CONTRACTION_THRESHOLD`,
     or, certifying nothing, at the first L whose words are not all finite,
@@ -211,6 +172,7 @@ def eventual_contraction_scan(maps, base_point, max_word_length):
     take the total formed past :data:`WORD_BUDGET`.
     """
     base_point = np.asarray(base_point, dtype=float)
+    maps = list(zip(linears, translations))
     level = [(np.eye(base_point.size), np.zeros(base_point.size))]
     values = []
     formed = 0
@@ -223,9 +185,9 @@ def eventual_contraction_scan(maps, base_point, max_word_length):
             )
         with np.errstate(over="ignore", invalid="ignore"):
             level = [
-                (lin @ mp.linear, lin @ mp.translation + off)
+                (lin @ linear, lin @ translation + off)
                 for lin, off in level
-                for mp in maps
+                for linear, translation in maps
             ]
         if not all(np.isfinite(lin).all() and np.isfinite(off).all() for lin, off in level):
             # products past the float range cannot certify, nor can longer words

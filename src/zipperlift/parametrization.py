@@ -62,8 +62,7 @@ def _descend(ts, line, linears, local, gains, node_rows, tail_row, reach, tol):
         raise OutOfDomain(f"parameter {float(ts[np.argmin(inside)])!r} outside [0, 1]")
     nodes = line.nodes
     # interval map k, u -> start + scale * u, pulls u back to (u - start) / scale
-    starts = np.array([mp.translation[0] for mp in line.maps])
-    scales = np.array([mp.linear[0, 0] for mp in line.maps])
+    starts, scales = line.translations[:, 0], line.linears[:, 0, 0]
     count, n = ts.size, tail_row.size
     values = np.empty((count, n))
     bounds = np.zeros(count)
@@ -113,10 +112,8 @@ def _descend_f(ts, zipper, line, tol):
             "parametrization evaluation needs every map to contract; "
             f"worst operator norm is {norms.max():.6g}"
         )
-    linears = np.array([mp.linear for mp in zipper.maps])
-    translations = np.array([mp.translation for mp in zipper.maps])
     return _descend(
-        ts, line, linears, lambda digits, u: translations[digits], norms,
+        ts, line, zipper.linears, lambda digits, u: zipper.translations[digits], norms,
         zipper.vertices, zipper.vertices[0], zipper.diameter_bound, tol,
     )
 

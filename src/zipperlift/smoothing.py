@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput
-from .geometry import AffineMap, solve_linear
+from .geometry import solve_linear
 from .parametrization import ParamEvaluation, _descend
 from .zipper import check_pairing, similarity_decomposition, validate_zipper
 
@@ -38,15 +38,13 @@ class SmoothLift:
 
     ``h`` is the total integral g(1); ``node_integrals`` stacks
     g(t_0)..g(t_m) row-wise (the first row is zero and the last equals
-    ``h``); ``lifted_maps`` are the affine maps on R^{n+1} whose attractor
-    is the graph of g; ``normal_form`` is the zipper's
-    :func:`similarity_decomposition` ``(offsets, linear_parts, signs)``,
-    which evaluating g reads again.
+    ``h``); ``normal_form`` is the zipper's :func:`similarity_decomposition`
+    ``(offsets, linear_parts, signs)``, which evaluating g and building the
+    lifted maps read again.
     """
 
     h: np.ndarray
     node_integrals: np.ndarray
-    lifted_maps: tuple[AffineMap, ...]
     normal_form: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -56,9 +54,7 @@ def build_lift(zipper, line):
     With the normal form (offset_i, A_i, sign_i) and widths q_i: h solves
     ``(Id - sum sign_i q_i A_i) h = sum q_i offset_i`` (raising
     :class:`SingularSystem` when it cannot); the node integrals accumulate
-    ``offset_i q_i + sign_i q_i A_i h`` from zero; lifted map i translates by
-    (t, g(t)) at its entry node and scales by sign_i q_i times the block
-    matrix ``[[1, 0], [offset_i, sign_i A_i]]``.  Requires the first vertex
+    ``offset_i q_i + sign_i q_i A_i h`` from zero.  Requires the first vertex
     at the origin (:class:`NotNormalized` otherwise).
     """
     check_pairing(zipper, line)
@@ -78,26 +74,32 @@ def build_lift(zipper, line):
     g_nodes = np.zeros((zipper.map_count + 1, n))
     np.cumsum(increments, axis=0, out=g_nodes[1:])
     g_nodes.setflags(write=False)
-
-    blocks = np.zeros((zipper.map_count, n + 1, n + 1))
-    blocks[:, 0, 0] = 1.0
-    blocks[:, 1:, 0] = offsets
-    blocks[:, 1:, 1:] = signs[:, None, None] * linear_parts
-    entries = np.arange(zipper.map_count) + np.array(zipper.signature)
-    translations = np.column_stack([line.nodes[entries], g_nodes[entries]])
-    lifted_maps = map(AffineMap, scales[:, None, None] * blocks, translations)
-    return SmoothLift(h, g_nodes, tuple(lifted_maps), normal_form)
+    return SmoothLift(h, g_nodes, normal_form)
 
 
 def smooth_zipper(zipper, line, lift):
-    """The lifted maps as a validated zipper on R^{n+1}.
+    """The lifted maps as a validated zipper on R^{n+1}, whose attractor is
+    the graph of g.
 
-    Vertices are (t_i, g(t_i)) with the source signature.  Lifted linear
-    parts need not contract map by map; validation then accepts them when
-    their word products do.
+    Vertices are (t_i, g(t_i)) with the source signature.  With the normal
+    form (offset_i, A_i, sign_i) and widths q_i, lifted map i scales by
+    sign_i q_i times the block matrix ``[[1, 0], [offset_i, sign_i A_i]]``
+    and translates by its entry vertex.  Lifted linear parts need not
+    contract map by map; validation then accepts them when their word
+    products do.
     """
+    offsets, linear_parts, signs = lift.normal_form
+    m, n = offsets.shape
+    blocks = np.zeros((m, n + 1, n + 1))
+    blocks[:, 0, 0] = 1.0
+    blocks[:, 1:, 0] = offsets
+    blocks[:, 1:, 1:] = signs[:, None, None] * linear_parts
+    scales = signs * line.ratios
     vertices = np.column_stack([line.nodes, lift.node_integrals])
-    return validate_zipper(lift.lifted_maps, vertices, zipper.signature)
+    entries = np.arange(m) + np.array(zipper.signature)
+    return validate_zipper(
+        scales[:, None, None] * blocks, vertices[entries], vertices, zipper.signature
+    )
 
 
 def _descend_g(ts, zipper, line, lift, tol):

@@ -155,8 +155,7 @@ def parametrization_residual(zipper, line, samples=1000, seed=0):
     for index in range(1, zipper.map_count + 1):
         mapped_ts = line.forward(index, ts)
         lhs, _ = eval_f_many(mapped_ts, zipper, line, tol=RESIDUAL_TOL)
-        mp = zipper.maps[index - 1]
-        rhs = f_values @ mp.linear.T + mp.translation
+        rhs = f_values @ zipper.linears[index - 1].T + zipper.translations[index - 1]
         errors = np.linalg.norm(lhs - rhs, axis=1)
         np.maximum(worst_errors, errors, out=worst_errors)
     max_error = float(worst_errors.max())
@@ -308,7 +307,9 @@ def eventual_contraction_check(zipper):
     """
     scan = zipper.word_scan
     if scan is None:
-        scan = eventual_contraction_scan(zipper.maps, zipper.vertices[0], EVENTUAL_WORD_LENGTH)
+        scan = eventual_contraction_scan(
+            zipper.linears, zipper.translations, zipper.vertices[0], EVENTUAL_WORD_LENGTH
+        )
     if scan.passed:
         max_error = scan.values[-1][1]
     else:

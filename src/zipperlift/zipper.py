@@ -1,10 +1,12 @@
 """Zipper systems: ordered contraction families with chained vertices.
 
 A zipper is a family S_1..S_m of affine contractions of R^n together with
-vertices z_0..z_m and a signature of orientation bits.  Map number i sends
-the endpoint pair (z_0, z_m) onto (z_{i-1}, z_i), swapping the two when its
-signature bit is 1.  The attractor of such a family is a curve joining z_0
-to z_m; the i-th map carries the whole curve onto its i-th piece.
+vertices z_0..z_m and a signature of orientation bits.  The family is held
+as two stacked arrays: linear parts (m, n, n) and translations (m, n).  Map
+number i sends the endpoint pair (z_0, z_m) onto (z_{i-1}, z_i), swapping
+the two when its signature bit is 1.  The attractor of such a family is a
+curve joining z_0 to z_m; the i-th map carries the whole curve onto its
+i-th piece.
 
 A line zipper is the special case living on [0, 1] with vertices
 0 = t_0 < ... < t_m = 1; its maps are the affine surjections of [0, 1]
@@ -31,7 +33,7 @@ from .errors import (
     SignatureMismatch,
     ZipperViolation,
 )
-from .geometry import AffineMap, ContractionScan, apply, eventual_contraction_scan, operator_norm
+from .geometry import ContractionScan, eventual_contraction_scan, operator_norm
 
 #: Tolerance of the vertex conditions.
 VERTEX_TOLERANCE = 1e-9
@@ -95,7 +97,8 @@ class Zipper:
     so instances are safe to share across threads.
     """
 
-    maps: tuple[AffineMap, ...]
+    linears: np.ndarray  # (m, n, n), read-only
+    translations: np.ndarray  # (m, n), read-only
     vertices: np.ndarray  # (m+1, n), read-only
     signature: tuple[int, ...]
     linear_norms: tuple[float, ...]  # operator norms of the linear parts
@@ -103,7 +106,7 @@ class Zipper:
 
     @property
     def dimension(self):
-        return self.maps[0].dimension
+        return self.translations.shape[1]
 
     @property
     def contraction_mode(self):
@@ -111,7 +114,7 @@ class Zipper:
 
     @property
     def map_count(self):
-        return len(self.maps)
+        return len(self.linears)
 
     @cached_property
     def diameter_bound(self):
@@ -121,7 +124,8 @@ class Zipper:
         distance between any two attractor points is at most twice this value.
         """
         z0 = self.vertices[0]
-        reach = max(float(np.linalg.norm(apply(mp, z0) - z0)) for mp in self.maps)
+        reach = max(float(np.linalg.norm(linear @ z0 + translation - z0))
+                    for linear, translation in zip(self.linears, self.translations))
         reach = max(reach, float(np.linalg.norm(self.vertices[-1] - z0)))
         lmax = max(self.linear_norms)
         if lmax < 1.0:
@@ -143,15 +147,17 @@ class Zipper:
 
     def forward(self, index, t):
         """Image of ``t`` under map ``index`` (1-based) of a line zipper.  Vectorized."""
-        mp = self.maps[index - 1]
-        return mp.translation[0] + mp.linear[0, 0] * t
+        return self.translations[index - 1, 0] + self.linears[index - 1, 0, 0] * t
 
 
-def inspect_zipper(maps, vertices, signature):
+def inspect_zipper(linears, translations, vertices, signature):
     """Check the zipper axioms, returning a full :class:`ValidationReport`.
 
-    The report holds the :class:`Zipper` built from the checked values
-    exactly when every axiom holds.
+    Map i is ``x -> linears[i] @ x + translations[i]``.  The report holds
+    the :class:`Zipper` built from read-only copies of the checked values
+    exactly when every axiom holds.  Raises :class:`ValueError` for no
+    map or non-finite map entries and :class:`DimensionMismatch` for
+    ragged, non-square or mismatched shapes.
 
     Vertex conditions hold to :data:`VERTEX_TOLERANCE`.  The contraction
     mode is ``"per-map"`` when every linear part has operator norm below
@@ -159,22 +165,31 @@ def inspect_zipper(maps, vertices, signature):
     family must pass the word scan: its length-L products contract for some
     L <= :data:`EVENTUAL_WORD_LENGTH`.
     """
-    maps = tuple(maps)
-    if not maps:
+    if len(linears) == 0:
         raise ValueError("a zipper needs at least one map")
-    dimension = maps[0].dimension
-    for mp in maps:
-        if mp.dimension != dimension:
-            raise DimensionMismatch("all maps must share one ambient dimension")
+    try:
+        linears = np.array(linears, dtype=float)
+        translations = np.array(translations, dtype=float)
+    except ValueError as exc:
+        raise DimensionMismatch(f"maps do not stack into arrays: {exc}") from None
+    count, dimension = len(linears), linears.shape[-1]
+    if linears.ndim != 3 or linears.shape[1] != dimension or dimension == 0:
+        raise DimensionMismatch(f"expected linear parts of shape (m, n, n), got {linears.shape}")
+    if translations.shape != (count, dimension):
+        raise DimensionMismatch(
+            f"expected translations of shape {(count, dimension)}, got {translations.shape}"
+        )
+    if not (np.isfinite(linears).all() and np.isfinite(translations).all()):
+        raise ValueError("linear parts and translations must be finite")
     vertices = np.array(vertices, dtype=float)
     if vertices.ndim == 1:
         vertices = vertices[:, None]
-    if vertices.shape != (len(maps) + 1, dimension):
+    if vertices.shape != (count + 1, dimension):
         raise DimensionMismatch(
-            f"expected {len(maps) + 1} vertices of dimension {dimension}, "
+            f"expected {count + 1} vertices of dimension {dimension}, "
             f"got array of shape {vertices.shape}"
         )
-    signature = as_signature(signature, count=len(maps))
+    signature = as_signature(signature, count=count)
 
     violations = []
     for k in np.flatnonzero(~np.isfinite(vertices).all(axis=1)).tolist():
@@ -182,15 +197,15 @@ def inspect_zipper(maps, vertices, signature):
             0, "finite-vertex", math.inf,
             f"vertex {k} is {vertices[k].tolist()}, not a finite point",
         ))
-    factors = tuple(operator_norm(mp.linear) for mp in maps)
+    factors = tuple(operator_norm(linear) for linear in linears)
     # the vertex axioms only mean something at finite vertices
-    for k, mp in enumerate(maps if not violations else ()):
+    for k in range(count if not violations else 0):
         bit = signature[k]
         for condition, end, source, expected in (
             ("start-vertex", "first", vertices[0], vertices[k + bit]),
             ("end-vertex", "last", vertices[-1], vertices[k + 1 - bit]),
         ):
-            observed = apply(mp, source)
+            observed = linears[k] @ source + translations[k]
             deviation = float(np.linalg.norm(observed - expected))
             if deviation > VERTEX_TOLERANCE:
                 violations.append(ConditionViolation(
@@ -201,7 +216,7 @@ def inspect_zipper(maps, vertices, signature):
 
     scan = None
     if not all(factor < 1.0 - CONTRACTION_MARGIN for factor in factors):
-        scan = eventual_contraction_scan(maps, vertices[0], EVENTUAL_WORD_LENGTH)
+        scan = eventual_contraction_scan(linears, translations, vertices[0], EVENTUAL_WORD_LENGTH)
         if not scan.passed:
             worst = min(value for _, value in scan.values)
             violations.append(ConditionViolation(
@@ -212,16 +227,17 @@ def inspect_zipper(maps, vertices, signature):
 
     if violations:
         return ValidationReport(tuple(violations))
-    vertices.setflags(write=False)
-    return ValidationReport((), Zipper(maps, vertices, signature, factors, scan))
+    for array in (linears, translations, vertices):
+        array.setflags(write=False)
+    return ValidationReport((), Zipper(linears, translations, vertices, signature, factors, scan))
 
 
-def validate_zipper(maps, vertices, signature):
+def validate_zipper(linears, translations, vertices, signature):
     """Validate and build a :class:`Zipper`, raising :class:`ZipperViolation`.
 
     The raised error carries the report listing every violated condition.
     """
-    report = inspect_zipper(maps, vertices, signature)
+    report = inspect_zipper(linears, translations, vertices, signature)
     if report.zipper is None:
         raise ZipperViolation(report)
     return report.zipper
@@ -249,9 +265,10 @@ def line_zipper(nodes, signature):
         raise InvalidNodes("interval widths must sum to 1")
     signature = as_signature(signature, count=nodes.size - 1)
     # t -> t_k + q_k t, or t_{k+1} - q_k t where the map reverses
-    maps = [AffineMap([[-q]], [end]) if bit else AffineMap([[q]], [start])
-            for start, end, q, bit in zip(nodes[:-1], nodes[1:], ratios, signature)]
-    return validate_zipper(maps, nodes[:, None], signature)
+    reverses = np.array(signature) == 1
+    linears = np.where(reverses, -ratios, ratios)[:, None, None]
+    translations = np.where(reverses, nodes[1:], nodes[:-1])[:, None]
+    return validate_zipper(linears, translations, nodes[:, None], signature)
 
 
 def check_pairing(zipper, line):
@@ -273,10 +290,11 @@ def check_graph(zipper, line):
     product and lifted zippers are.  Raises :class:`DegenerateInput` if not.
     """
     check_pairing(zipper, line)
-    graph = np.array_equal(zipper.vertices[:, 0], line.nodes) and all(
-        mp.linear[0, 0] == lm.linear[0, 0] and not mp.linear[0, 1:].any()
-        and mp.translation[0] == lm.translation[0]
-        for mp, lm in zip(zipper.maps, line.maps)
+    graph = (
+        np.array_equal(zipper.vertices[:, 0], line.nodes)
+        and np.array_equal(zipper.linears[:, 0, 0], line.linears[:, 0, 0])
+        and not zipper.linears[:, 0, 1:].any()
+        and np.array_equal(zipper.translations[:, 0], line.translations[:, 0])
     )
     if not graph:
         raise DegenerateInput("the zipper is not a graph over the line zipper's parameter")
@@ -291,15 +309,12 @@ def product_zipper(zipper, line):
     """
     check_pairing(zipper, line)
     n = zipper.dimension
-    built = []
-    for interval_map, spatial_map in zip(line.maps, zipper.maps):
-        linear = np.zeros((n + 1, n + 1))
-        linear[0, 0] = interval_map.linear[0, 0]
-        linear[1:, 1:] = spatial_map.linear
-        translation = np.concatenate([interval_map.translation, spatial_map.translation])
-        built.append(AffineMap(linear, translation))
+    linears = np.zeros((zipper.map_count, n + 1, n + 1))
+    linears[:, 0, 0] = line.linears[:, 0, 0]
+    linears[:, 1:, 1:] = zipper.linears
+    translations = np.column_stack([line.translations, zipper.translations])
     vertices = np.column_stack([line.nodes, zipper.vertices])
-    return validate_zipper(built, vertices, zipper.signature)
+    return validate_zipper(linears, translations, vertices, zipper.signature)
 
 
 def similarity_decomposition(zipper):
@@ -319,7 +334,7 @@ def similarity_decomposition(zipper):
     if float(np.linalg.norm(vertices[0])) > VERTEX_TOLERANCE:
         raise NotNormalized(f"vertices[0] must be the origin, got {vertices[0].tolist()}")
     signs = np.where(bits == 1, -1.0, 1.0)
-    linear_parts = signs[:, None, None] * np.array([mp.linear for mp in zipper.maps])
+    linear_parts = signs[:, None, None] * zipper.linears
     offsets = vertices[np.arange(bits.size) + bits]
     for k, chord in enumerate(np.diff(vertices, axis=0)):
         deviation = float(np.linalg.norm(linear_parts[k] @ vertices[-1] - chord))

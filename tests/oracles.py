@@ -14,7 +14,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from zipperlift.errors import OutOfDomain
-from zipperlift.geometry import apply_many
 from zipperlift.verification import VerificationReport, _row_norms, _worst_offenders
 
 
@@ -40,7 +39,8 @@ def hausdorff_residual(polyline, zipper):
     bound.
     """
     points = polyline.points
-    images = np.concatenate([apply_many(mp, points) for mp in zipper.maps])
+    images = np.concatenate([points @ linear.T + translation
+                             for linear, translation in zip(zipper.linears, zipper.translations)])
     return hausdorff_distance(points, images)
 
 
@@ -130,8 +130,7 @@ def chaos_game_reference(zipper, count, seed, burn_in=64):
     point = np.array(zipper.vertices[0], dtype=float)
     out = np.empty((count, zipper.dimension))
     for step, choice in enumerate(choices):
-        mp = zipper.maps[choice]
-        point = mp.linear @ point + mp.translation
+        point = zipper.linears[choice] @ point + zipper.translations[choice]
         if step >= burn_in:
             out[step - burn_in] = point
     return out

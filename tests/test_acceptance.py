@@ -133,7 +133,9 @@ def test_criterion_06_lifted_zipperhood():
     for kind, value, (zipper, line) in configs:
         lift = build_lift(zipper, line)
         lifted = smooth_zipper(zipper, line, lift)
-        report = inspect_zipper(lifted.maps, lifted.vertices, lifted.signature)
+        report = inspect_zipper(
+            lifted.linears, lifted.translations, lifted.vertices, lifted.signature
+        )
         if not report.valid:
             failures.append(f"{kind}={value}: vertex conditions")
         if not eventual_contraction_check(lifted).passed:
@@ -191,9 +193,9 @@ def _certified_increment_bound(zipper, line, values, spacing, tol):
     # Largest angle between tangents sampled `spacing` apart that the
     # construction allows; see criterion 9 for the derivation.
     assert np.array_equal(line.nodes, [0.0, 0.5, 1.0])  # halving pieces
-    assert np.linalg.norm(zipper.maps[0].translation) == 0.0  # S_1 fixes 0
-    p = max(np.linalg.norm(mp.linear, 2) for mp in zipper.maps)
-    reach = max(np.linalg.norm(mp.translation) for mp in zipper.maps)
+    assert np.linalg.norm(zipper.translations[0]) == 0.0  # S_1 fixes 0
+    p = max(np.linalg.norm(linear, 2) for linear in zipper.linears)
+    reach = max(np.linalg.norm(translation) for translation in zipper.translations)
     diameter = 2.0 * reach / (1.0 - p)
     level = math.floor(math.log2(1.0 / spacing))
     chord = 2.0 * p**level * diameter + 2.0 * tol

@@ -9,7 +9,6 @@ from zipperlift.attractor import Polyline, chaos_game, refine
 from zipperlift.config_io import build_system, parse_config
 from zipperlift.errors import DepthCap
 from zipperlift.families import Example1Config, Example2Config, build_example1, build_example2
-from zipperlift.geometry import AffineMap
 from zipperlift.smoothing import build_lift, smooth_zipper
 from zipperlift.zipper import line_zipper, product_zipper, validate_zipper
 from oracles import chaos_game_reference, hausdorff_distance, hausdorff_residual
@@ -101,8 +100,7 @@ def test_hausdorff_residual_within_mesh_bound(graph_zipper):
 
 def test_hausdorff_residual_fixed_point():
     # a one-map system whose attractor is a single point
-    mapping = AffineMap([[0.5, 0.0], [0.0, 0.5]], [0.0, 0.0])
-    zipper = validate_zipper([mapping], [[0.0, 0.0], [0.0, 0.0]], (0,))
+    zipper = validate_zipper([0.5 * np.eye(2)], [[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], (0,))
     polyline = Polyline(points=np.zeros((2, 2)), params=None, mesh_bound=0.0)
     assert hausdorff_residual(polyline, zipper) == 0.0
 
@@ -147,8 +145,7 @@ def test_chaos_game_stays_near_attractor(graph_zipper):
 def test_chaos_game_single_point_degenerate():
     # all maps constant with the same value: one-point attractor
     fixed = np.array([0.25, 0.75])
-    maps = [AffineMap(np.zeros((2, 2)), fixed), AffineMap(np.zeros((2, 2)), fixed)]
-    zipper = validate_zipper(maps, [fixed, fixed, fixed], (0, 0))
+    zipper = validate_zipper(np.zeros((2, 2, 2)), [fixed, fixed], [fixed, fixed, fixed], (0, 0))
     points = chaos_game(zipper, 100, seed=0)
     assert np.allclose(points, fixed, atol=0.0)
 
@@ -166,12 +163,9 @@ def test_refine_junction_agreement_is_checked(graph_zipper):
     from zipperlift.zipper import Zipper
     from zipperlift.errors import ZipperViolation
 
-    broken_maps = (
-        AffineMap([[0.5, 0.0], [0.0, 0.3]], [0.0, 0.0]),
-        AffineMap([[0.5, 0.0], [0.0, 0.7]], [0.5, 0.4]),  # junction off by 0.1
-    )
     broken = Zipper(
-        maps=broken_maps,
+        linears=np.array([[[0.5, 0.0], [0.0, 0.3]], [[0.5, 0.0], [0.0, 0.7]]]),
+        translations=np.array([[0.0, 0.0], [0.5, 0.4]]),  # junction off by 0.1
         vertices=np.array([[0.0, 0.0], [0.5, 0.3], [1.0, 1.1]]),
         signature=(0, 0),
         linear_norms=(0.5, 0.7),

@@ -227,8 +227,7 @@ def test_lift_round_trips_through_validate(tmp_path, capsys):
     assert config.dimension == 2
     assert main(["validate", str(out)]) == 0
     # the emitted maps are the closed-form lifted pair at p = 0.3
-    assert config.maps[0].linear.tolist() == [[0.5, 0.0], [0.0, 0.15]]
-    assert config.maps[1].linear.tolist() == [[0.5, 0.0], [0.15, 0.35]]
+    assert config.linears.tolist() == [[[0.5, 0.0], [0.0, 0.15]], [[0.5, 0.0], [0.15, 0.35]]]
 
 
 def test_render_writes_svg_and_csv(tmp_path, capsys):
@@ -502,7 +501,8 @@ def test_eventual_contraction_is_derived_by_validation():
     from zipperlift.zipper import validate_zipper
 
     config = parse_config(json.dumps(EVENTUAL_CONFIG))
-    zipper = validate_zipper(config.maps, config.vertices, config.signature)
+    zipper = validate_zipper(config.linears, config.translations, config.vertices,
+                             config.signature)
     assert zipper.contraction_mode == "eventual"
     assert max(zipper.linear_norms) > 3.0
 
@@ -546,7 +546,8 @@ def test_contraction_check_equals_a_fresh_scan():
         lifted = smooth_zipper(zipper, line, build_lift(zipper, line))
         modes.append(lifted.contraction_mode)
         report = eventual_contraction_check(lifted)
-        scan = eventual_contraction_scan(lifted.maps, lifted.vertices[0], EVENTUAL_WORD_LENGTH)
+        scan = eventual_contraction_scan(lifted.linears, lifted.translations, lifted.vertices[0],
+                                         EVENTUAL_WORD_LENGTH)
         assert scan.passed and report.passed
         fresh = [scan.values[-1][1]] + [v for pair in scan.values for v in pair]
         reported = [report.max_error] + [v for pair in report.details for v in pair]
@@ -559,7 +560,7 @@ def test_inspect_zipper_holds_the_zipper_that_validation_returns(config):
     from zipperlift.zipper import inspect_zipper, validate_zipper
 
     parsed = parse_config(config if isinstance(config, str) else json.dumps(config))
-    args = (parsed.maps, parsed.vertices, parsed.signature)
+    args = (parsed.linears, parsed.translations, parsed.vertices, parsed.signature)
     report, built = inspect_zipper(*args), validate_zipper(*args)
     assert report.valid and report.violations == ()
     held = report.zipper
@@ -567,7 +568,7 @@ def test_inspect_zipper_holds_the_zipper_that_validation_returns(config):
     assert held.word_scan == built.word_scan
     assert held.vertices.tobytes() == built.vertices.tobytes()
     assert not held.vertices.flags.writeable
-    assert held.dimension == built.dimension == held.maps[0].dimension
+    assert held.dimension == built.dimension == held.linears.shape[1]
 
 
 def six_map_config():

@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from zipperlift.errors import OutOfDomain
-from zipperlift.geometry import AffineMap, apply
 from zipperlift.parametrization import eval_f, eval_f_many
-from zipperlift.smoothing import build_lift, eval_g, eval_g_many
+from zipperlift.smoothing import build_lift, eval_g, eval_g_many, smooth_zipper
 from zipperlift.zipper import line_zipper, similarity_decomposition, validate_zipper
 from oracles import address_of, interval_of, pull_back
 
@@ -35,13 +34,13 @@ def spatial_3d():
     blocks = ([[0.1, 0.2], [0.25, 0.0], [0.0, 0.3]],
               [[-0.2, 0.1], [0.0, 0.25], [0.3, -0.1]],
               [[0.15, 0.0], [0.2, -0.2], [0.1, 0.25]])
-    maps = []
+    linears, translations = [], []
     for k, bit in enumerate(signature):
         entry, exit_ = vertices[k + bit], vertices[k + 1 - bit]
         # the last vertex is e_1, so the first column sends it onto the chord
-        linear = np.column_stack([exit_ - entry, blocks[k]])
-        maps.append(AffineMap(linear, entry))
-    zipper = validate_zipper(maps, vertices, signature)
+        linears.append(np.column_stack([exit_ - entry, blocks[k]]))
+        translations.append(entry)
+    zipper = validate_zipper(linears, translations, vertices, signature)
     line = line_zipper((0.0, 0.3, 0.55, 1.0), signature)
     return zipper, line, build_lift(zipper, line)
 
@@ -81,7 +80,7 @@ def test_batched_descent_matches_scalar_loop_bitwise(name, request):
     norms = zipper.linear_norms
 
     def f_step(k, u):
-        return zipper.maps[k].translation, zipper.maps[k].linear, norms[k]
+        return zipper.translations[k], zipper.linears[k], norms[k]
 
     def g_step(k, u):
         scaled = line.ratios[k] * linear_parts[k]
@@ -124,13 +123,14 @@ def test_g_agrees_with_lifted_zipper_words(preset, request):
     rng = np.random.default_rng(2015)
     ts = rng.integers(0, 2**20 + 1, 200) * 2.0**-20
     values, bounds = eval_g_many(ts, zipper, line, lift)
+    lifted = smooth_zipper(zipper, line, lift)
     for t, value, bound in zip(ts, values, bounds):
         # twenty bits of halving digits always end on a node
         address = address_of(t, line, 25)
         (j,) = np.flatnonzero(line.nodes == address.anchor)
         point = np.concatenate([[line.nodes[j]], lift.node_integrals[j]])
         for digit in reversed(address.digits):
-            point = apply(lift.lifted_maps[digit - 1], point)
+            point = lifted.linears[digit - 1] @ point + lifted.translations[digit - 1]
         assert point[0] == t
         assert np.linalg.norm(point[1:] - value) <= bound + 1e-14
 

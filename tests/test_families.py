@@ -40,12 +40,12 @@ def test_interval_family_plain_form_is_the_general_form(p):
     # p x and (1 - p) x + p are the chord ratios p/1 and (1 - p)/1, bit for bit
     plain, plain_line = build_example1(Example1Config(p=p))
     general, general_line = build_example1(Example1Config(q1=0.5, y1=p, y2=1.0))
-    for a, b in zip(plain.maps, general.maps, strict=True):
-        assert a.linear.tobytes() == b.linear.tobytes()
-        assert a.translation.tobytes() == b.translation.tobytes()
+    assert plain.linears.shape == general.linears.shape == (2, 1, 1)
+    assert plain.linears.tobytes() == general.linears.tobytes()
+    assert plain.translations.tobytes() == general.translations.tobytes()
     assert plain.vertices.tobytes() == general.vertices.tobytes()
     assert plain_line.nodes.tobytes() == general_line.nodes.tobytes()
-    assert (plain.maps[0].linear[0, 0], plain.maps[1].linear[0, 0]) == (p, 1.0 - p)
+    assert tuple(plain.linears[:, 0, 0]) == (p, 1.0 - p)
 
 
 def test_interval_family_invalid_configs():
@@ -85,7 +85,8 @@ def test_every_preset_passes_all_machinery():
     systems += [build_example2(Example2Config(h_param=h)) for h in (0.1, 0.5)]
     systems.append(build_example1(Example1Config(q1=0.4, y1=0.3, y2=1.0)))
     for zipper, line in systems:
-        assert inspect_zipper(zipper.maps, zipper.vertices, zipper.signature).valid
+        stacks = (zipper.linears, zipper.translations)
+        assert inspect_zipper(*stacks, zipper.vertices, zipper.signature).valid
         lift = build_lift(zipper, line)
         assert np.linalg.norm(lift.node_integrals[-1] - lift.h) <= 1e-12 * (
             1 + np.linalg.norm(lift.h)

@@ -3,46 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from zipperlift.errors import CombinatorialBudget, DimensionMismatch, SingularSystem
+from zipperlift.errors import CombinatorialBudget, SingularSystem
 from zipperlift.geometry import (
-    AffineMap,
-    apply,
     eventual_contraction_scan,
     operator_norm,
     solve_linear,
 )
-
-
-def interval_w1(p):
-    # first lifted map of the interval family: (x, y) -> (x/2, p y / 2)
-    return AffineMap([[0.5, 0.0], [0.0, p / 2.0]], [0.0, 0.0])
-
-
-def test_apply_identity():
-    point = apply(AffineMap(np.eye(2), np.zeros(2)), [0.3, 0.7])
-    assert np.array_equal(point, [0.3, 0.7])
-
-
-def test_apply_interval_lift_map():
-    # (1, 1) -> (1/2, 0.15) under (x/2, 0.15 y)
-    out = apply(interval_w1(0.3), [1.0, 1.0])
-    assert np.allclose(out, [0.5, 0.15], atol=1e-15)
-
-
-def test_apply_rotation_family_map():
-    # scale sqrt(h^2 + 1/4) and rotate arctan(2h); at h = 0.5 the unit
-    # x-vector lands on the apex (0.5, 0.5)
-    h = 0.5
-    p = math.sqrt(h * h + 0.25)
-    a = math.atan(2 * h)
-    rot = [[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]
-    out = apply(AffineMap(p * np.array(rot), [0.0, 0.0]), [1.0, 0.0])
-    assert np.allclose(out, [0.5, 0.5], atol=1e-15)
-
-
-def test_apply_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        apply(AffineMap(np.eye(2), np.zeros(2)), [1.0, 2.0, 3.0])
 
 
 def test_solve_linear_scalar():
@@ -156,11 +122,12 @@ def test_operator_norm_past_the_float_range_is_inf():
 
 
 def _linear_maps(mats):
-    return [AffineMap(mat, np.zeros(mat.shape[0])) for mat in mats]
+    """Stacks of the linear maps ``mats``: linear parts and zero translations."""
+    return np.array(mats), np.zeros((len(mats), len(mats[0])))
 
 
 def test_eventual_contraction_scan_uniform():
-    scan = eventual_contraction_scan(_linear_maps([0.5 * np.eye(2)] * 2), np.zeros(2), 4)
+    scan = eventual_contraction_scan(*_linear_maps([0.5 * np.eye(2)] * 2), np.zeros(2), 4)
     assert scan.word_length == 1
     assert scan.values[0][1] == pytest.approx(0.5, abs=1e-9)
 
@@ -169,7 +136,7 @@ def test_eventual_contraction_scan_needs_words():
     # one direction expands, but every length-2 product contracts
     first = np.array([[0.0, 1.2], [0.0, 0.0]])
     second = np.array([[0.0, 0.0], [0.4, 0.0]])
-    scan = eventual_contraction_scan(_linear_maps([first, second]), np.zeros(2), 4)
+    scan = eventual_contraction_scan(*_linear_maps([first, second]), np.zeros(2), 4)
     assert scan.values[0][1] > 1.0
     assert scan.word_length == 2
     assert scan.values[1][1] == pytest.approx(math.sqrt(0.48), abs=1e-9)
@@ -179,40 +146,36 @@ def test_eventual_contraction_budget():
     # 1001 words of length 1 fit the budget; the 1001^2 of length 2 do not
     maps = _linear_maps([np.eye(1)] * 1001)
     with pytest.raises(CombinatorialBudget):
-        eventual_contraction_scan(maps, np.zeros(1), 2)
+        eventual_contraction_scan(*maps, np.zeros(1), 2)
     # 6^8 words exceed the budget, but a certificate at length 1 forms 6
-    scan = eventual_contraction_scan(_linear_maps([0.5 * np.eye(2)] * 6), np.zeros(2), 8)
+    scan = eventual_contraction_scan(*_linear_maps([0.5 * np.eye(2)] * 6), np.zeros(2), 8)
     assert scan.word_length == 1 and len(scan.values) == 1
 
 
 def test_word_reach_bound_contains_orbits(rng):
     # a family contracting only at word length 2: the certified reach must
     # dominate every random-iteration orbit started at the base point
-    maps = [
-        AffineMap([[0.0, 1.2], [0.0, 0.0]], [0.3, 0.1]),
-        AffineMap([[0.0, 0.0], [0.4, 0.0]], [0.2, 0.5]),
-    ]
+    linears = np.array([[[0.0, 1.2], [0.0, 0.0]], [[0.0, 0.0], [0.4, 0.0]]])
+    translations = np.array([[0.3, 0.1], [0.2, 0.5]])
     base = np.zeros(2)
-    reach = eventual_contraction_scan(maps, base, 4).reach
+    reach = eventual_contraction_scan(linears, translations, base, 4).reach
     assert np.isfinite(reach) and reach > 0
     for _ in range(200):
         point = base.copy()
         for choice in rng.integers(0, 2, size=40):
-            mp = maps[choice]
-            point = mp.linear @ point + mp.translation
+            point = linears[choice] @ point + translations[choice]
         assert np.linalg.norm(point - base) <= reach
 
 
 def test_word_reach_bound_needs_certificate():
-    expanding = [AffineMap([[1.1, 0.0], [0.0, 1.1]], [0.0, 0.0])]
-    scan = eventual_contraction_scan(expanding, np.zeros(2), 3)
+    scan = eventual_contraction_scan(*_linear_maps([1.1 * np.eye(2)]), np.zeros(2), 3)
     assert not scan.passed and scan.reach is None
 
 
 def test_scan_stops_at_words_past_the_float_range():
     # the length-4 words of 1e80 entries overflow: recorded as inf, no certificate
     maps = _linear_maps([np.array([[0.5, 1e80], [0.0, 1e80]]), 0.5 * np.eye(2)])
-    scan = eventual_contraction_scan(maps, np.zeros(2), 8)
+    scan = eventual_contraction_scan(*maps, np.zeros(2), 8)
     assert not scan.passed and scan.reach is None
     assert [length for length, _ in scan.values] == [1, 2, 3, 4]
     assert scan.values[-1][1] == math.inf

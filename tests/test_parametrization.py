@@ -6,7 +6,6 @@ import pytest
 from zipperlift.errors import OutOfDomain, SignatureMismatch, ToleranceUnreachable
 from zipperlift import parametrization
 from zipperlift.families import Example1Config, build_example1
-from zipperlift.geometry import apply
 from zipperlift.parametrization import eval_f, eval_f_many
 from zipperlift.zipper import line_zipper
 from conftest import uniform_dyadic
@@ -127,8 +126,7 @@ def test_functional_equation_residual(interval_03, rng):
     f_ts, _ = eval_f_many(ts, zipper, line, tol=tol)
     for index in (1, 2):
         lhs, _ = eval_f_many(line.forward(index, ts), zipper, line, tol=tol)
-        mp = zipper.maps[index - 1]
-        rhs = f_ts @ mp.linear.T + mp.translation
+        rhs = f_ts @ zipper.linears[index - 1].T + zipper.translations[index - 1]
         assert np.linalg.norm(lhs - rhs, axis=1).max() <= 2 * tol
 
 
@@ -142,7 +140,7 @@ def test_node_consistency_both_addresses(interval_03):
             # the same node reached as the right endpoint of interval i: map i
             # sends 1 there, or 0 when it reverses
             end = zipper.vertices[0] if line.signature[i - 1] else eval_f(1.0, zipper, line).value
-            left_limit = apply(zipper.maps[i - 1], end)
+            left_limit = zipper.linears[i - 1] @ end + zipper.translations[i - 1]
             assert np.linalg.norm(left_limit - canonical.value) <= 2 * tol
 
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from zipperlift.attractor import refine
-from zipperlift.geometry import AffineMap
 from zipperlift.parametrization import eval_f, eval_f_many
 from zipperlift.smoothing import (
     build_lift,
@@ -32,8 +31,7 @@ from oracles import graph_identity_check, hausdorff_residual
 
 @pytest.fixture(scope="module")
 def reversed_system():
-    maps = (AffineMap([[-0.6]], [0.6]), AffineMap([[0.4]], [0.6]))
-    zipper = validate_zipper(maps, [[0.0], [0.6], [1.0]], (1, 0))
+    zipper = validate_zipper([[[-0.6]], [[0.4]]], [[0.6], [0.6]], [[0.0], [0.6], [1.0]], (1, 0))
     line = line_zipper((0.0, 0.5, 1.0), (1, 0))
     return zipper, line
 

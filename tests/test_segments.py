@@ -19,7 +19,6 @@ from zipperlift.cli import main
 from zipperlift.config_io import build_system, parse_config
 from zipperlift.errors import ZipperViolation
 from zipperlift.families import Example1Config, Example2Config, build_example1, build_example2
-from zipperlift.geometry import AffineMap
 from zipperlift.smoothing import build_lift, smooth_zipper
 from zipperlift.zipper import line_zipper, product_zipper, validate_zipper
 
@@ -36,8 +35,7 @@ def _random_zipper_config():
 
 def _reversed_system():
     # the first piece is traversed backwards
-    maps = (AffineMap([[-0.6]], [0.6]), AffineMap([[0.4]], [0.6]))
-    zipper = validate_zipper(maps, [[0.0], [0.6], [1.0]], (1, 0))
+    zipper = validate_zipper([[[-0.6]], [[0.4]]], [[0.6], [0.6]], [[0.0], [0.6], [1.0]], (1, 0))
     return zipper, line_zipper((0.0, 0.5, 1.0), (1, 0))
 
 

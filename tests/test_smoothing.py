@@ -13,7 +13,7 @@ from zipperlift.families import (
     build_example1,
     build_example2,
 )
-from zipperlift.geometry import AffineMap, apply, solve_linear
+from zipperlift.geometry import solve_linear
 from zipperlift.smoothing import (
     build_lift,
     eval_g,
@@ -61,11 +61,9 @@ def test_solve_h_quadrature_cross_check_interval():
 
 def test_solve_h_requires_origin():
     zipper, line = build_example1(Example1Config(p=0.3))
-    moved_maps = tuple(
-        AffineMap(mp.linear, mp.translation + 1.0 - mp.linear @ np.array([1.0]))
-        for mp in zipper.maps
-    )
-    moved = validate_zipper(moved_maps, zipper.vertices + 1.0, zipper.signature)
+    moved_translations = zipper.translations + 1.0 - zipper.linears @ np.array([1.0])
+    moved = validate_zipper(zipper.linears, moved_translations, zipper.vertices + 1.0,
+                            zipper.signature)
     with pytest.raises(NotNormalized):
         build_lift(moved, line).h
 
@@ -133,11 +131,11 @@ def test_smooth_zipper_interval_symbolic():
         zipper, line = build_example1(Example1Config(p=p))
         lift = build_lift(zipper, line)
         lifted = smooth_zipper(zipper, line, lift)
-        first, second = lifted.maps
-        assert np.allclose(first.linear, [[0.5, 0.0], [0.0, p / 2.0]], atol=1e-15)
-        assert np.allclose(first.translation, [0.0, 0.0], atol=1e-15)
-        assert np.allclose(second.linear, [[0.5, 0.0], [p / 2.0, (1 - p) / 2.0]], atol=1e-15)
-        assert np.allclose(second.translation, [0.5, p * p / 2.0], atol=1e-15)
+        first, second = lifted.linears
+        assert np.allclose(first, [[0.5, 0.0], [0.0, p / 2.0]], atol=1e-15)
+        assert np.allclose(lifted.translations[0], [0.0, 0.0], atol=1e-15)
+        assert np.allclose(second, [[0.5, 0.0], [p / 2.0, (1 - p) / 2.0]], atol=1e-15)
+        assert np.allclose(lifted.translations[1], [0.5, p * p / 2.0], atol=1e-15)
 
 
 def test_smooth_zipper_parabola_invariance():
@@ -146,19 +144,21 @@ def test_smooth_zipper_parabola_invariance():
     lifted = smooth_zipper(zipper, line, build_lift(zipper, line))
     ts = np.linspace(0.0, 1.0, 101)
     graph = np.column_stack([ts, ts * ts / 2.0])
-    for mp in lifted.maps:
-        images = graph @ mp.linear.T + mp.translation
+    for linear, translation in zip(lifted.linears, lifted.translations):
+        images = graph @ linear.T + translation
         assert np.allclose(images[:, 1], images[:, 0] ** 2 / 2.0, atol=1e-15)
 
 
 def test_smooth_zipper_vertex_conditions(interval_03):
     zipper, line, lift = interval_03
     lifted = smooth_zipper(zipper, line, lift)
-    w1, w2 = lifted.maps
-    assert np.allclose(apply(w1, [0.0, 0.0]), [0.0, 0.0], atol=1e-15)
-    assert np.allclose(apply(w1, [1.0, 0.3]), [0.5, 0.045], atol=1e-12)
-    assert np.allclose(apply(w2, [0.0, 0.0]), [0.5, 0.045], atol=1e-12)
-    assert np.allclose(apply(w2, [1.0, 0.3]), [1.0, 0.3], atol=1e-12)
+    def w(k, point):
+        return lifted.linears[k - 1] @ point + lifted.translations[k - 1]
+
+    assert np.allclose(w(1, [0.0, 0.0]), [0.0, 0.0], atol=1e-15)
+    assert np.allclose(w(1, [1.0, 0.3]), [0.5, 0.045], atol=1e-12)
+    assert np.allclose(w(2, [0.0, 0.0]), [0.5, 0.045], atol=1e-12)
+    assert np.allclose(w(2, [1.0, 0.3]), [1.0, 0.3], atol=1e-12)
 
 
 def test_inverse_design_recovers_interval_family():
@@ -223,12 +223,12 @@ def test_lift_decomposes_the_normal_form_once(monkeypatch, rotation_half):
 
 def _map_by_map_lift(zipper, line):
     """The normal form and the lift built one map at a time, as per-map
-    lists: ``(offsets, linear_parts, signs, h, node_integrals, lifted_maps)``."""
+    lists: ``(offsets, linear_parts, signs, h, node_integrals, lifted)``."""
     n = zipper.dimension
     offsets, parts, signs = [], [], []
-    for k, (mp, bit) in enumerate(zip(zipper.maps, zipper.signature)):
+    for k, bit in enumerate(zipper.signature):
         signs.append(-1 if bit else 1)
-        parts.append(signs[-1] * mp.linear)
+        parts.append(signs[-1] * zipper.linears[k])
         offsets.append(zipper.vertices[k + bit])
     matrix, rhs = np.eye(n), np.zeros(n)
     for offset, part, sign, width in zip(offsets, parts, signs, line.ratios):
@@ -261,8 +261,9 @@ def _normal_form_systems():
     ]
     systems += [build_system(parse_config(text))
                 for text in build_workload("generated-zippers", 0).configs.values()]
-    reversed_maps = (AffineMap([[-0.6]], [0.6]), AffineMap([[0.4]], [0.6]))
-    systems.append((validate_zipper(reversed_maps, [[0.0], [0.6], [1.0]], (1, 0)),
+    reversed_zipper = validate_zipper([[[-0.6]], [[0.4]]], [[0.6], [0.6]], [[0.0], [0.6], [1.0]],
+                                      (1, 0))
+    systems.append((reversed_zipper,
                     line_zipper([0.0, 0.45, 1.0], (1, 0))))
     return systems
 
@@ -281,7 +282,28 @@ def test_normal_form_arrays_and_lift_match_a_map_by_map_loop():
         lift = build_lift(zipper, line)
         assert lift.h.tobytes() == h.tobytes()
         assert lift.node_integrals.tobytes() == np.array(node_integrals).tobytes()
-        assert len(lift.lifted_maps) == m
-        for mp, (linear, translation) in zip(lift.lifted_maps, lifted):
-            assert mp.linear.tobytes() == linear.tobytes()
-            assert mp.translation.tobytes() == translation.tobytes()
+        stacks = smooth_zipper(zipper, line, lift)
+        assert stacks.linears.shape == (m, n + 1, n + 1)
+        assert stacks.translations.shape == (m, n + 1)
+        for k, (linear, translation) in enumerate(lifted):
+            assert stacks.linears[k].tobytes() == linear.tobytes()
+            assert stacks.translations[k].tobytes() == translation.tobytes()
+
+
+def test_product_zipper_stacks_match_a_map_by_map_loop():
+    # the lifted stacks are pinned the same way in the normal-form test above
+    for zipper, line in _normal_form_systems():
+        product = product_zipper(zipper, line)
+        m, n = zipper.map_count, zipper.dimension
+        assert product.linears.shape == (m, n + 1, n + 1)
+        assert product.translations.shape == (m, n + 1)
+        for k, bit in enumerate(zipper.signature):
+            # t -> t_k + q_k t, or t_{k+1} - q_k t where the map reverses
+            width = line.nodes[k + 1] - line.nodes[k]
+            linear = np.zeros((n + 1, n + 1))
+            linear[0, 0] = -width if bit else width
+            linear[1:, 1:] = zipper.linears[k]
+            start = line.nodes[k + bit]
+            translation = np.concatenate([[start], zipper.translations[k]])
+            assert product.linears[k].tobytes() == linear.tobytes()
+            assert product.translations[k].tobytes() == translation.tobytes()

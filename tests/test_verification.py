@@ -9,7 +9,7 @@ from zipperlift.families import (
     build_example1,
     build_example2,
 )
-from zipperlift.geometry import CONTRACTION_THRESHOLD, AffineMap, eventual_contraction_scan
+from zipperlift.geometry import CONTRACTION_THRESHOLD, eventual_contraction_scan
 from zipperlift.smoothing import build_lift, smooth_zipper
 from zipperlift.verification import (
     derivative_check,
@@ -107,11 +107,11 @@ def test_tangent_scan_zero_tangent_path():
     vertices = np.array(
         [[0.0, 0.0], [0.7, 0.4], [0.0, 0.0], [0.5, 0.33], [1.0, 0.0]]
     )
-    maps = []
+    linears = []
     for k in range(4):
         dx, dy = vertices[k + 1] - vertices[k]
-        maps.append(AffineMap([[dx, -dy], [dy, dx]], vertices[k]))
-    zipper = validate_zipper(maps, vertices, (0, 0, 0, 0))
+        linears.append([[dx, -dy], [dy, dx]])
+    zipper = validate_zipper(linears, vertices[:4], vertices, (0, 0, 0, 0))
     line = line_zipper((0.0, 0.25, 0.5, 0.75, 1.0), (0, 0, 0, 0))
     with pytest.raises(ZeroTangent):
         tangent_scan(zipper, line, 64)
@@ -148,22 +148,21 @@ def test_eventual_contraction_grid():
 
 
 def test_eventual_contraction_uniform_half():
-    maps = [AffineMap(0.5 * np.eye(1), [0.0]), AffineMap(0.5 * np.eye(1), [0.5])]
-    zipper = validate_zipper(maps, [[0.0], [0.5], [1.0]], (0, 0))
+    zipper = validate_zipper([[[0.5]], [[0.5]]], [[0.0], [0.5]], [[0.0], [0.5], [1.0]], (0, 0))
     report = eventual_contraction_check(zipper)
     assert report.passed
     assert report.max_error == pytest.approx(0.5, abs=1e-9)
 
 
 def test_eventual_contraction_budget():
-    maps = [AffineMap(0.5 * np.eye(1), [0.0]), AffineMap(0.5 * np.eye(1), [0.5])]
-    zipper = validate_zipper(maps, [[0.0], [0.5], [1.0]], (0, 0))
+    zipper = validate_zipper([[[0.5]], [[0.5]]], [[0.0], [0.5]], [[0.0], [0.5], [1.0]], (0, 0))
     # certified at length 1, so the 2^21 longer words are never formed
-    assert eventual_contraction_scan(zipper.maps, zipper.vertices[0], 21).passed
+    stacks = (zipper.linears, zipper.translations)
+    assert eventual_contraction_scan(*stacks, zipper.vertices[0], 21).passed
     # identities never certify; length 2 would form 1001^2 more words
-    identity = AffineMap(np.eye(1), [0.0])
-    never = Zipper(maps=(identity,) * 1001, vertices=np.zeros((1002, 1)),
-                   signature=(0,) * 1001, linear_norms=(1.0,) * 1001)
+    never = Zipper(linears=np.ones((1001, 1, 1)), translations=np.zeros((1001, 1)),
+                   vertices=np.zeros((1002, 1)), signature=(0,) * 1001,
+                   linear_norms=(1.0,) * 1001)
     with pytest.raises(CombinatorialBudget):
         eventual_contraction_check(never)
 
@@ -171,10 +170,10 @@ def test_eventual_contraction_budget():
 def test_eventual_contraction_certifies_at_the_threshold():
     # a normalized norm equal to the threshold certifies, and the check's
     # verdict is max_error <= tolerance like every other report's
-    at = AffineMap([[CONTRACTION_THRESHOLD]], [0.0])
-    scan = eventual_contraction_scan((at,), np.zeros(1), 1)
+    at = (np.full((1, 1, 1), CONTRACTION_THRESHOLD), np.zeros((1, 1)))
+    scan = eventual_contraction_scan(*at, np.zeros(1), 1)
     assert scan.word_length == 1 and scan.values == ((1, CONTRACTION_THRESHOLD),)
-    zipper = Zipper(maps=(at,), vertices=np.zeros((2, 1)), signature=(0,),
+    zipper = Zipper(*at, vertices=np.zeros((2, 1)), signature=(0,),
                     linear_norms=(CONTRACTION_THRESHOLD,))
     report = eventual_contraction_check(zipper)
     assert report.passed and report.max_error == report.tolerance

@@ -10,12 +10,13 @@ from zipperlift.config_io import build_system, config_from_system, config_to_jso
 from zipperlift.errors import (
     CountMismatch,
     DegenerateInput,
+    DimensionMismatch,
     InvalidNodes,
     NotNormalized,
     SignatureMismatch,
     ZipperViolation,
 )
-from zipperlift.geometry import AffineMap, apply, operator_norm
+from zipperlift.geometry import operator_norm
 from zipperlift.families import Example1Config, Example2Config, build_example1, build_example2
 from zipperlift.smoothing import build_lift, smooth_zipper
 from zipperlift.zipper import (
@@ -32,11 +33,12 @@ from oracles import pull_back
 
 
 def interval_maps(p):
-    return (AffineMap([[p]], [0.0]), AffineMap([[1.0 - p]], [p]))
+    """Linear parts and translations of x -> p x and x -> (1 - p) x + p."""
+    return [[[p]], [[1.0 - p]]], [[0.0], [p]]
 
 
 def test_validate_interval_family():
-    zipper = validate_zipper(interval_maps(0.3), [[0.0], [0.3], [1.0]], (0, 0))
+    zipper = validate_zipper(*interval_maps(0.3), [[0.0], [0.3], [1.0]], (0, 0))
     assert zipper.map_count == 2
     assert zipper.linear_norms == (pytest.approx(0.3), pytest.approx(0.7))
 
@@ -47,12 +49,12 @@ def test_linear_norms_are_the_operator_norms_of_the_maps():
                          build_example2(Example2Config(h_param=0.5))):
         lifted = smooth_zipper(zipper, line, build_lift(zipper, line))
         for target in (zipper, product_zipper(zipper, line), lifted):
-            assert target.linear_norms == tuple(operator_norm(mp.linear) for mp in target.maps)
+            assert target.linear_norms == tuple(map(operator_norm, target.linears))
 
 
 def test_validate_rejects_wrong_middle_vertex():
     with pytest.raises(ZipperViolation) as excinfo:
-        validate_zipper(interval_maps(0.3), [[0.0], [0.5], [1.0]], (0, 0))
+        validate_zipper(*interval_maps(0.3), [[0.0], [0.5], [1.0]], (0, 0))
     report = excinfo.value.report
     assert not report.valid
     # the first map sends the last vertex to 0.3, not the claimed 0.5
@@ -62,19 +64,48 @@ def test_validate_rejects_wrong_middle_vertex():
 
 def test_validate_reports_non_finite_vertices():
     # NaN compares false, so the vertex axioms alone would let this through
-    report = inspect_zipper(interval_maps(0.5), [[0.0], [np.nan], [1.0]], (0, 0))
+    report = inspect_zipper(*interval_maps(0.5), [[0.0], [np.nan], [1.0]], (0, 0))
     assert not report.valid
     assert [(v.condition, v.deviation) for v in report.violations] == [("finite-vertex", np.inf)]
     assert "vertex 1 is [nan]" in report.summary()
     with pytest.raises(ZipperViolation) as excinfo:
-        validate_zipper(interval_maps(0.5), [[0.0], [0.5], [np.inf]], (0, 0))
+        validate_zipper(*interval_maps(0.5), [[0.0], [0.5], [np.inf]], (0, 0))
     assert [v.condition for v in excinfo.value.report.violations] == ["finite-vertex"]
 
 
 def test_validate_rotation_family():
     zipper, _ = build_example2(Example2Config(h_param=0.5))
-    assert np.allclose(apply(zipper.maps[0], [1.0, 0.0]), [0.5, 0.5], atol=1e-15)
-    assert np.allclose(apply(zipper.maps[1], [1.0, 0.0]) + 0.0, [1.0, 0.0], atol=1e-15)
+    images = zipper.linears @ [1.0, 0.0] + zipper.translations
+    assert np.allclose(images[0], [0.5, 0.5], atol=1e-15)
+    assert np.allclose(images[1] + 0.0, [1.0, 0.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("linears, translations, error", [
+    ([], [], ValueError),
+    ([[[0.5]], [[0.5, 0.0]]], [[0.0], [0.5]], DimensionMismatch),
+    ([[[0.5, 0.0]], [[0.5, 0.0]]], [[0.0], [0.5]], DimensionMismatch),
+    ([[[0.5]], [[0.5]]], [[0.0], [0.5], [1.0]], DimensionMismatch),
+    ([[[0.5]], [[0.5]]], [[0.0, 0.0], [0.5, 0.0]], DimensionMismatch),
+    ([[[0.5]], [[np.inf]]], [[0.0], [0.5]], ValueError),
+    ([[[0.5]], [[0.5]]], [[0.0], [np.nan]], ValueError),
+], ids=["empty", "ragged", "non-square", "more-translations", "wider-translations",
+        "infinite-linear", "nan-translation"])
+def test_inspect_zipper_rejects_bad_stacks_with_typed_errors(linears, translations, error):
+    vertices = [[0.0], [0.5], [1.0]]
+    with pytest.raises(error):
+        inspect_zipper(linears, translations, vertices, (0, 0))
+
+
+def test_validated_stacks_are_read_only_copies():
+    linears, translations = np.array([[[0.5]], [[0.5]]]), np.array([[0.0], [0.5]])
+    vertices = np.array([[0.0], [0.5], [1.0]])
+    zipper = validate_zipper(linears, translations, vertices, (0, 0))
+    linears[0, 0, 0], translations[1, 0], vertices[1, 0] = 0.25, 0.25, 0.25
+    assert zipper.linears.tolist() == [[[0.5]], [[0.5]]]
+    assert zipper.translations.tolist() == [[0.0], [0.5]]
+    assert zipper.vertices.tolist() == [[0.0], [0.5], [1.0]]
+    for array in (zipper.linears, zipper.translations, zipper.vertices):
+        assert not array.flags.writeable
 
 
 def test_validation_tolerance_is_sharp(rng):
@@ -83,7 +114,7 @@ def test_validation_tolerance_is_sharp(rng):
         vertices = np.array(zipper.vertices)
         # interior vertex: the deviation is exact up to one rounding of 0.3
         vertices[1, 0] += factor * VERTEX_TOLERANCE
-        report = inspect_zipper(zipper.maps, vertices, zipper.signature)
+        report = inspect_zipper(zipper.linears, zipper.translations, vertices, zipper.signature)
         assert report.valid == expected_valid
 
 
@@ -145,14 +176,14 @@ def test_line_zipper_is_a_zipper_with_the_interval_formulas():
         assert line.ratios.tobytes() == ratios.tobytes()
         assert not line.nodes.flags.writeable and not line.ratios.flags.writeable
         reversed_lines += any(line.signature)
-        for k, (mp, bit) in enumerate(zip(line.maps, line.signature)):
+        for k, bit in enumerate(line.signature):
             # the formulas of the interval maps, bit for bit
             if bit:
                 linear, entry, image = -ratios[k], nodes[k + 1], nodes[k + 1] - ratios[k] * ts
             else:
                 linear, entry, image = ratios[k], nodes[k], nodes[k] + ratios[k] * ts
-            assert mp.linear.tobytes() == np.array([[linear]]).tobytes()
-            assert mp.translation.tobytes() == np.array([entry]).tobytes()
+            assert line.linears[k].tobytes() == np.array([[linear]]).tobytes()
+            assert line.translations[k].tobytes() == np.array([entry]).tobytes()
             assert line.forward(k + 1, ts).tobytes() == image.tobytes()
     assert reversed_lines == 4
 
@@ -161,8 +192,9 @@ def test_product_zipper_interval_family():
     zipper, line = build_example1(Example1Config(p=0.3))
     product = product_zipper(zipper, line)
     assert product.dimension == 2
-    assert np.allclose(apply(product.maps[0], [1.0, 1.0]), [0.5, 0.3], atol=1e-15)
-    assert np.allclose(apply(product.maps[1], [0.0, 0.0]), [0.5, 0.3], atol=1e-15)
+    assert np.allclose(product.linears[0] @ [1.0, 1.0] + product.translations[0], [0.5, 0.3],
+                       atol=1e-15)
+    assert np.allclose(product.translations[1], [0.5, 0.3], atol=1e-15)
     assert np.allclose(product.vertices, [[0.0, 0.0], [0.5, 0.3], [1.0, 1.0]], atol=1e-15)
 
 
@@ -173,23 +205,24 @@ def test_product_zipper_rotation_family():
     corners = np.array(
         [[t, x, y] for t in (0, 1) for x in (0, 1) for y in (0, 1)], dtype=float
     )
-    for k, (mp, t_box) in enumerate(zip(product.maps, ((0.0, 0.5), (0.5, 1.0)))):
+    for k, t_box in enumerate(((0.0, 0.5), (0.5, 1.0))):
+        linear = product.linears[k]
         # the parameter coordinate of the unit cube lands in the half boxes
-        images = corners @ mp.linear.T + mp.translation
+        images = corners @ linear.T + product.translations[k]
         assert images[:, 0].min() >= t_box[0] - 1e-12
         assert images[:, 0].max() <= t_box[1] + 1e-12
         # the spatial block is the rotation-scaling of ratio sqrt(1/2)
-        assert np.allclose(mp.linear[1:, 1:], zipper.maps[k].linear, atol=1e-15)
-        assert np.allclose(mp.linear[0, 1:], 0.0) and np.allclose(mp.linear[1:, 0], 0.0)
+        assert np.allclose(linear[1:, 1:], zipper.linears[k], atol=1e-15)
+        assert np.allclose(linear[0, 1:], 0.0) and np.allclose(linear[1:, 0], 0.0)
 
 
 def test_product_zipper_degenerate_half_is_diagonal():
     zipper, line = build_example1(Example1Config(p=0.5))
     product = product_zipper(zipper, line)
-    for mp in product.maps:
+    for linear, translation in zip(product.linears, product.translations):
         # both maps are similarities of ratio 1/2; the diagonal is invariant
         diag = np.array([0.7, 0.7])
-        image = mp.linear @ diag + mp.translation
+        image = linear @ diag + translation
         assert image[0] == pytest.approx(image[1], abs=1e-15)
 
 
@@ -210,7 +243,8 @@ def test_product_zipper_passes_validation_randomized(rng):
         zipper, _ = build_example1(Example1Config(p=p))
         line = line_zipper((0.0, split, 1.0), (0, 0))
         product = product_zipper(zipper, line)  # validates internally
-        report = inspect_zipper(product.maps, product.vertices, product.signature)
+        stacks = (product.linears, product.translations)
+        report = inspect_zipper(*stacks, product.vertices, product.signature)
         assert report.valid
 
 
@@ -227,11 +261,9 @@ def test_similarity_decomposition_interval():
 
 def test_similarity_decomposition_requires_origin():
     zipper, _ = build_example1(Example1Config(p=0.3))
-    moved_maps = tuple(
-        AffineMap(mp.linear, mp.translation + 1.0 - mp.linear @ np.array([1.0]))
-        for mp in zipper.maps
-    )
-    moved = validate_zipper(moved_maps, zipper.vertices + 1.0, zipper.signature)
+    moved_translations = zipper.translations + 1.0 - zipper.linears @ np.array([1.0])
+    moved = validate_zipper(zipper.linears, moved_translations, zipper.vertices + 1.0,
+                            zipper.signature)
     with pytest.raises(NotNormalized):
         similarity_decomposition(moved)
 
@@ -239,8 +271,7 @@ def test_similarity_decomposition_requires_origin():
 def test_signature_reversal_decomposition():
     # one-map reversed zipper on [0, 1]: S(x) = 1 - 0.6x has sign -1
     # plus a second plain map to keep every factor below 1
-    maps = (AffineMap([[-0.6]], [0.6]), AffineMap([[0.4]], [0.6]))
-    zipper = validate_zipper(maps, [[0.0], [0.6], [1.0]], (1, 0))
+    zipper = validate_zipper([[[-0.6]], [[0.4]]], [[0.6], [0.6]], [[0.0], [0.6], [1.0]], (1, 0))
     offsets, linear_parts, signs = similarity_decomposition(zipper)
     assert signs[0] == -1
     assert linear_parts[0, 0, 0] == pytest.approx(0.6)
