@@ -57,6 +57,8 @@ class Example1Config:
             raise InvalidConfig(f"split node must lie in (0, 1), got {q1}")
         if self.y1 is None or self.y2 is None:
             raise InvalidConfig("generalized form needs both heights y1 and y2")
+        if not math.isfinite(self.y2):
+            raise InvalidConfig(f"height y2 must be finite, got {self.y2}")
         if not 0.0 < self.y1 < self.y2:
             raise InvalidConfig(f"need 0 < y1 < y2, got y1 = {self.y1}, y2 = {self.y2}")
         object.__setattr__(self, "q1", float(q1))

@@ -5,7 +5,9 @@ arrays.  A family of affine maps is two stacked arrays, linear parts
 (m, d, d) and translations (m, d).  The ambient dimension in this package
 stays tiny (d <= ~8), so the routines favour determinism over asymptotics:
 LAPACK LU for solves and power iteration from fixed start vectors for
-spectral norms, both bit-reproducible across runs.
+spectral norms, both bit-reproducible across runs.  Norms are taken on the
+input scaled by an exact power of two, so they neither overflow nor
+underflow anywhere in the float range.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ def solve_linear(matrix, rhs):
             f"smallest singular value {smallest:.3e} below {SINGULAR_VALUE_FLOOR:g}"
         )
     x = np.linalg.solve(matrix, rhs)
-    budget = SOLVE_RESIDUAL_BOUND * (1.0 + float(np.linalg.norm(rhs)))
-    residual = float(np.linalg.norm(rhs - matrix @ x))
+    budget = SOLVE_RESIDUAL_BOUND * (1.0 + vector_norm(rhs))
+    residual = vector_norm(rhs - matrix @ x)
     if residual > budget:
         raise SingularSystem(
             f"residual {residual:.3e} exceeds contract {budget:.3e}; "
@@ -91,24 +93,28 @@ def solve_linear(matrix, rhs):
     return x
 
 
-def operator_norm(matrix):
-    """Spectral norm (largest singular value) of ``matrix``.
-
-    Power iteration on the Gram matrix ``M^T M`` from the all-ones start
-    vector, with an alternating-sign companion start for d >= 2 guarding
-    against a start orthogonal to the top singular subspace.  Deterministic,
-    converging to relative accuracy ~1e-9 within 10^4 iterations for
-    matrices with a reasonable spectral gap.  The zero matrix returns 0.
-    The iteration runs on the matrix scaled by the power of two that brings
-    its largest entry into [0.5, 1), which is exact, so the norm neither
-    overflows nor underflows anywhere in the float range; a norm past the
-    largest float reads inf.
-    """
-    m = as_matrix(matrix)
-    if not m.any():
+def _prescaled(norm, array):
+    """``norm(array)``, taken on ``array`` scaled by the power of two that
+    brings its largest entry into [0.5, 1) and scaled back.  Both scalings
+    are exact, so the norm neither overflows nor underflows anywhere in the
+    float range; one past the largest float reads inf.  A zero array gives
+    0."""
+    if not array.any():
         return 0.0
-    _, exponent = math.frexp(float(np.abs(m).max()))
-    m = np.ldexp(m, -exponent)
+    _, exponent = math.frexp(float(np.abs(array).max()))
+    try:
+        return math.ldexp(norm(np.ldexp(array, -exponent)), exponent)
+    except OverflowError:
+        return math.inf
+
+
+def vector_norm(vector):
+    """Euclidean norm of ``vector``: the bits of ``np.linalg.norm`` wherever
+    that neither overflows nor underflows, and finite past there."""
+    return _prescaled(np.linalg.norm, np.asarray(vector, dtype=float))
+
+
+def _power_iteration(m):
     gram = m.T @ m
     d = m.shape[0]
     starts = [np.ones(d)]
@@ -130,10 +136,21 @@ def operator_norm(matrix):
             if abs(estimate - previous) <= 0.5 * NORM_RELATIVE_ACCURACY * max(estimate, 1e-300):
                 break
         best = max(best, estimate)
-    try:
-        return math.ldexp(best, exponent)
-    except OverflowError:
-        return math.inf
+    return best
+
+
+def operator_norm(matrix):
+    """Spectral norm (largest singular value) of ``matrix``.
+
+    Power iteration on the Gram matrix ``M^T M`` from the all-ones start
+    vector, with an alternating-sign companion start for d >= 2 guarding
+    against a start orthogonal to the top singular subspace.  Deterministic,
+    converging to relative accuracy ~1e-9 within 10^4 iterations for
+    matrices with a reasonable spectral gap.  The zero matrix returns 0.
+    The iteration runs on the prescaled matrix, like :func:`vector_norm`,
+    so a norm past the largest float reads inf.
+    """
+    return _prescaled(_power_iteration, as_matrix(matrix))
 
 
 @dataclass(frozen=True)
@@ -197,7 +214,7 @@ def eventual_contraction_scan(linears, translations, base_point, max_word_length
         values.append((length, worst))
         farthest = max(
             farthest,
-            max(float(np.linalg.norm(lin @ base_point + off - base_point)) for lin, off in level),
+            max(vector_norm(lin @ base_point + off - base_point) for lin, off in level),
         )
         if worst <= CONTRACTION_THRESHOLD:
             return ContractionScan(length, tuple(values), farthest / (1.0 - worst**length))

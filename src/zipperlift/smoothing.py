@@ -22,6 +22,7 @@ integral values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,7 +155,8 @@ def inverse_design(q1, q2, x1, g1, g2):
     (y1, y2) whose family reproduces exactly these integrals.  Defined only
     for the scalar two-map family with plain orientation.  Raises
     :class:`DegenerateInput` when g1 = 0, widths leave (0, 1), the widths
-    do not sum to 1, or the split node disagrees with q1.
+    do not sum to 1, the split node disagrees with q1, or the recovered
+    heights are not finite.
     """
     q1, q2, x1 = float(q1), float(q2), float(x1)
     g1 = float(np.asarray(g1, dtype=float).reshape(()))
@@ -169,4 +171,6 @@ def inverse_design(q1, q2, x1, g1, g2):
         raise DegenerateInput("split integral g1 must be nonzero")
     y1 = (1.0 / q1 - 1.0 / q2) * g1 + (1.0 / q2 - 1.0) * g2
     y2 = (q1 * g2 / g1) * y1
+    if not (math.isfinite(y1) and math.isfinite(y2)):
+        raise DegenerateInput(f"recovered heights y1 = {y1}, y2 = {y2} are not finite")
     return y1, y2

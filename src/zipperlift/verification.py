@@ -74,14 +74,17 @@ class VerificationReport:
         return self.max_error <= self.tolerance
 
     def as_dict(self):
-        """The report as strict JSON values: a non-finite ``max_error`` is None."""
+        """The report as strict JSON values: a non-finite number is None."""
+        def strict(value):
+            return value if math.isfinite(value) else None
+
         return {
             "check": self.check_name,
-            "maxError": self.max_error if math.isfinite(self.max_error) else None,
+            "maxError": strict(self.max_error),
             "samples": self.samples,
             "passed": self.passed,
             "tolerance": self.tolerance,
-            "details": [[a, b] for a, b in self.details],
+            "details": [[strict(a), strict(b)] for a, b in self.details],
         }
 
 

@@ -33,7 +33,7 @@ from .errors import (
     SignatureMismatch,
     ZipperViolation,
 )
-from .geometry import ContractionScan, eventual_contraction_scan, operator_norm
+from .geometry import ContractionScan, eventual_contraction_scan, operator_norm, vector_norm
 
 #: Tolerance of the vertex conditions.
 VERTEX_TOLERANCE = 1e-9
@@ -124,9 +124,9 @@ class Zipper:
         distance between any two attractor points is at most twice this value.
         """
         z0 = self.vertices[0]
-        reach = max(float(np.linalg.norm(linear @ z0 + translation - z0))
+        reach = max(vector_norm(linear @ z0 + translation - z0)
                     for linear, translation in zip(self.linears, self.translations))
-        reach = max(reach, float(np.linalg.norm(self.vertices[-1] - z0)))
+        reach = max(reach, vector_norm(self.vertices[-1] - z0))
         lmax = max(self.linear_norms)
         if lmax < 1.0:
             return reach / (1.0 - lmax)

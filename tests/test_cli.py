@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from zipperlift.cli import main
-from zipperlift.config_io import parse_config
+from zipperlift.config_io import build_system, parse_config
 
 
 def test_validate_preset(capsys):
@@ -95,6 +95,22 @@ def test_words_past_the_float_range_fail_contraction(tmp_path, capsys, entry):
         captured = capsys.readouterr()
         assert "map 0, contraction: deviation" in captured.out + captured.err
         assert "Warning" not in captured.err
+
+
+def test_translations_near_the_float_range_evaluate_without_overflow(tmp_path, capsys):
+    # |z_m - z_0| = 1e200 squares past the float range; the norms prescale
+    path = tmp_path / "big.json"
+    path.write_text(
+        '{"dimension": 1, "maps": [{"linear": [[0.5]], "translation": [0.0]}, '
+        '{"linear": [[0.5]], "translation": [5e199]}], '
+        '"vertices": [[0.0], [5e199], [1e200]], "signature": [0, 0]}'
+    )
+    zipper, _ = build_system(parse_config(path.read_text()))
+    assert zipper.diameter_bound == 2e200
+    for command in ("eval-f", "eval-g"):
+        assert main([command, str(path), "--t", "0.3"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["value"] and captured.err == ""
 
 
 def test_deeply_nested_config_is_a_parse_error(tmp_path, capsys):
@@ -377,6 +393,16 @@ def test_inverse_design_degenerate_exit(capsys):
     assert main([
         "inverse-design", "--q1", "0.5", "--x1", "0.5", "--g1", "0", "--g2", "0.3",
     ]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "--example1", "q1=0.4,y1=0.3,y2=inf"], "height y2 must be finite, got inf"),
+    (["inverse-design", "--q1", "0.5", "--x1", "0.5", "--g1", "1e-300", "--g2", "1e300"],
+     "recovered heights y1 = 1e+300, y2 = inf are not finite"),
+], ids=["example1-y2", "inverse-design"])
+def test_non_finite_heights_exit_2_naming_them(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

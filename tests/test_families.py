@@ -55,6 +55,8 @@ def test_interval_family_invalid_configs():
         Example1Config(p=0.3, y1=0.2, y2=1.0)
     with pytest.raises(InvalidConfig):
         Example1Config(q1=0.4, y1=0.9, y2=0.5)
+    with pytest.raises(InvalidConfig, match="y2 must be finite"):
+        Example1Config(q1=0.4, y1=0.3, y2=float("inf"))
     with pytest.raises(InvalidConfig):
         Example1Config()
 

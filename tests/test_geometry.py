@@ -8,6 +8,7 @@ from zipperlift.geometry import (
     eventual_contraction_scan,
     operator_norm,
     solve_linear,
+    vector_norm,
 )
 
 
@@ -63,6 +64,25 @@ def test_solve_linear_residual_contract(rng):
         x = solve_linear(m, b)
         assert np.linalg.norm(m @ x - b) <= 1e-12 * (1 + np.linalg.norm(b))
         solved += 1
+
+
+def test_solve_linear_near_the_float_range():
+    # |rhs| squares past the float range; the residual contract still holds
+    assert solve_linear([[0.5]], [1e200])[0] == 2e200
+
+
+def test_vector_norm_is_numpys_where_nothing_overflows(rng):
+    for _ in range(20_000):
+        size = int(rng.integers(1, 9))
+        vector = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-150, 150, size)
+        assert vector_norm(vector) == float(np.linalg.norm(vector))
+    assert vector_norm(np.zeros(3)) == 0.0
+
+
+def test_vector_norm_across_the_float_range():
+    for e in range(-300, 301, 20):
+        assert vector_norm([3 * 10.0**e, 4 * 10.0**e]) == pytest.approx(5 * 10.0**e, rel=1e-15)
+    assert vector_norm([1e308, 1e308, 1e308, 1e308]) == math.inf
 
 
 def test_operator_norm_identity():
@@ -170,6 +190,14 @@ def test_word_reach_bound_contains_orbits(rng):
 def test_word_reach_bound_needs_certificate():
     scan = eventual_contraction_scan(*_linear_maps([1.1 * np.eye(2)]), np.zeros(2), 3)
     assert not scan.passed and scan.reach is None
+
+
+def test_scan_reach_stays_finite_for_offsets_past_the_square_root_of_the_float_range():
+    # the length-2 word offset (1e200, 1) contracts, and its norm squares past 1e308
+    linears = np.array([[[0.0, 1e200], [0.0, 0.0]], [[0.0, 0.0], [1e-201, 0.0]]])
+    scan = eventual_contraction_scan(linears, np.array([[0.0, 1.0], [0.0, 1.0]]), np.zeros(2), 4)
+    assert scan.word_length == 2
+    assert math.isfinite(scan.reach) and scan.reach >= 1e200
 
 
 def test_scan_stops_at_words_past_the_float_range():

@@ -181,6 +181,8 @@ def test_inverse_design_degenerate():
         inverse_design(1.5, -0.5, 1.5, 0.1, 0.3)
     with pytest.raises(DegenerateInput):
         inverse_design(0.4, 0.5, 0.4, 0.1, 0.3)
+    with pytest.raises(DegenerateInput, match="not finite"):
+        inverse_design(0.5, 0.5, 0.5, 1e-300, 1e300)
 
 
 def test_inverse_design_round_trip(rng):

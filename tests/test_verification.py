@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,14 @@ from zipperlift.verification import (
     tangent_scan,
 )
 from zipperlift.zipper import Zipper, line_zipper, product_zipper, validate_zipper
+
+
+def test_report_dict_is_strict_json():
+    report = verification.VerificationReport(
+        "overflowing", float("inf"), 2, 1e-9, ((0.25, float("inf")), (float("nan"), 1.0)))
+    text = json.dumps(report.as_dict(), allow_nan=False)
+    assert json.loads(text)["details"] == [[0.25, None], [None, 1.0]]
+    assert json.loads(text)["maxError"] is None
 
 
 def test_quadrature_parabola():
