@@ -172,13 +172,8 @@ def config_to_json(config):
     """Serialize a config to canonical JSON text (round-trips exactly)."""
     payload = {
         "dimension": config.dimension,
-        "maps": [
-            {
-                "linear": [[float(v) for v in row] for row in linear],
-                "translation": [float(v) for v in translation],
-            }
-            for linear, translation in zip(config.linears, config.translations)
-        ],
+        "maps": [{"linear": linear.tolist(), "translation": translation.tolist()}
+                 for linear, translation in zip(config.linears, config.translations)],
         "vertices": [[float(v) for v in row] for row in config.vertices],
         "signature": list(config.signature),
     }
@@ -205,9 +200,8 @@ def build_system(config):
     Validation derives the contraction mode, so lifted systems load through
     the same path.  Line nodes default to a uniform split.
     """
-    zipper = validate_zipper(
-        config.linears, config.translations, config.vertices, config.signature
-    )
+    zipper = validate_zipper(config.linears, config.translations, config.vertices,
+                             config.signature)
     count = len(config.linears)
     nodes = (
         np.linspace(0.0, 1.0, count + 1)

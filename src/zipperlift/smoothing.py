@@ -98,9 +98,8 @@ def smooth_zipper(zipper, line, lift):
     scales = signs * line.ratios
     vertices = np.column_stack([line.nodes, lift.node_integrals])
     entries = np.arange(m) + np.array(zipper.signature)
-    return validate_zipper(
-        scales[:, None, None] * blocks, vertices[entries], vertices, zipper.signature
-    )
+    lifted = scales[:, None, None] * blocks
+    return validate_zipper(lifted, vertices[entries], vertices, zipper.signature)
 
 
 def _descend_g(ts, zipper, line, lift, tol):

@@ -75,16 +75,13 @@ class VerificationReport:
 
     def as_dict(self):
         """The report as strict JSON values: a non-finite number is None."""
-        def strict(value):
-            return value if math.isfinite(value) else None
-
         return {
             "check": self.check_name,
-            "maxError": strict(self.max_error),
+            "maxError": self.max_error if math.isfinite(self.max_error) else None,
             "samples": self.samples,
             "passed": self.passed,
             "tolerance": self.tolerance,
-            "details": [[strict(a), strict(b)] for a, b in self.details],
+            "details": [[v if math.isfinite(v) else None for v in pair] for pair in self.details],
         }
 
 
@@ -310,9 +307,8 @@ def eventual_contraction_check(zipper):
     """
     scan = zipper.word_scan
     if scan is None:
-        scan = eventual_contraction_scan(
-            zipper.linears, zipper.translations, zipper.vertices[0], EVENTUAL_WORD_LENGTH
-        )
+        scan = eventual_contraction_scan(zipper.linears, zipper.translations,
+                                         zipper.vertices[0], EVENTUAL_WORD_LENGTH)
     if scan.passed:
         max_error = scan.values[-1][1]
     else:

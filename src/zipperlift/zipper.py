@@ -173,12 +173,9 @@ def inspect_zipper(linears, translations, vertices, signature):
     except ValueError as exc:
         raise DimensionMismatch(f"maps do not stack into arrays: {exc}") from None
     count, dimension = len(linears), linears.shape[-1]
-    if linears.ndim != 3 or linears.shape[1] != dimension or dimension == 0:
-        raise DimensionMismatch(f"expected linear parts of shape (m, n, n), got {linears.shape}")
-    if translations.shape != (count, dimension):
-        raise DimensionMismatch(
-            f"expected translations of shape {(count, dimension)}, got {translations.shape}"
-        )
+    shapes = (linears.shape, translations.shape)
+    if shapes != ((count, dimension, dimension), (count, dimension)) or dimension == 0:
+        raise DimensionMismatch(f"expected stacks of shapes (m, n, n) and (m, n), got {shapes}")
     if not (np.isfinite(linears).all() and np.isfinite(translations).all()):
         raise ValueError("linear parts and translations must be finite")
     vertices = np.array(vertices, dtype=float)
