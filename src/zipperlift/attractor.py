@@ -240,10 +240,10 @@ def chaos_game(zipper, count, seed):
         point = linears[choice] @ point + translations[choice]
     out = np.empty((count, zipper.dimension))
     product = np.empty(zipper.dimension)
-    # the same `linear @ point + translation`, written into the step's own
-    # row, which the next step reads: no lookups or copies per step
+    # `linear @ point + translation` (np.dot: matmul's gemv, less overhead) into
+    # the step's own row, which the next step reads: no lookups or copies
     for row, choice in zip(out, choices[BURN_IN:]):
-        np.add(np.matmul(linears[choice], point, product), translations[choice], row)
+        np.add(np.dot(linears[choice], point, product), translations[choice], row)
         point = row
     out.setflags(write=False)
     return out

@@ -45,12 +45,16 @@ def _matvec(linear, rows):
 def _descend(ts, line, linears, local, gains, node_rows, tail_row, reach, tol):
     """Certified interval descent of a batch of parameters, shared by f and g.
 
-    Digit k of a point's residual parameter u adds ``linear @ local(k, u)``
-    (one row per point) to its offset, right-multiplies ``linear`` by
-    ``linears[k]`` and its radius factor by ``gains[k]``.  A point ends at
-    ``linear @ node_rows[j] + offset`` with radius 0 when u hits node j, else
-    at ``linear @ tail_row + offset`` once ``factor * reach <= tol``.  No
-    point's result depends on the batch.  Returns ``(values, bounds, depths)``.
+    Digit k of a point's residual parameter u adds ``linear @ local[k]`` to
+    its offset (row i of ``local(digits, u)`` for point i when ``local`` is
+    a function), right-multiplies ``linear`` by ``linears[k]`` and its radius
+    factor by ``gains[k]``.  A point ends at ``linear @ node_rows[j] +
+    offset`` with radius 0 when u hits node j, else at ``linear @ tail_row +
+    offset`` once ``factor * reach <= tol``.  Returns ``(values, bounds,
+    depths)``.  Each level stably sorts the pending points by digit, so
+    digit k's products are one matrix product over its points' stacked rows:
+    the batch is regrouped, no entry's n-term sum is, so the bits match a
+    per-point product and no point's result depends on the batch.
     A ``tol`` that is not finite and positive raises :class:`DegenerateInput`:
     no radius can reach it, so the descent would only stop on a node.
     """
@@ -63,7 +67,8 @@ def _descend(ts, line, linears, local, gains, node_rows, tail_row, reach, tol):
     nodes = line.nodes
     # interval map k, u -> start + scale * u, pulls u back to (u - start) / scale
     starts, scales = line.translations[:, 0], line.linears[:, 0, 0]
-    count, n = ts.size, tail_row.size
+    m, count, n = linears.shape[0], ts.size, tail_row.size
+    key_type, block_ends = np.min_scalar_type(m + 1), np.arange(1, m + 1)
     values = np.empty((count, n))
     bounds = np.zeros(count)
     depths = np.zeros(count, dtype=int)
@@ -74,28 +79,40 @@ def _descend(ts, line, linears, local, gains, node_rows, tail_row, reach, tol):
     offset = np.zeros((count, n))
     factor = np.ones(count)
     depth = 0
-    while pending.size:
+    while True:
         # u <= 1 = t_m, so ``slot`` indexes a node; off the nodes, u lies
         # strictly inside interval ``slot - 1``
         slot = np.searchsorted(nodes, u)
         hit = nodes[slot] == u
         done = hit | (factor * reach <= tol)
-        if done.any():
+        going = pending.size - np.count_nonzero(done)
+        if going < pending.size:
             out = pending[done]
             ends = np.where(hit[done, None], node_rows[slot[done]], tail_row)
             values[out] = _matvec(linear[done], ends) + offset[done]
             bounds[out] = np.where(hit[done], 0.0, factor[done] * reach)
             depths[out] = depth
-            going = ~done
-            pending, u, slot = pending[going], u[going], slot[going]
-            linear, offset, factor = linear[going], offset[going], factor[going]
-            if not pending.size:
-                break
+        if not going:
+            break
         if depth >= MAX_DEPTH:
             raise ToleranceUnreachable(f"tolerance {tol:g} not reached within {MAX_DEPTH} digits")
-        digits = slot - 1
-        offset += _matvec(linear, local(digits, u))
-        linear = linear @ linears[digits]
+        # stable sort by slot in a small int type, done points last, and drop those
+        order = np.where(done, m + 1, slot).astype(key_type).argsort(kind="stable")[:going]
+        digits = slot.take(order) - 1
+        pending, u, offset, factor, previous = (
+            a.take(order, axis=0) for a in (pending, u, offset, factor, linear))
+        linear = linear[:going]
+        shift = _matvec(previous, local(digits, u)) if callable(local) else np.empty((going, n))
+        # the stacked rows of digit k's points end at row edges[k]; np.dot,
+        # because matmul skips BLAS for these products when n = 1
+        edges = (n * digits.searchsorted(block_ends)).tolist()
+        rows, linear_rows = previous.reshape(-1, n), linear.reshape(-1, n)
+        for k, (start, stop) in enumerate(zip([0] + edges, edges)):
+            if start < stop:
+                np.dot(rows[start:stop], linears[k], linear_rows[start:stop])
+                if not callable(local):
+                    np.dot(rows[start:stop], local[k], shift.ravel()[start:stop])
+        offset += shift
         factor *= gains[digits]
         # u is off the nodes, so the quotient is positive; only rounding can
         # carry it past 1
@@ -113,7 +130,7 @@ def _descend_f(ts, zipper, line, tol):
             f"worst operator norm is {norms.max():.6g}"
         )
     return _descend(
-        ts, line, zipper.linears, lambda digits, u: zipper.translations[digits], norms,
+        ts, line, zipper.linears, zipper.translations, norms,
         zipper.vertices, zipper.vertices[0], zipper.diameter_bound, tol,
     )
 

@@ -85,10 +85,12 @@ class VerificationReport:
         }
 
 
-def _row_norms(rows):
-    """Norm of each row, bit-identical to ``np.linalg.norm(row)``; the
-    ``axis=1`` form sums in another order and is not."""
-    return np.sqrt(np.vecdot(rows, rows))
+def _row_norms(rows, norm=lambda rows: np.sqrt(np.vecdot(rows, rows))):
+    """``norm`` of each row, prescaled like :func:`geometry.vector_norm`, row
+    by row.  The default is bit-identical to ``np.linalg.norm(row)``;
+    ``np.linalg.norm(rows, axis=1)`` sums in another order and is not."""
+    _, exponents = np.frexp(np.abs(rows).max(axis=1))
+    return np.ldexp(norm(np.ldexp(rows, -exponents[:, None])), exponents)
 
 
 def _sample_count(name, count):
@@ -156,7 +158,7 @@ def parametrization_residual(zipper, line, samples=1000, seed=0):
         mapped_ts = line.forward(index, ts)
         lhs, _ = eval_f_many(mapped_ts, zipper, line, tol=RESIDUAL_TOL)
         rhs = f_values @ zipper.linears[index - 1].T + zipper.translations[index - 1]
-        errors = np.linalg.norm(lhs - rhs, axis=1)
+        errors = _row_norms(lhs - rhs, lambda rows: np.linalg.norm(rows, axis=1))
         np.maximum(worst_errors, errors, out=worst_errors)
     max_error = float(worst_errors.max())
     tolerance = 2.0 * RESIDUAL_TOL

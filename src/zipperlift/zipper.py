@@ -203,7 +203,7 @@ def inspect_zipper(linears, translations, vertices, signature):
             ("end-vertex", "last", vertices[-1], vertices[k + 1 - bit]),
         ):
             observed = linears[k] @ source + translations[k]
-            deviation = float(np.linalg.norm(observed - expected))
+            deviation = vector_norm(observed - expected)
             if deviation > VERTEX_TOLERANCE:
                 violations.append(ConditionViolation(
                     k + 1, condition, deviation,
@@ -328,13 +328,13 @@ def similarity_decomposition(zipper):
     and :class:`ZipperViolation` if a linear part misses its chord.
     """
     vertices, bits = zipper.vertices, np.array(zipper.signature)
-    if float(np.linalg.norm(vertices[0])) > VERTEX_TOLERANCE:
+    if vector_norm(vertices[0]) > VERTEX_TOLERANCE:
         raise NotNormalized(f"vertices[0] must be the origin, got {vertices[0].tolist()}")
     signs = np.where(bits == 1, -1.0, 1.0)
     linear_parts = signs[:, None, None] * zipper.linears
     offsets = vertices[np.arange(bits.size) + bits]
     for k, chord in enumerate(np.diff(vertices, axis=0)):
-        deviation = float(np.linalg.norm(linear_parts[k] @ vertices[-1] - chord))
+        deviation = vector_norm(linear_parts[k] @ vertices[-1] - chord)
         if deviation > VERTEX_TOLERANCE:
             raise ZipperViolation(message=(
                 f"map {k + 1}: decomposed linear part misses the vertex chord "

@@ -1,10 +1,12 @@
 import ast
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -97,20 +99,50 @@ def test_words_past_the_float_range_fail_contraction(tmp_path, capsys, entry):
         assert "Warning" not in captured.err
 
 
+#: |z_m - z_0| = 1e200 squares past the float range; the norms prescale.
+FLOAT_RANGE_CONFIG = (
+    '{"dimension": 1, "maps": [{"linear": [[0.5]], "translation": [0.0]}, '
+    '{"linear": [[0.5]], "translation": [5e199]}], '
+    '"vertices": [[0.0], [5e199], [1e200]], "signature": [0, 0]}'
+)
+
+
 def test_translations_near_the_float_range_evaluate_without_overflow(tmp_path, capsys):
-    # |z_m - z_0| = 1e200 squares past the float range; the norms prescale
     path = tmp_path / "big.json"
-    path.write_text(
-        '{"dimension": 1, "maps": [{"linear": [[0.5]], "translation": [0.0]}, '
-        '{"linear": [[0.5]], "translation": [5e199]}], '
-        '"vertices": [[0.0], [5e199], [1e200]], "signature": [0, 0]}'
-    )
+    path.write_text(FLOAT_RANGE_CONFIG)
     zipper, _ = build_system(parse_config(path.read_text()))
     assert zipper.diameter_bound == 2e200
     for command in ("eval-f", "eval-g"):
         assert main([command, str(path), "--t", "0.3"]) == 0
         captured = capsys.readouterr()
         assert json.loads(captured.out)["value"] and captured.err == ""
+
+
+def test_vertex_deviation_near_the_float_range_is_finite(tmp_path, capsys):
+    # both maps send the middle vertex to 5e199, 1e199 away from where it is
+    path = tmp_path / "moved.json"
+    path.write_text(FLOAT_RANGE_CONFIG.replace("[[0.0], [5e199]", "[[0.0], [6e199]"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["validate", str(path)]) == 1
+    report = capsys.readouterr().err
+    assert "Warning" not in report
+    assert re.findall(r"-vertex: deviation (\S+) ", report) == ["1.000e+199", "1.000e+199"]
+
+
+def test_residual_norms_near_the_float_range_are_finite(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(FLOAT_RANGE_CONFIG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # the tolerances are absolute, so the checks fail at this scale
+        assert main(["verify", str(path), "--suite", "feq"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    reports = json.loads(captured.out)
+    assert [report["check"] for report in reports] == ["parametrization-residual",
+                                                       "integral-residual"]
+    assert all(math.isfinite(report["maxError"]) for report in reports)
 
 
 def test_deeply_nested_config_is_a_parse_error(tmp_path, capsys):

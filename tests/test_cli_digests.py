@@ -9,6 +9,9 @@ depth-6 render, plus two ``inverse-design`` runs, which read no system.
 hand, with
 
     PYTHONPATH=src python tests/test_cli_digests.py --write
+
+which prints the system label and command of every record that moved
+against the file it replaces, or "no change".
 """
 
 import contextlib
@@ -106,6 +109,22 @@ def matrix_digests(root):
     return records
 
 
+def moved_records(old, new):
+    """[(label, command)] of every record that differs between two digest
+    maps or is in only one of them, in the new map's order, then the old's."""
+    pairs = [(label, command) for records in (new, old)
+             for label, commands in records.items() for command in commands]
+    return [pair for pair in dict.fromkeys(pairs)
+            if old.get(pair[0], {}).get(pair[1]) != new.get(pair[0], {}).get(pair[1])]
+
+
+def test_moved_records_names_changed_added_and_removed_commands():
+    old = {"a": {"validate": {"exit": 0}, "lift": {"exit": 0}}, "gone": {"validate": {"exit": 0}}}
+    new = {"a": {"validate": {"exit": 1}, "lift": {"exit": 0}, "verify": {"exit": 0}}}
+    assert moved_records(old, old) == []
+    assert moved_records(old, new) == [("a", "validate"), ("a", "verify"), ("gone", "validate")]
+
+
 def test_cli_bytes_match_pinned_digests(tmp_path):
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     got = matrix_digests(tmp_path)
@@ -121,5 +140,11 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     with tempfile.TemporaryDirectory() as scratch:
         records = matrix_digests(scratch)
+    previous = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
     DIGESTS.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {DIGESTS.name}: {sum(len(c) for c in records.values())} commands")
+    moved = moved_records(previous, records)
+    for label, command in moved:
+        print(f"moved: {label}: {command}")
+    if not moved:
+        print("no change")

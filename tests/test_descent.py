@@ -10,10 +10,13 @@ stays here as its bitwise reference.
 """
 
 import re
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from zipperlift.config_io import build_system, parse_config
 from zipperlift.errors import OutOfDomain
 from zipperlift.parametrization import eval_f, eval_f_many
 from zipperlift.smoothing import build_lift, eval_g, eval_g_many, smooth_zipper
@@ -21,6 +24,10 @@ from zipperlift.zipper import line_zipper, similarity_decomposition, validate_zi
 from oracles import address_of, interval_of, pull_back
 
 PRESETS = ("interval_03", "rotation_half")
+#: The generated-zippers configs at seed 0: m = 3..5 maps on R^2 and R^3,
+#: each with a reversed bit, over nodes on a 1/64 grid.
+GENERATED = ("generated-0", "generated-1", "generated-2")
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +50,24 @@ def spatial_3d():
     zipper = validate_zipper(linears, translations, vertices, signature)
     line = line_zipper((0.0, 0.3, 0.55, 1.0), signature)
     return zipper, line, build_lift(zipper, line)
+
+
+@pytest.fixture(scope="module")
+def generated():
+    build_workload = runpy.run_path(str(WORKLOADS))["build_workload"]
+    systems = []
+    for text in build_workload("generated-zippers", 0).configs.values():
+        zipper, line = build_system(parse_config(text))
+        systems.append((zipper, line, build_lift(zipper, line)))
+    return systems
+
+
+def _system(name, request):
+    """The (zipper, line, lift) fixture ``name``; ``generated-k`` is the k-th
+    generated config."""
+    if name.startswith("generated-"):
+        return request.getfixturevalue("generated")[int(name.rpartition("-")[2])]
+    return request.getfixturevalue(name)
 
 
 def _evaluators(system, tol=1e-9):
@@ -73,9 +98,10 @@ def _scalar_descent(t, line, step, node_rows, tail, reach, tol=1e-9):
         u = float(pull_back(line, k + 1, u))
 
 
-@pytest.mark.parametrize("name", PRESETS + ("spatial_3d",))
-def test_batched_descent_matches_scalar_loop_bitwise(name, request):
-    zipper, line, lift = request.getfixturevalue(name)
+def _assert_matches_scalar_loop(system, ts):
+    """``eval_f_many`` and ``eval_g_many`` over ``ts`` give the scalar loop's
+    bits, point by point."""
+    zipper, line, lift = system
     offsets, linear_parts, _ = similarity_decomposition(zipper)
     norms = zipper.linear_norms
 
@@ -89,7 +115,6 @@ def test_batched_descent_matches_scalar_loop_bitwise(name, request):
             local = local - scaled @ lift.h
         return local, scaled, line.ratios[k] * norms[k]
 
-    ts = np.random.default_rng(11).uniform(0.0, 1.0, 200)
     f_values, f_bounds = eval_f_many(ts, zipper, line)
     g_values, g_bounds = eval_g_many(ts, zipper, line, lift)
     reach = zipper.diameter_bound
@@ -101,6 +126,41 @@ def test_batched_descent_matches_scalar_loop_bitwise(name, request):
         value, bound = _scalar_descent(
             t, line, g_step, lift.node_integrals, lambda linear, offset: offset, reach)
         assert value.tobytes() == g_values[j].tobytes() and bound == g_bounds[j]
+
+
+@pytest.mark.parametrize("name", PRESETS + ("spatial_3d",) + GENERATED)
+def test_batched_descent_matches_scalar_loop_bitwise(name, request):
+    ts = np.random.default_rng(11).uniform(0.0, 1.0, 200)
+    _assert_matches_scalar_loop(_system(name, request), ts)
+
+
+@pytest.mark.parametrize("name", ("spatial_3d",) + GENERATED)
+def test_descent_with_empty_digit_blocks_matches_scalar_loop(name, request):
+    system = _system(name, request)
+    nodes = system[1].nodes
+    # every first digit is 0 or m - 1, so the middle digits' blocks are empty
+    # at the first level
+    rng = np.random.default_rng(5)
+    ts = np.concatenate([rng.uniform(0.0, nodes[1], 60), rng.uniform(nodes[-2], 1.0, 60)])
+    _assert_matches_scalar_loop(system, ts)
+
+
+@pytest.mark.parametrize("name", ("rotation_half",) + GENERATED)
+def test_points_on_nodes_end_within_one_level(name, request):
+    system = _system(name, request)
+    zipper, line, lift = system
+    # the nodes end at depth 0; on these dyadic nodes their images under
+    # each interval map pull back exactly and end at depth 1
+    images = np.unique([line.forward(index, line.nodes) for index in range(1, line.map_count + 1)])
+    images = images[~np.isin(images, line.nodes)]
+    for ts, depth in ((line.nodes, 0), (images, 1)):
+        _assert_matches_scalar_loop(system, ts)
+        assert [eval_f(t, zipper, line).depth for t in ts] == [depth] * ts.size
+        assert not eval_f_many(ts, zipper, line)[1].any()
+        assert not eval_g_many(ts, zipper, line, lift)[1].any()
+    assert eval_f_many(line.nodes, zipper, line)[0].tobytes() == zipper.vertices.tobytes()
+    g_nodes = eval_g_many(line.nodes, zipper, line, lift)[0]
+    assert g_nodes.tobytes() == lift.node_integrals.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, -0.1, np.nextafter(1.0, 2.0)],
@@ -160,3 +220,16 @@ def test_batch_of_one_matches_batch_of_thousand(name, request):
             one_value, one_bound = evaluate([t])
             assert one_value[0].tobytes() == value.tobytes()
             assert one_bound[0] == bound
+
+
+@pytest.mark.parametrize("name", ("interval_03", "spatial_3d") + GENERATED)
+def test_shuffled_batch_returns_the_same_bits_in_input_order(name, request):
+    system = _system(name, request)
+    rng = np.random.default_rng(17)
+    ts = np.concatenate([rng.uniform(0.0, 1.0, 500), system[1].nodes])
+    shuffle = rng.permutation(ts.size)
+    for evaluate in _evaluators(system):
+        values, bounds = evaluate(ts)
+        shuffled_values, shuffled_bounds = evaluate(ts[shuffle])
+        assert shuffled_values.tobytes() == values[shuffle].tobytes()
+        assert shuffled_bounds.tobytes() == bounds[shuffle].tobytes()
