@@ -214,9 +214,8 @@ def quadrature_check(zipper, line, lift):
     direct, _ = eval_g_many(ts, zipper, line, lift, tol=QUADRATURE_G_TOL)
     errors = np.zeros((len(QUADRATURE_PANELS), ts.size))
     for row, panels in enumerate(QUADRATURE_PANELS):
-        for col, t in enumerate(ts):
-            oracle = quadrature_g(t, zipper, line, panels)
-            errors[row, col] = np.linalg.norm(oracle - direct[col])
+        oracles = np.array([quadrature_g(t, zipper, line, panels) for t in ts])
+        errors[row] = _row_norms(oracles - direct)
     envelope = QUADRATURE_COEFFICIENT * QUADRATURE_PANELS[-1] ** -QUADRATURE_EXPONENT
     tolerance = max(1e-6, envelope)
     max_error = _inflate_on_growth(float(errors[-1].max()), tolerance, errors.max(axis=1),
@@ -277,7 +276,7 @@ def tangent_scan(zipper, line, sample_count):
     def max_increment(count):
         ts = np.linspace(TANGENT_T_MIN, 1.0, count)
         values, _ = eval_f_many(ts, zipper, line, tol=TANGENT_F_TOL)
-        magnitudes = np.linalg.norm(values, axis=1)
+        magnitudes = _row_norms(values, lambda rows: np.linalg.norm(rows, axis=1))
         vanished = magnitudes <= 1e-12
         if vanished.any():
             where = float(ts[vanished][0])
