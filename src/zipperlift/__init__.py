@@ -44,8 +44,7 @@ _EXPORTS = {
         ),
         "verification": (
             "VerificationReport", "derivative_check", "eventual_contraction_check",
-            "integral_residual", "parametrization_residual", "quadrature_check",
-            "quadrature_g", "tangent_scan",
+            "integral_residual", "parametrization_residual", "quadrature_check", "tangent_scan",
         ),
         "zipper": (
             "ValidationReport", "Zipper", "inspect_zipper", "line_zipper", "product_zipper",

@@ -117,25 +117,6 @@ def _worst_offenders(locations, errors, keep=5):
     return tuple((float(locations[j]), float(errors[j])) for j in order)
 
 
-def quadrature_g(t, zipper, line, panels):
-    """Composite midpoint quadrature of the parametrization over [0, t].
-
-    The oracle route to the integral curve: it never touches the integral
-    recursion, only parametrization values at panel midpoints.
-    """
-    panels = int(panels)
-    if panels < 1:
-        raise ValueError("need at least one panel")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"upper limit {t!r} outside [0, 1]")
-    if t == 0.0:
-        return np.zeros(zipper.dimension)
-    width = t / panels
-    midpoints = (np.arange(panels) + 0.5) * width
-    values, _ = eval_f_many(midpoints, zipper, line, tol=QUADRATURE_F_TOL)
-    return width * values.sum(axis=0)
-
-
 def parametrization_residual(zipper, line, samples=1000, seed=0):
     """Self-consistency of the parametrization under every interval map.
 
@@ -203,19 +184,29 @@ def quadrature_check(zipper, line, lift):
     """Agreement between quadrature and the integral recursion.
 
     Compares the two routes at a uniform parameter grid for every panel
-    count on the ladder.  Passes when the finest-ladder disagreement stays
-    below ``max(1e-6, coefficient * panels**-exponent)`` and the observed
-    disagreement (the worst over the grid, per rung) does not grow within
-    the slack as panels double, ignoring fluctuations below the floor where
-    both routes sit at evaluation noise.  Per-parameter errors fluctuate
-    inside the convergence envelope, so only the rung maxima are compared.
+    count on the ladder.  The quadrature route is the composite midpoint
+    rule over [0, t]: it never touches the integral recursion, only
+    parametrization values at panel midpoints, every rung's midpoints for
+    one grid parameter in one batch.  Passes when the finest-ladder
+    disagreement stays below ``max(1e-6, coefficient * panels**-exponent)``
+    and the observed disagreement (the worst over the grid, per rung) does
+    not grow within the slack as panels double, ignoring fluctuations below
+    the floor where both routes sit at evaluation noise.  Per-parameter
+    errors fluctuate inside the convergence envelope, so only the rung
+    maxima are compared.
     """
     ts = np.linspace(0.0, 1.0, QUADRATURE_GRID)
     direct, _ = eval_g_many(ts, zipper, line, lift, tol=QUADRATURE_G_TOL)
-    errors = np.zeros((len(QUADRATURE_PANELS), ts.size))
-    for row, panels in enumerate(QUADRATURE_PANELS):
-        oracles = np.array([quadrature_g(t, zipper, line, panels) for t in ts])
-        errors[row] = _row_norms(oracles - direct)
+    oracles = np.empty((len(QUADRATURE_PANELS), ts.size, zipper.dimension))
+    for col, t in enumerate(ts):
+        widths = [t / panels for panels in QUADRATURE_PANELS]
+        midpoints = [(np.arange(panels) + 0.5) * width
+                     for panels, width in zip(QUADRATURE_PANELS, widths)]
+        values, _ = eval_f_many(np.concatenate(midpoints), zipper, line, tol=QUADRATURE_F_TOL)
+        rungs = np.split(values, np.cumsum(QUADRATURE_PANELS)[:-1])
+        for row, (width, rung) in enumerate(zip(widths, rungs)):
+            oracles[row, col] = width * rung.sum(axis=0)
+    errors = np.array([_row_norms(rung - direct) for rung in oracles])
     envelope = QUADRATURE_COEFFICIENT * QUADRATURE_PANELS[-1] ** -QUADRATURE_EXPONENT
     tolerance = max(1e-6, envelope)
     max_error = _inflate_on_growth(float(errors[-1].max()), tolerance, errors.max(axis=1),

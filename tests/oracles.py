@@ -2,8 +2,8 @@
 
 None of this is package code, and the package never imports it: the
 Hausdorff invariance residual (the only user of scipy), the graph identity
-re-evaluation, and the scalar interval address that the batched descent
-replaced.
+re-evaluation, the midpoint rule of ``f`` one rung at a time, and the
+scalar interval address that the batched descent replaced.
 """
 
 from __future__ import annotations
@@ -14,7 +14,13 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from zipperlift.errors import OutOfDomain
-from zipperlift.verification import VerificationReport, _row_norms, _worst_offenders
+from zipperlift.parametrization import eval_f_many
+from zipperlift.verification import (
+    QUADRATURE_F_TOL,
+    VerificationReport,
+    _row_norms,
+    _worst_offenders,
+)
 
 
 def hausdorff_distance(a, b):
@@ -63,6 +69,14 @@ def graph_identity_check(polyline, evaluate, samples=1000, tol=1e-6):
         "graph-identity", max_error, take.size, tol,
         _worst_offenders(polyline.params[take], errors),
     )
+
+
+def quadrature_g(t, zipper, line, panels):
+    """Composite midpoint rule of the parametrization over [0, t] with
+    ``panels`` panels, in one ``eval_f_many`` call."""
+    width = t / panels
+    values, _ = eval_f_many((np.arange(panels) + 0.5) * width, zipper, line, tol=QUADRATURE_F_TOL)
+    return width * values.sum(axis=0)
 
 
 def pull_back(line, index, t):

@@ -33,11 +33,10 @@ from zipperlift.verification import (
     eventual_contraction_check,
     integral_residual,
     parametrization_residual,
-    quadrature_g,
     tangent_scan,
 )
 from zipperlift.zipper import inspect_zipper, product_zipper
-from oracles import graph_identity_check, hausdorff_residual
+from oracles import graph_identity_check, hausdorff_residual, quadrature_g
 
 
 def _verdict(name, passed, detail):

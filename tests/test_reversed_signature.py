@@ -23,10 +23,9 @@ from zipperlift.verification import (
     eventual_contraction_check,
     integral_residual,
     parametrization_residual,
-    quadrature_g,
 )
 from zipperlift.zipper import line_zipper, product_zipper, validate_zipper
-from oracles import graph_identity_check, hausdorff_residual
+from oracles import graph_identity_check, hausdorff_residual, quadrature_g
 
 
 @pytest.fixture(scope="module")

@@ -21,13 +21,14 @@ from zipperlift.smoothing import (
     inverse_design,
     smooth_zipper,
 )
-from zipperlift.verification import integral_residual, quadrature_g
+from zipperlift.verification import integral_residual
 from zipperlift.zipper import (
     line_zipper,
     product_zipper,
     similarity_decomposition,
     validate_zipper,
 )
+from oracles import quadrature_g
 
 
 def test_solve_h_interval_family_closed_form():

@@ -1,9 +1,12 @@
 import json
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zipperlift import verification
+from zipperlift.config_io import build_system, parse_config
 from zipperlift.errors import CombinatorialBudget, ZeroTangent
 from zipperlift.families import (
     Example1Config,
@@ -11,18 +14,18 @@ from zipperlift.families import (
     build_example1,
     build_example2,
 )
-from zipperlift.geometry import CONTRACTION_THRESHOLD, eventual_contraction_scan
-from zipperlift.smoothing import build_lift, smooth_zipper
+from zipperlift.geometry import CONTRACTION_THRESHOLD, eventual_contraction_scan, operator_norm
+from zipperlift.smoothing import build_lift, eval_g_many, smooth_zipper
 from zipperlift.verification import (
     derivative_check,
     eventual_contraction_check,
     integral_residual,
     parametrization_residual,
     quadrature_check,
-    quadrature_g,
     tangent_scan,
 )
 from zipperlift.zipper import Zipper, line_zipper, product_zipper, validate_zipper
+from oracles import quadrature_g
 
 
 def test_report_dict_is_strict_json():
@@ -194,3 +197,128 @@ def test_quadrature_vs_recursion_grid(interval_03, rotation_half):
     for zipper, line, lift in (interval_03, rotation_half):
         report = quadrature_check(zipper, line, lift)
         assert report.passed, report
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def quadrature_systems(interval_03, rotation_half):
+    """(zipper, line, lift) by name: both presets, the interval family over
+    non-uniform nodes, and the first seed-0 generated config with a
+    reversed signature bit."""
+    systems = {"ex1-p0.3": interval_03, "ex2-h0.5": rotation_half}
+    zipper, line = build_example1(Example1Config(q1=0.4, y1=0.3, y2=1.0))
+    systems["ex1-q1"] = (zipper, line, build_lift(zipper, line))
+    build_workload = runpy.run_path(str(WORKLOADS))["build_workload"]
+    for text in build_workload("generated-zippers", 0).configs.values():
+        zipper, line = build_system(parse_config(text))
+        if any(zipper.signature):
+            systems["generated-reversed"] = (zipper, line, build_lift(zipper, line))
+            break
+    return systems
+
+
+def _rung_differences(zipper, line, lift):
+    """Oracle minus recursion at each (rung, grid parameter), one midpoint
+    rule call per pair: the (rungs, grid, n) array quadrature_check compares."""
+    ts = np.linspace(0.0, 1.0, verification.QUADRATURE_GRID)
+    direct, _ = eval_g_many(ts, zipper, line, lift, tol=verification.QUADRATURE_G_TOL)
+    return ts, np.array([np.array([quadrature_g(t, zipper, line, panels) for t in ts]) - direct
+                         for panels in verification.QUADRATURE_PANELS])
+
+
+@pytest.mark.parametrize("name", ["ex1-p0.3", "ex1-q1", "ex2-h0.5", "generated-reversed"])
+def test_quadrature_check_matches_the_rung_by_rung_oracle_bitwise(
+        name, quadrature_systems, monkeypatch):
+    zipper, line, lift = quadrature_systems[name]
+    ts, differences = _rung_differences(zipper, line, lift)
+    errors = np.array([verification._row_norms(rung) for rung in differences])
+    tolerance = max(1e-6, verification.QUADRATURE_COEFFICIENT
+                    * verification.QUADRATURE_PANELS[-1] ** -verification.QUADRATURE_EXPONENT)
+    max_error = verification._inflate_on_growth(
+        float(errors[-1].max()), tolerance, errors.max(axis=1),
+        verification.QUADRATURE_FLOOR, verification.QUADRATURE_SLACK)
+    expected = verification.VerificationReport(
+        "quadrature-agreement", max_error, errors.size, tolerance,
+        verification._worst_offenders(ts, errors[-1]))
+    # every rung's differences, not only the ones the report keeps, and
+    # the batch sizes, which set the check's peak memory
+    compared, batches = [], []
+    row_norms, f_many = verification._row_norms, verification.eval_f_many
+
+    def recording_row_norms(rows, *args):
+        compared.append(rows)
+        return row_norms(rows, *args)
+
+    def recording_f_many(ts, *args, **kwargs):
+        batches.append(ts.size)
+        return f_many(ts, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "_row_norms", recording_row_norms)
+    monkeypatch.setattr(verification, "eval_f_many", recording_f_many)
+    report = quadrature_check(zipper, line, lift)
+    assert np.array_equal(np.concatenate(compared), differences.reshape(-1, zipper.dimension))
+    assert report.as_dict() == expected.as_dict()
+    assert batches == [sum(verification.QUADRATURE_PANELS)] * verification.QUADRATURE_GRID
+
+
+def test_growth_past_the_slack_inflates_the_error():
+    # the second ladder doubles once: worst growth 2
+    ladders = np.array([[1e-3, 5e-4, 2.5e-4], [1e-3, 2e-3, 1e-3]])
+    assert verification._inflate_on_growth(0.1, 1.0, ladders, 1e-8, 1.6) == 2.0 / 1.6
+    assert verification._inflate_on_growth(0.1, 1.0, ladders, 1e-8, 2.0) == 0.1
+    # a larger error than the inflated one stands
+    assert verification._inflate_on_growth(5.0, 1.0, ladders, 1e-8, 1.6) == 5.0
+
+
+def test_growth_under_the_floor_does_not_inflate():
+    # a thousandfold growth below a scalar floor, then growth below per-rung floors
+    assert verification._inflate_on_growth(0.1, 1.0, np.array([1e-12, 1e-9]), 1e-8, 1.05) == 0.1
+    floors = np.array([1e-4, 1e-5, 1e-6])
+    under = np.array([[1e-9, 1e-7, 1e-6]])
+    assert verification._inflate_on_growth(0.1, 1.0, under, floors, 1.5) == 0.1
+
+
+@pytest.mark.parametrize("check, slack_name", [
+    (quadrature_check, "QUADRATURE_SLACK"),
+    (lambda zipper, line, lift: derivative_check(zipper, line, lift, sample_count=40),
+     "DERIVATIVE_SLACK"),
+], ids=["quadrature", "derivative"])
+def test_checks_fail_when_errors_grow_past_the_slack(check, slack_name, interval_03,
+                                                      monkeypatch):
+    # the clipped ladders the check hands to the growth clause
+    ladders = []
+    inflate = verification._inflate_on_growth
+
+    def recording_inflate(max_error, tolerance, errors, floor, slack):
+        ladders.append(np.maximum(errors, floor))
+        return inflate(max_error, tolerance, errors, floor, slack)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verification, "_inflate_on_growth", recording_inflate)
+        report = check(*interval_03)
+    assert report.passed
+    growth = max(float((ladder[..., 1:] / ladder[..., :-1]).max()) for ladder in ladders)
+    monkeypatch.setattr(verification, slack_name, growth)
+    assert check(*interval_03).as_dict() == report.as_dict()
+    monkeypatch.setattr(verification, slack_name, growth / 2.0)
+    grown = check(*interval_03)
+    assert not grown.passed
+    assert grown.max_error == 2.0 * grown.tolerance
+
+
+def test_eventual_contraction_failing_report():
+    # no word length up to EVENTUAL_WORD_LENGTH = 8 certifies, and the
+    # normalized norms dip at L = 6 and rise again, so the smallest is
+    # neither the first nor the last
+    linears = np.array([[[0.0, 1.1], [-0.9, 1.1]], [[-0.5, -0.2], [0.8, -0.2]]])
+    failing = Zipper(linears=linears, translations=np.zeros((2, 2)), vertices=np.zeros((3, 2)),
+                     signature=(0, 0), linear_norms=tuple(map(operator_norm, linears)))
+    assert failing.word_scan is None
+    report = eventual_contraction_check(failing).as_dict()
+    assert report["passed"] is False
+    assert report["samples"] == sum(2**length for length in range(1, 9)) == 510
+    lengths, values = zip(*report["details"])
+    assert lengths == tuple(float(length) for length in range(1, 9))
+    assert report["maxError"] == min(values) == values[5] < values[-1]
