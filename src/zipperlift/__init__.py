@@ -36,7 +36,6 @@ _EXPORTS = {
             "ZipperViolation",
         ),
         "families": ("Example1Config", "Example2Config", "build_example1", "build_example2"),
-        "geometry": ("as_matrix", "as_vector", "operator_norm", "solve_linear"),
         "parametrization": ("ParamEvaluation", "eval_f", "eval_f_many"),
         "smoothing": (
             "SmoothLift", "build_lift", "eval_g", "eval_g_many", "inverse_design",

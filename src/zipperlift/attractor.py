@@ -29,37 +29,34 @@ BURN_IN = 64
 
 @dataclass(frozen=True, eq=False)
 class Polyline:
-    """An ordered attractor sample with an optional parameter column.
+    """An ordered attractor sample.
 
     ``mesh_bound`` certifies that every true attractor point lies within
-    this distance of some polyline point.
+    this distance of some polyline point.  A ``graph`` polyline samples a
+    graph over [0, 1], whose parameter is the first coordinate.
     """
 
     points: np.ndarray  # (N, d), read-only
-    params: np.ndarray | None
     mesh_bound: float
+    graph: bool = False
 
     def __post_init__(self):
-        points = _read_only(self.points)
+        # a float array that no one can write: a copy unless it already is one
+        points = np.asarray(self.points, dtype=float)
+        if points.flags.writeable:
+            points = points.copy()
+            points.setflags(write=False)
         if points.ndim != 2 or points.shape[0] < 2:
             raise ValueError(f"polyline needs at least two points, got {points.shape}")
+        if self.graph and np.any(np.diff(points[:, 0]) < 0.0):
+            raise ValueError("a graph polyline's first coordinates must be non-decreasing")
         object.__setattr__(self, "points", points)
-        if self.params is not None:
-            params = _read_only(self.params)
-            if params.shape != (points.shape[0],):
-                raise ValueError("params must match the number of points")
-            if np.any(np.diff(params) < 0.0):
-                raise ValueError("params must be non-decreasing")
-            object.__setattr__(self, "params", params)
 
-
-def _read_only(values):
-    """Float array that no one can write: a copy unless it already is one."""
-    array = np.asarray(values, dtype=float)
-    if array.flags.writeable:
-        array = array.copy()
-        array.setflags(write=False)
-    return array
+    @property
+    def params(self):
+        """A graph polyline's parameters, a read-only view of its first
+        coordinates, and None for any other polyline."""
+        return self.points[:, 0] if self.graph else None
 
 
 def _check_depth(depth):
@@ -108,7 +105,7 @@ def refine(zipper, depth, line=None):
 
     When ``line`` is given, ``zipper`` must be a graph over it
     (:func:`~zipperlift.zipper.check_graph`), such as a product or lifted
-    zipper, and the polyline's parameters are its first coordinates.
+    zipper, and the polyline is a ``graph`` one.
     """
     depth = _check_depth(depth)
     if line is not None:
@@ -123,8 +120,7 @@ def refine(zipper, depth, line=None):
     mesh_bound = zipper.diameter_bound * contraction**depth
     # the array is this function's own, so Polyline need not copy it
     points.setflags(write=False)
-    params = None if line is None else points[:, 0]
-    return Polyline(points=points, params=params, mesh_bound=mesh_bound)
+    return Polyline(points, mesh_bound, graph=line is not None)
 
 
 #: A segment source starts from the deepest level whose polyline, of
@@ -150,11 +146,9 @@ class Segments:
     the concatenation, over the words W of length d - k in traversal order,
     of ``S_W(P_k)``, where ``base`` is ``P_k = refine(zipper, k, line)`` at
     ``k = segment_level(zipper, depth)``.  Calling the source with an index
-    ``i`` in ``range(count)`` returns segment i's ``(points, params)``;
-    ``params`` is the first coordinate of ``points`` when ``base`` carries
-    parameters, which makes ``zipper`` a graph, and None otherwise.
-    Concatenated, the segments equal ``refine(zipper, depth, line)`` bit
-    for bit, and no more than one segment is computed at a time.
+    ``i`` in ``range(count)`` returns segment i's points.  Concatenated,
+    the segments equal ``refine(zipper, depth, line)`` bit for bit, and no
+    more than one segment is computed at a time.
     Construction runs ``refine``'s junction check for levels k + 1..d on
     the tracked end points of each level, so a violation raises the same
     :class:`ZipperViolation` before any segment exists.
@@ -215,8 +209,7 @@ class Segments:
         start = 1 if i > 0 and not self._prefix_parity(parities, i) else 0
         stop = -1 if i + 1 < self.count and self._prefix_parity(parities, i + 1) else None
         order = -1 if parities[-1] else 1
-        points = points[::order][start:stop]
-        return points, None if self.base.params is None else points[:, 0]
+        return points[::order][start:stop]
 
 
 def chaos_game(zipper, count, seed):
@@ -235,15 +228,13 @@ def chaos_game(zipper, count, seed):
     rng = np.random.default_rng(seed)
     choices = rng.integers(0, zipper.map_count, size=BURN_IN + count).tolist()
     linears, translations = list(zipper.linears), list(zipper.translations)
-    point = np.array(zipper.vertices[0], dtype=float)
-    for choice in choices[:BURN_IN]:
-        point = linears[choice] @ point + translations[choice]
-    out = np.empty((count, zipper.dimension))
+    point = zipper.vertices[0]
+    out = np.empty((BURN_IN + count, zipper.dimension))
     product = np.empty(zipper.dimension)
     # `linear @ point + translation` (np.dot: matmul's gemv, less overhead) into
     # the step's own row, which the next step reads: no lookups or copies
-    for row, choice in zip(out, choices[BURN_IN:]):
+    for row, choice in zip(out, choices):
         np.add(np.dot(linears[choice], point, product), translations[choice], row)
         point = row
     out.setflags(write=False)
-    return out
+    return out[BURN_IN:]

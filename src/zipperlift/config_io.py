@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attractor import SEGMENT_ROWS, Segments
-from .errors import DimensionUnsupported, ParseError, ShapeError
+from .attractor import SEGMENT_ROWS, Polyline, Segments
+from .errors import DimensionMismatch, DimensionUnsupported, ParseError, ShapeError
 from .zipper import line_zipper, validate_zipper
 
 #: Top-level schema: required keys and the one optional key.
@@ -376,13 +376,13 @@ def _block_text(columns, row_sep):
     """One block of rows as ASCII bytes: entries joined by commas, rows by
     ``row_sep``, a single character.
 
-    A column bitwise equal to its left neighbour reuses the neighbour's
+    A column that is its left neighbour (``is``) reuses the neighbour's
     frames instead of formatting them again.  Each column takes the bytes
     its widest entry and separator need; the NULs left are deleted.
     """
     parts = []
     for j, column in enumerate(columns):
-        if j and np.array_equal(column.view(np.int64), columns[j - 1].view(np.int64)):
+        if j and column is columns[j - 1]:
             parts.append(parts[-1])
         else:
             parts.append(_column_frames(column))
@@ -526,38 +526,35 @@ def _write_rows(handle, block, count, row_sep):
 def _row_blocks(data):
     """``(block, count, dimension, graph)``: the rows of ``data`` in
     ``dimension`` coordinates as ``count`` blocks, where ``block(i)`` gives
-    block i's points and params, None unless ``graph``: without a ``t``
-    column.
-
-    ``data`` is a segment source (:class:`~zipperlift.attractor.Segments`),
-    whose blocks are its segments, or a polyline or an ``(N, d)`` array of
-    points, cut into ``_BLOCK_ROWS``-row blocks.
+    block i's points, whose first coordinate is the parameter ``t`` when
+    ``graph``.  ``data`` is a segment source, whose blocks are its
+    segments, or a polyline or an ``(N, d)`` array of points, cut into
+    ``_BLOCK_ROWS``-row blocks; an array without rows or columns raises
+    :class:`DimensionMismatch`.
     """
     if isinstance(data, Segments):
-        base = data.base
-        return data, data.count, base.points.shape[1], base.params is not None
-    if isinstance(data, np.ndarray):
-        points, params = np.asarray(data, dtype=float), None
-    else:
-        points, params = data.points, data.params
+        return data, data.count, data.base.points.shape[1], data.base.graph
+    points, graph = (data.points, data.graph) if isinstance(data, Polyline) else (data, False)
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or 0 in points.shape:
+        raise DimensionMismatch(f"expected an (N, d) array of points, got shape {points.shape}")
 
     def block(i):
-        rows = slice(i * _BLOCK_ROWS, (i + 1) * _BLOCK_ROWS)
-        return points[rows], None if params is None else params[rows]
+        return points[i * _BLOCK_ROWS:(i + 1) * _BLOCK_ROWS]
 
-    return block, -(-points.shape[0] // _BLOCK_ROWS), points.shape[1], params is not None
+    return block, -(-points.shape[0] // _BLOCK_ROWS), points.shape[1], graph
 
 
 def export_csv(data, path):
     """Write a polyline, a segment source or an ``(N, d)`` array of points
     as CSV.
 
-    The header is ``t,x1,...,xd``; the ``t`` column is present exactly when
-    ``data`` carries parameters.  Numbers use shortest round-trip decimals
-    (:func:`format_number`) and rows end with a bare newline, so identical
-    input gives identical bytes.  Rows are written in blocks, so memory
-    stays bounded whatever the row count, and the blocks are computed and
-    formatted on every CPU the process may use.  A segment source keeps
+    The header is ``t,x1,...,xd``; the ``t`` column, a copy of ``x1``, is
+    present exactly when ``data`` is a graph.  Numbers use shortest
+    round-trip decimals (:func:`format_number`) and rows end with a bare
+    newline, so identical input gives identical bytes.  Rows are written
+    in blocks, so memory stays bounded whatever the row count, and the
+    blocks are computed and formatted on every CPU the process may use.  A segment source keeps
     the bounding box of its points (:attr:`Segments.bounds`), so that an
     SVG export after this one computes each segment once, not twice.
     """
@@ -567,9 +564,9 @@ def export_csv(data, path):
         names.insert(0, "t")
 
     def block(i):
-        points, params = rows(i)
+        points = rows(i)
         columns = [points[:, j] for j in range(dimension)]
-        return columns if params is None else [params] + columns
+        return columns[:1] + columns if graph else columns
 
     with open(path, "wb") as handle:
         handle.write((",".join(names) + "\n").encode())
@@ -629,7 +626,7 @@ def export_svg(data, spec, path):
     else:
         low, high = np.full(2, np.inf), np.full(2, -np.inf)
         for i in range(count):
-            coords = rows(i)[0][:, axes]
+            coords = rows(i)[:, axes]
             low = np.minimum(low, coords.min(axis=0))
             high = np.maximum(high, coords.max(axis=0))
     spans = []
@@ -641,7 +638,7 @@ def export_svg(data, spec, path):
         spans.append(span + 2.0 * pad)
 
     def block(i):
-        points = rows(i)[0]
+        points = rows(i)
         return [
             (points[:, axes[0]] - bounds[0][0]) / spans[0] * spec.width,
             spec.height - (points[:, axes[1]] - bounds[1][0]) / spans[1] * spec.height,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CombinatorialBudget, DimensionMismatch, SingularSystem
+from .errors import CombinatorialBudget, SingularSystem
 
 #: Matrices whose smallest singular value is below this are singular.
 SINGULAR_VALUE_FLOOR = 1e-14
@@ -37,34 +37,6 @@ CONTRACTION_THRESHOLD = 1.0 - 1e-9
 WORD_BUDGET = 10**6
 
 
-def as_vector(values, dim=None):
-    """Coerce ``values`` to a read-only float64 vector.
-
-    Rejects empty input, non-finite entries and, when ``dim`` is given, any
-    length other than ``dim``.
-    """
-    vec = np.array(values, dtype=float)
-    if vec.ndim != 1 or vec.size == 0:
-        raise DimensionMismatch(f"expected a nonempty vector, got shape {vec.shape}")
-    if dim is not None and vec.size != dim:
-        raise DimensionMismatch(f"expected dimension {dim}, got {vec.size}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("vector entries must be finite")
-    vec.setflags(write=False)
-    return vec
-
-
-def as_matrix(values):
-    """Coerce ``values`` to a read-only square float64 matrix."""
-    mat = np.array(values, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
-        raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("matrix entries must be finite")
-    mat.setflags(write=False)
-    return mat
-
-
 def solve_linear(matrix, rhs):
     """Solve ``matrix @ x = rhs`` for small dense systems.
 
@@ -72,10 +44,14 @@ def solve_linear(matrix, rhs):
     :class:`SingularSystem` when the smallest singular value of ``matrix``,
     its 2-norm distance to a singular matrix, falls below
     :data:`SINGULAR_VALUE_FLOOR`, or when the multiply-back residual exceeds
-    ``1e-12 * (1 + |rhs|)``.
+    ``1e-12 * (1 + |rhs|)``, and :class:`ValueError` for non-finite
+    entries, which an eventual-mode lift's system can reach by overflow.
     """
-    matrix = as_matrix(matrix)
-    rhs = as_vector(rhs, dim=matrix.shape[0])
+    matrix, rhs = np.asarray(matrix, dtype=float), np.asarray(rhs, dtype=float)
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix entries must be finite")
+    if not np.isfinite(rhs).all():
+        raise ValueError("vector entries must be finite")
     smallest = float(np.linalg.svd(matrix, compute_uv=False)[-1])
     if smallest < SINGULAR_VALUE_FLOOR:
         raise SingularSystem(
@@ -150,7 +126,7 @@ def operator_norm(matrix):
     The iteration runs on the prescaled matrix, like :func:`vector_norm`,
     so a norm past the largest float reads inf.
     """
-    return _prescaled(_power_iteration, as_matrix(matrix))
+    return _prescaled(_power_iteration, np.asarray(matrix, dtype=float))
 
 
 @dataclass(frozen=True)

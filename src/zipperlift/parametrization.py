@@ -42,16 +42,16 @@ def _matvec(linear, rows):
     return (linear @ rows[:, :, None])[:, :, 0]
 
 
-def _descend(ts, line, linears, local, gains, node_rows, tail_row, reach, tol):
+def _descend(ts, line, linears, local, gains, node_rows, reach, tol):
     """Certified interval descent of a batch of parameters, shared by f and g.
 
     Digit k of a point's residual parameter u adds ``linear @ local[k]`` to
     its offset (row i of ``local(digits, u)`` for point i when ``local`` is
     a function), right-multiplies ``linear`` by ``linears[k]`` and its radius
     factor by ``gains[k]``.  A point ends at ``linear @ node_rows[j] +
-    offset`` with radius 0 when u hits node j, else at ``linear @ tail_row +
-    offset`` once ``factor * reach <= tol``.  Returns ``(values, bounds,
-    depths)``.  Each level stably sorts the pending points by digit, so
+    offset`` with radius 0 when u hits node j, else at ``linear @
+    node_rows[0] + offset`` once ``factor * reach <= tol``.  Returns
+    ``(values, bounds, depths)``.  Each level stably sorts the pending points by digit, so
     digit k's products are one matrix product over its points' stacked rows:
     the batch is regrouped, no entry's n-term sum is, so the bits match a
     per-point product and no point's result depends on the batch.
@@ -67,7 +67,7 @@ def _descend(ts, line, linears, local, gains, node_rows, tail_row, reach, tol):
     nodes = line.nodes
     # interval map k, u -> start + scale * u, pulls u back to (u - start) / scale
     starts, scales = line.translations[:, 0], line.linears[:, 0, 0]
-    m, count, n = linears.shape[0], ts.size, tail_row.size
+    m, count, n = linears.shape[0], ts.size, node_rows.shape[1]
     key_type, block_ends = np.min_scalar_type(m + 1), np.arange(1, m + 1)
     values = np.empty((count, n))
     bounds = np.zeros(count)
@@ -88,7 +88,7 @@ def _descend(ts, line, linears, local, gains, node_rows, tail_row, reach, tol):
         going = pending.size - np.count_nonzero(done)
         if going < pending.size:
             out = pending[done]
-            ends = np.where(hit[done, None], node_rows[slot[done]], tail_row)
+            ends = node_rows[np.where(hit[done], slot[done], 0)]
             values[out] = _matvec(linear[done], ends) + offset[done]
             bounds[out] = np.where(hit[done], 0.0, factor[done] * reach)
             depths[out] = depth
@@ -129,10 +129,8 @@ def _descend_f(ts, zipper, line, tol):
             "parametrization evaluation needs every map to contract; "
             f"worst operator norm is {norms.max():.6g}"
         )
-    return _descend(
-        ts, line, zipper.linears, zipper.translations, norms,
-        zipper.vertices, zipper.vertices[0], zipper.diameter_bound, tol,
-    )
+    return _descend(ts, line, zipper.linears, zipper.translations, norms, zipper.vertices,
+                    zipper.diameter_bound, tol)
 
 
 def eval_f_many(ts, zipper, line, tol=1e-9):

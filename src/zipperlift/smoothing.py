@@ -120,7 +120,7 @@ def _descend_g(ts, zipper, line, lift, tol):
         return g_nodes[digits] + offsets[digits] * (u - nodes[digits])[:, None] - shifts[digits]
 
     # |g| <= sup |f| <= the reach of the attractor around z_0 = 0
-    return _descend(ts, line, scaled, local, gains, g_nodes, zero, zipper.diameter_bound, tol)
+    return _descend(ts, line, scaled, local, gains, g_nodes, zipper.diameter_bound, tol)
 
 
 def eval_g_many(ts, zipper, line, lift, tol=1e-9):

@@ -179,8 +179,6 @@ def inspect_zipper(linears, translations, vertices, signature):
     if not (np.isfinite(linears).all() and np.isfinite(translations).all()):
         raise ValueError("linear parts and translations must be finite")
     vertices = np.array(vertices, dtype=float)
-    if vertices.ndim == 1:
-        vertices = vertices[:, None]
     if vertices.shape != (count + 1, dimension):
         raise DimensionMismatch(
             f"expected {count + 1} vertices of dimension {dimension}, "

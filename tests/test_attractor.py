@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from zipperlift.attractor import Polyline, chaos_game, refine
+from zipperlift.attractor import Polyline, Segments, chaos_game, refine
 from zipperlift.config_io import build_system, parse_config
 from zipperlift.errors import DepthCap
 from zipperlift.families import Example1Config, Example2Config, build_example1, build_example2
@@ -101,7 +101,7 @@ def test_hausdorff_residual_within_mesh_bound(graph_zipper):
 def test_hausdorff_residual_fixed_point():
     # a one-map system whose attractor is a single point
     zipper = validate_zipper([0.5 * np.eye(2)], [[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], (0,))
-    polyline = Polyline(points=np.zeros((2, 2)), params=None, mesh_bound=0.0)
+    polyline = Polyline(points=np.zeros((2, 2)), mesh_bound=0.0)
     assert hausdorff_residual(polyline, zipper) == 0.0
 
 
@@ -177,15 +177,52 @@ def test_refine_junction_agreement_is_checked(graph_zipper):
 def test_polyline_keeps_read_only_arrays_and_copies_writeable_ones(graph_zipper):
     product, line = graph_zipper
     refined = refine(product, 6, line=line)
-    rewrapped = Polyline(points=refined.points, params=refined.params, mesh_bound=0.0)
+    rewrapped = Polyline(points=refined.points, mesh_bound=0.0, graph=True)
     assert np.shares_memory(rewrapped.points, refined.points)
     assert np.shares_memory(rewrapped.params, refined.params)
 
-    points, params = np.array(refined.points), np.array(refined.params)
-    polyline = Polyline(points=points, params=params, mesh_bound=0.0)
+    points = np.array(refined.points)
+    polyline = Polyline(points=points, mesh_bound=0.0, graph=True)
     assert not np.shares_memory(polyline.points, points)
-    assert not np.shares_memory(polyline.params, params)
-    points[0, 0], params[0] = 99.0, -1.0
+    points[0, 0] = 99.0
     assert polyline.points[0, 0] == refined.points[0, 0]
     assert polyline.params[0] == refined.params[0]
     assert not polyline.points.flags.writeable and not polyline.params.flags.writeable
+
+
+def test_polyline_params_are_the_first_coordinates_of_a_graph_only():
+    points = np.array([[0.0, 1.0], [0.5, -1.0], [1.0, 2.0]])
+    assert Polyline(points=points, mesh_bound=0.0).params is None
+    params = Polyline(points=points, mesh_bound=0.0, graph=True).params
+    assert params.tolist() == [0.0, 0.5, 1.0] and not params.flags.writeable
+
+
+@pytest.mark.parametrize("points, graph, match", [
+    (np.zeros((1, 2)), False, "at least two points"),
+    (np.zeros(3), False, "at least two points"),
+    ([[0.5, 0.0], [0.25, 1.0]], True, "first coordinates must be non-decreasing"),
+], ids=["one-point", "flat", "graph-out-of-order"])
+def test_polyline_rejects_bad_points(points, graph, match):
+    with pytest.raises(ValueError, match=match):
+        Polyline(points=points, mesh_bound=0.0, graph=graph)
+
+
+def test_segments_reject_indices_outside_the_count(graph_zipper):
+    product, line = graph_zipper
+    segments = Segments(product, refine(product, 11, line=line), 13)
+    assert segments.count == 4
+    for i in (-1, 4):
+        with pytest.raises(IndexError, match=f"segment {i} outside 0..3"):
+            segments(i)
+
+
+def test_chaos_game_needs_a_point(graph_zipper):
+    product, _ = graph_zipper
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        chaos_game(product, 0, seed=0)
+
+
+def test_chaos_game_returns_count_read_only_rows(graph_zipper):
+    product, _ = graph_zipper
+    points = chaos_game(product, 10, seed=3)
+    assert points.shape == (10, 2) and not points.flags.writeable

@@ -443,6 +443,16 @@ def test_non_finite_heights_exit_2_naming_them(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "--example1", "p"], "--example1: expected key=value, got 'p'"),
+    (["validate", "missing.json"], "cannot read config 'missing.json': "),
+], ids=["assignment", "unreadable-config"])
+def test_unusable_system_sources_exit_2(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 #: A valid two-map interval zipper with one placeholder left to fill.
@@ -542,7 +552,7 @@ def test_public_names_resolve_to_the_objects_their_submodules_define():
         "print(json.dumps([len(names), foreign, set(names) <= set(dir(zipperlift)), missing]))"
     )
     assert _run_python(probe) == [
-        60, [], True, "module 'zipperlift' has no attribute 'no_such_name'"]
+        56, [], True, "module 'zipperlift' has no attribute 'no_such_name'"]
 
 
 #: Runs ``python -m zipperlift validate --example1 p=0.3`` through runpy and

@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import re
 import runpy
 import signal
 import subprocess
@@ -24,7 +26,7 @@ from zipperlift.config_io import (
     format_number,
     parse_config,
 )
-from zipperlift.errors import DimensionUnsupported, ParseError, ShapeError
+from zipperlift.errors import DimensionMismatch, DimensionUnsupported, ParseError, ShapeError
 from zipperlift.families import Example1Config, build_example1
 from zipperlift.smoothing import build_lift, smooth_zipper
 from zipperlift.zipper import product_zipper
@@ -95,6 +97,43 @@ def test_parse_rejects_bad_matrix_shape():
     with pytest.raises(ShapeError) as excinfo:
         parse_config(bad)
     assert "linear" in excinfo.value.field
+
+
+def _interval_with(**fields):
+    """The interval config's JSON text with top-level fields replaced, or
+    dropped where the value is None."""
+    raw = {**json.loads(INTERVAL_CONFIG), **fields}
+    return json.dumps({key: value for key, value in raw.items() if value is not None})
+
+
+@pytest.mark.parametrize("text, field", [
+    ("[]", "<root>"),
+    (_interval_with(signature=None), "signature"),
+    (_interval_with(dimension=0), "dimension"),
+    (_interval_with(dimension=True), "dimension"),
+    (_interval_with(maps=[]), "maps"),
+    (_interval_with(maps=[[[0.3]], [[0.7]]]), "maps[0]"),
+    (_interval_with(maps=[{"linear": [[0.3]]}]), "maps[0]"),
+    (_interval_with(maps=[{"linear": 0.3, "translation": [0]}]), "maps[0].linear"),
+    (_interval_with(maps=[{"linear": [[0.3]], "translation": 0}]), "maps[0].translation"),
+    (_interval_with(maps=[{"linear": [[0.3]], "translation": ["0"]}]), "maps[0].translation"),
+    (_interval_with(maps=[{"linear": [[True]], "translation": [0]}]), "maps[0].linear"),
+    (_interval_with(vertices=[[0], [1]]), "vertices"),
+    (_interval_with(signature=[0, 2]), "signature"),
+    (_interval_with(signature=[0, True]), "signature"),
+], ids=["root-array", "missing-signature", "dimension-zero", "dimension-bool", "no-maps",
+        "map-not-object", "map-without-translation", "linear-not-rows", "translation-not-array",
+        "translation-string", "linear-bool", "vertex-rows", "signature-two", "signature-bool"])
+def test_parse_rejects_each_bad_shape_naming_its_field(text, field):
+    with pytest.raises(ShapeError) as excinfo:
+        parse_config(text)
+    assert excinfo.value.field == field
+
+
+def test_parse_rejects_unknown_map_key():
+    text = _interval_with(maps=[{"linear": [[0.3]], "translation": [0], "colour": 1}])
+    with pytest.raises(ParseError, match="unknown key 'colour' in maps\\[0\\]"):
+        parse_config(text)
 
 
 def test_config_round_trip():
@@ -201,14 +240,14 @@ def test_export_csv_graph_rows(tmp_path):
 
 
 def test_export_csv_without_params(tmp_path):
-    polyline = Polyline(points=np.array([[0.0, 1.0], [0.5, 0.25]]), params=None, mesh_bound=0.0)
+    polyline = Polyline(points=np.array([[0.0, 1.0], [0.5, 0.25]]), mesh_bound=0.0)
     path = tmp_path / "plain.csv"
     export_csv(polyline, path)
     assert path.read_text() == "x1,x2\n0,1\n0.5,0.25\n"
 
 
 def test_export_csv_unwritable_path(tmp_path):
-    polyline = Polyline(points=np.zeros((2, 1)), params=None, mesh_bound=0.0)
+    polyline = Polyline(points=np.zeros((2, 1)), mesh_bound=0.0)
     with pytest.raises(IOError):
         export_csv(polyline, tmp_path / "missing" / "file.csv")
 
@@ -241,17 +280,27 @@ def test_export_svg_structure(tmp_path):
 
 
 def test_export_svg_projection_of_three_axes(tmp_path):
-    polyline = Polyline(
-        points=np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0]]), params=None, mesh_bound=0.0
-    )
+    polyline = Polyline(points=np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0]]), mesh_bound=0.0)
     export_svg(polyline, RenderSpec(projection=(0, 2)), tmp_path / "proj.svg")
     export_svg(polyline, RenderSpec(), tmp_path / "default.svg")  # first two axes
 
 
 def test_export_svg_rejects_one_dimensional(tmp_path):
-    polyline = Polyline(points=np.zeros((2, 1)), params=None, mesh_bound=0.0)
+    polyline = Polyline(points=np.zeros((2, 1)), mesh_bound=0.0)
     with pytest.raises(DimensionUnsupported):
         export_svg(polyline, RenderSpec(), tmp_path / "bad.svg")
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0), (3,), (2, 2, 2)])
+@pytest.mark.parametrize("kind", ["csv", "svg"])
+def test_exports_reject_arrays_without_rows_and_columns(tmp_path, kind, shape):
+    path = tmp_path / f"bad.{kind}"
+    with pytest.raises(DimensionMismatch, match=f"got shape {re.escape(str(shape))}"):
+        if kind == "csv":
+            export_csv(np.zeros(shape), path)
+        else:
+            export_svg(np.zeros(shape), RenderSpec(), path)
+    assert not path.exists()
 
 
 def test_render_spec_validation():
@@ -297,7 +346,7 @@ def test_export_csv_matches_format_number(tmp_path, rows):
 def test_export_csv_params_column_matches_format_number(tmp_path, rows):
     params = np.sort(np.resize(ADVERSARIAL[:11], rows))  # the finite values
     points = np.column_stack([params, np.resize(ADVERSARIAL, rows)])
-    polyline = Polyline(points=points, params=params, mesh_bound=0.0)
+    polyline = Polyline(points=points, mesh_bound=0.0, graph=True)
     path = tmp_path / "graph.csv"
     export_csv(polyline, path)
     expected = _reference_csv(["t", "x1", "x2"], np.column_stack([params, points]))
@@ -322,7 +371,7 @@ def test_export_svg_projection_matches_format_number(tmp_path):
     points[::7, 2] = 0.25  # repeated and integral canvas coordinates
     spec = RenderSpec(projection=(0, 2))
     path = tmp_path / "proj.svg"
-    export_svg(Polyline(points=points, params=None, mesh_bound=0.0), spec, path)
+    export_svg(Polyline(points=points, mesh_bound=0.0), spec, path)
     expected = _reference_svg_points(points[:, 0], points[:, 2], spec)
     text = path.read_text()
     assert text.split('points="')[1].split('"')[0] == expected
@@ -388,14 +437,14 @@ def test_forked_export_matches_format_number(tmp_path, forks, rows):
     table = table[np.arange(max(rows, 2)) % rows]  # a polyline has two points or more
     params = np.linspace(0.0, 1.0, len(table))
     graph = np.column_stack([params, table[:, 1:]])  # x1 repeats the t column
-    export_csv(Polyline(points=graph, params=params, mesh_bound=0.0), tmp_path / "graph.csv")
+    export_csv(Polyline(points=graph, mesh_bound=0.0, graph=True), tmp_path / "graph.csv")
     expected = _reference_csv(["t", "x1", "x2", "x3"], np.column_stack([params, graph]))
     assert (tmp_path / "graph.csv").read_text() == expected
 
     points = rng.normal(size=(len(table), 3))
     points[::7, 2] = 0.25
     spec = RenderSpec(projection=(0, 2))
-    export_svg(Polyline(points=points, params=None, mesh_bound=0.0), spec, tmp_path / "proj.svg")
+    export_svg(Polyline(points=points, mesh_bound=0.0), spec, tmp_path / "proj.svg")
     text = (tmp_path / "proj.svg").read_text()
     assert text.split('points="')[1].split('"')[0] == _reference_svg_points(
         points[:, 0], points[:, 2], spec)

@@ -61,6 +61,17 @@ def test_interval_family_invalid_configs():
         Example1Config()
 
 
+@pytest.mark.parametrize("params, match", [
+    ({"y1": 0.3, "y2": 1.0}, "needs the split node"),
+    ({"q1": 0.4, "x1": 0.5, "y1": 0.3, "y2": 1.0}, "x1 = 0.5 disagrees with q1 = 0.4"),
+    ({"x1": 1.2, "y1": 0.3, "y2": 1.0}, "split node must lie in"),
+    ({"q1": 0.4, "y1": 0.3}, "needs both heights"),
+], ids=["no-split-node", "split-nodes-disagree", "split-node-outside", "one-height"])
+def test_interval_family_generalized_form_rejects_each_gap(params, match):
+    with pytest.raises(InvalidConfig, match=match):
+        Example1Config(**params)
+
+
 def test_rotation_family_vertices():
     zipper, line = build_example2(Example2Config(h_param=0.5))
     assert np.allclose(zipper.vertices, [[0, 0], [0.5, 0.5], [1, 0]], atol=1e-15)

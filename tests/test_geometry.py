@@ -71,6 +71,13 @@ def test_solve_linear_near_the_float_range():
     assert solve_linear([[0.5]], [1e200])[0] == 2e200
 
 
+@pytest.mark.parametrize("matrix, rhs", [([[math.inf]], [1.0]), ([[1.0]], [math.nan])])
+def test_solve_linear_rejects_non_finite_entries(matrix, rhs):
+    # an eventual-mode lift's system can overflow to these
+    with pytest.raises(ValueError, match="entries must be finite"):
+        solve_linear(matrix, rhs)
+
+
 def test_vector_norm_is_numpys_where_nothing_overflows(rng):
     for _ in range(20_000):
         size = int(rng.integers(1, 9))
@@ -95,6 +102,13 @@ def test_operator_norm_diagonal():
 
 def test_operator_norm_zero():
     assert operator_norm(np.zeros((3, 3))) == 0.0
+
+
+def test_operator_norm_survives_a_start_in_the_kernel():
+    # the all-ones start maps to zero; the alternating start finds the norm
+    matrix = np.array([[1.0, -1.0], [1.0, -1.0]])
+    assert not (matrix @ np.ones(2)).any()
+    assert operator_norm(matrix) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_operator_norm_closed_form():

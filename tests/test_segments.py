@@ -79,12 +79,11 @@ def test_segments_concatenate_to_refine_bitwise(name, kind):
                             depth)
         assert segments.count == m ** (depth - segment_level(target, depth))
         parts = [segments(i) for i in range(segments.count)]
-        assert max(len(points) for points, _ in parts) <= SEGMENT_ROWS
+        assert max(len(points) for points in parts) <= SEGMENT_ROWS
         reference = refine(target, depth, line=line)
-        points = np.concatenate([points for points, _ in parts])
-        params = np.concatenate([params for _, params in parts])
+        points = np.concatenate(parts)
         assert np.array_equal(_bits(points), _bits(reference.points)), depth
-        assert np.array_equal(_bits(params), _bits(reference.params)), depth
+        assert np.array_equal(_bits(points[:, 0]), _bits(reference.params)), depth
 
 
 def test_segment_level_is_the_deepest_level_that_fits():

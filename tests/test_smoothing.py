@@ -178,6 +178,11 @@ def test_inverse_design_parabola():
 def test_inverse_design_degenerate():
     with pytest.raises(DegenerateInput):
         inverse_design(0.5, 0.5, 0.5, 0.0, 0.3)
+
+
+def test_inverse_design_rejects_a_split_node_off_the_first_width():
+    with pytest.raises(DegenerateInput, match="split node 0.5 must equal the first width 0.4"):
+        inverse_design(0.4, 0.6, 0.5, 0.045, 0.3)
     with pytest.raises(DegenerateInput):
         inverse_design(1.5, -0.5, 1.5, 0.1, 0.3)
     with pytest.raises(DegenerateInput):

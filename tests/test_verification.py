@@ -139,6 +139,12 @@ def test_tangent_scan_rotation_family_no_zero_tangent():
         assert len(report.details) == 2  # both scans completed, no ZeroTangent
 
 
+def test_tangent_scan_needs_sixteen_samples(interval_03):
+    zipper, line, _ = interval_03
+    with pytest.raises(ValueError, match="sample_count must be at least 16"):
+        tangent_scan(zipper, line, 15)
+
+
 def test_eventual_contraction_lifted_interval(interval_03):
     zipper, line, lift = interval_03
     lifted = smooth_zipper(zipper, line, lift)

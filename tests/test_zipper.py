@@ -96,6 +96,18 @@ def test_inspect_zipper_rejects_bad_stacks_with_typed_errors(linears, translatio
         inspect_zipper(linears, translations, vertices, (0, 0))
 
 
+@pytest.mark.parametrize("vertices, signature, error, match", [
+    ([0.0, 0.5, 1.0], (0, 0), DimensionMismatch, r"3 vertices of dimension 1, got .* \(3,\)"),
+    ([[0.0], [1.0]], (0, 0), DimensionMismatch, "expected 3 vertices"),
+    ([[0.0], [0.5], [1.0]], (0, 2), ValueError, "must be 0 or 1"),
+    ([[0.0], [0.5], [1.0]], (0,), ValueError, "signature of length 2"),
+], ids=["one-dimensional-vertices", "vertex-count", "signature-bit", "signature-length"])
+def test_inspect_zipper_rejects_bad_vertices_and_signatures(vertices, signature, error, match):
+    # vertices are rows, even on the line: a flat list of numbers is refused
+    with pytest.raises(error, match=match):
+        inspect_zipper(*interval_maps(0.5), vertices, signature)
+
+
 def test_validated_stacks_are_read_only_copies():
     linears, translations = np.array([[[0.5]], [[0.5]]]), np.array([[0.0], [0.5]])
     vertices = np.array([[0.0], [0.5], [1.0]])
@@ -138,6 +150,9 @@ def test_line_zipper_rejects_bad_nodes():
         line_zipper((0.0, 0.7, 0.5, 1.0), (0, 0, 0))
     with pytest.raises(InvalidNodes):
         line_zipper((0.1, 0.5, 1.0), (0, 0))
+    for nodes in ((1.0,), ((0.0, 0.5, 1.0),)):
+        with pytest.raises(InvalidNodes, match="at least two nodes"):
+            line_zipper(nodes, (0, 0))
 
 
 def test_line_zipper_single_interval_is_not_contracting():
@@ -266,6 +281,15 @@ def test_similarity_decomposition_requires_origin():
                             zipper.signature)
     with pytest.raises(NotNormalized):
         similarity_decomposition(moved)
+
+
+def test_similarity_decomposition_rejects_a_linear_part_off_its_chord():
+    # map 1 misses each vertex by 0.9e-9, within the vertex tolerance, but
+    # its linear part misses the chord 0.5 by their sum
+    zipper = validate_zipper([[[0.5 - 1.8e-9]], [[0.5]]], [[0.9e-9], [0.5]],
+                             [[0.0], [0.5], [1.0]], (0, 0))
+    with pytest.raises(ZipperViolation, match="map 1: decomposed linear part misses"):
+        similarity_decomposition(zipper)
 
 
 def test_signature_reversal_decomposition():
