@@ -216,17 +216,21 @@ def chaos_game(zipper, count, seed):
     """Random-iteration attractor sample: ``count`` points, reproducible.
 
     Starts at the first vertex (a true attractor point), applies uniformly
-    chosen maps, and discards a fixed burn-in prefix.  The generator is
-    seeded and named (numpy PCG64), so identical seeds give bit-identical
-    output on every platform.  Every returned point lies on the attractor
-    up to accumulated floating-point roundoff; the burn-in is kept for the
-    conventional contract, not asserted per point.
+    chosen maps, and discards a fixed burn-in prefix.  The maps are drawn
+    from numpy's ``default_rng(seed)`` PCG64 stream, which ``_pcg64``
+    computes in integer arithmetic without importing ``numpy.random`` (5.3 MB
+    and about 8 ms per process), so identical non-negative integer seeds
+    give bit-identical output on every platform.  Any other seed raises:
+    ``TypeError`` if it is not an int, ``ValueError`` if it is negative.
+    Every returned point lies
+    on the attractor up to accumulated floating-point roundoff; the burn-in
+    is kept for the conventional contract, not asserted per point.
     """
     count = int(count)
     if count < 1:
         raise ValueError("count must be at least 1")
-    rng = np.random.default_rng(seed)
-    choices = rng.integers(0, zipper.map_count, size=BURN_IN + count).tolist()
+    from . import _pcg64  # at the first draw: see its docstring
+    choices = _pcg64.integers(seed, zipper.map_count, BURN_IN + count).tolist()
     linears, translations = list(zipper.linears), list(zipper.translations)
     point = zipper.vertices[0]
     out = np.empty((BURN_IN + count, zipper.dimension))

@@ -131,8 +131,8 @@ def parametrization_residual(zipper, line, samples=1000, seed=0):
     of the image parameter, amplified through the curve's continuity
     modulus to above the evaluation tolerance.
     """
-    rng = np.random.default_rng(seed)
-    ts = rng.integers(0, 2**40, _sample_count("samples", samples)).astype(float) * 2.0**-40
+    from . import _pcg64  # at the first draw: see its docstring
+    ts = _pcg64.integers(seed, 2**40, _sample_count("samples", samples)).astype(float) * 2.0**-40
     f_values, _ = eval_f_many(ts, zipper, line, tol=RESIDUAL_TOL)
     worst_errors = np.zeros(ts.size)
     for index in range(1, zipper.map_count + 1):
@@ -156,8 +156,8 @@ def integral_residual(zipper, line, lift, samples=1000, seed=0):
     equal the node integral plus the chord term plus the rescaled value at
     t (minus the rescaled total on orientation-reversing intervals).
     """
-    rng = np.random.default_rng(seed)
-    ts = rng.uniform(0.0, 1.0, _sample_count("samples", samples))
+    from . import _pcg64  # at the first draw: see its docstring
+    ts = _pcg64.uniform(seed, 0.0, 1.0, _sample_count("samples", samples))
     worst_errors = np.zeros(ts.size)
     g_values, _ = eval_g_many(ts, zipper, line, lift, tol=RESIDUAL_TOL)
     offsets, linear_parts, _ = lift.normal_form
@@ -230,8 +230,9 @@ def derivative_check(zipper, line, lift, sample_count=100, seed=0):
     dominates once the true difference error reaches zero.
     """
     deltas = DERIVATIVE_DELTAS
-    rng = np.random.default_rng(seed)
-    ts = rng.uniform(deltas[0], 1.0 - deltas[0], _sample_count("sample_count", sample_count))
+    from . import _pcg64  # at the first draw: see its docstring
+    ts = _pcg64.uniform(seed, deltas[0], 1.0 - deltas[0],
+                        _sample_count("sample_count", sample_count))
     f_values, _ = eval_f_many(ts, zipper, line, tol=DERIVATIVE_F_TOL)
     bounds = np.array([10.0 * d**DERIVATIVE_EXPONENT for d in deltas])
     errors = np.zeros((ts.size, len(deltas)))

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import warnings
@@ -454,6 +455,7 @@ def test_unusable_system_sources_exit_2(tmp_path, monkeypatch, capsys, argv, mes
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 #: A valid two-map interval zipper with one placeholder left to fill.
 FINITE_CHECK_CONFIG = (
@@ -497,20 +499,42 @@ def test_render_pinned_to_one_cpu_writes_the_same_bytes(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_cli_import_loads_no_process_pool():
-    # nor scipy, which the package does not use and which would double the
-    # import time of every command
-    probe = (
-        "import sys, zipperlift, zipperlift.cli; "
-        "print(sorted(m for m in sys.modules "
+def _loaded_modules(code):
+    """The modules of multiprocessing, scipy, concurrent.futures and
+    numpy.random that a fresh interpreter on the sources holds after running
+    ``code``."""
+    probe = code + (
+        "\nimport json, sys; print(json.dumps(sorted(m for m in sys.modules "
         "if m.split('.')[0] in ('multiprocessing', 'scipy') "
-        "or m.startswith('concurrent.futures')))"
+        "or m.startswith(('concurrent.futures', 'numpy.random')))))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True, text=True, check=True, timeout=60,
     )
-    assert result.stdout.strip() == "[]"
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_process_pool():
+    # nor scipy, which the package does not use and which would double the
+    # import time of every command
+    assert _loaded_modules("import zipperlift, zipperlift.cli") == []
+
+
+def test_cli_commands_load_no_numpy_random(tmp_path):
+    # the seeded draws are numpy's PCG64 streams computed by the package:
+    # importing numpy.random would cost each process about 5 MB
+    build_workload = runpy.run_path(str(WORKLOADS))["build_workload"]
+    config = tmp_path / "generated.json"
+    config.write_text(next(iter(build_workload("generated-zippers", 0).configs.values())))
+    commands = [
+        ["verify", "--example2", "h=0.5", "--suite", "all"],
+        ["render", str(config), "--lifted", "--depth", "4", "--svg", str(tmp_path / "a.svg"),
+         "--chaos", str(tmp_path / "chaos.csv"), "--points", "1000"],
+    ]
+    code = "from zipperlift.cli import main\n" + "".join(f"main({c!r})\n" for c in commands)
+    assert _loaded_modules(code) == []
+    assert len((tmp_path / "chaos.csv").read_text().splitlines()) >= 1000
 
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -583,6 +607,16 @@ except SystemExit as exc:
 ], ids=["unset", "user-set"])
 def test_module_entry_sets_blas_threads_before_numpy_loads(env, expected):
     assert _run_python(MODULE_ENTRY_PROBE, **env) == [0, [expected]]
+
+
+def test_console_entry_freezes_the_collector_and_returns_the_exit_code():
+    # the tangent scan of ex2 h=0.5 fails, its known verdict, so the code is 1
+    probe = (
+        "import gc, json; from zipperlift.__main__ import main; "
+        "code = main(['verify', '--example2', 'h=0.5', '--suite', 'tangent']); "
+        "print(json.dumps([code, gc.get_freeze_count() > 0]))"
+    )
+    assert _run_python(probe) == [1, True]
 
 
 def test_package_imports_only_numpy_and_the_standard_library():
