@@ -222,9 +222,9 @@ def chaos_game(zipper, count, seed):
     and about 8 ms per process), so identical non-negative integer seeds
     give bit-identical output on every platform.  Any other seed raises:
     ``TypeError`` if it is not an int, ``ValueError`` if it is negative.
-    Every returned point lies
-    on the attractor up to accumulated floating-point roundoff; the burn-in
-    is kept for the conventional contract, not asserted per point.
+    Every returned point lies on the attractor up to accumulated
+    floating-point roundoff; the burn-in is kept for the conventional
+    contract, not asserted per point.
     """
     count = int(count)
     if count < 1:
