@@ -147,8 +147,8 @@ class Segments:
     of ``S_W(P_k)``, where ``base`` is ``P_k = refine(zipper, k, line)`` at
     ``k = segment_level(zipper, depth)``.  Calling the source with an index
     ``i`` in ``range(count)`` returns segment i's points.  Concatenated,
-    the segments equal ``refine(zipper, depth, line)`` bit for bit, and no
-    more than one segment is computed at a time.
+    the segments equal ``refine(zipper, depth, line)`` bit for bit on one
+    BLAS kernel, and no more than one segment is computed at a time.
     Construction runs ``refine``'s junction check for levels k + 1..d on
     the tracked end points of each level, so a violation raises the same
     :class:`ZipperViolation` before any segment exists.
@@ -231,14 +231,14 @@ def chaos_game(zipper, count, seed):
         raise ValueError("count must be at least 1")
     from . import _pcg64  # at the first draw: see its docstring
     choices = _pcg64.integers(seed, zipper.map_count, BURN_IN + count).tolist()
-    linears, translations = list(zipper.linears), list(zipper.translations)
+    dots, translations = [linear.dot for linear in zipper.linears], list(zipper.translations)
     point = zipper.vertices[0]
     out = np.empty((BURN_IN + count, zipper.dimension))
-    product = np.empty(zipper.dimension)
-    # `linear @ point + translation` (np.dot: matmul's gemv, less overhead) into
+    # `linear @ point + translation` (dot: matmul's gemv, less overhead) into
     # the step's own row, which the next step reads: no lookups or copies
     for row, choice in zip(out, choices):
-        np.add(np.dot(linears[choice], point, product), translations[choice], row)
+        dots[choice](point, row)
+        row += translations[choice]
         point = row
     out.setflags(write=False)
     return out[BURN_IN:]

@@ -4,7 +4,8 @@ Every subcommand reads one zipper system, either from a JSON config file
 or from a preset (``--example1 p=0.3``, ``--example1 q1=0.4,y1=0.3,y2=1``,
 ``--example2 h=0.5``), and exits 0 on success, 1 on a validation or
 verification failure, and 2 on usage or parse errors.  All outputs are
-byte-deterministic given identical flags and seed.
+byte-deterministic given identical flags and seed on one BLAS kernel: the
+kernel OpenBLAS picks for the CPU may round small products differently.
 """
 
 from __future__ import annotations

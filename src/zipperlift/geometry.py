@@ -69,64 +69,68 @@ def solve_linear(matrix, rhs):
     return x
 
 
-def _prescaled(norm, array):
-    """``norm(array)``, taken on ``array`` scaled by the power of two that
-    brings its largest entry into [0.5, 1) and scaled back.  Both scalings
-    are exact, so the norm neither overflows nor underflows anywhere in the
-    float range; one past the largest float reads inf.  A zero array gives
-    0."""
-    if not array.any():
-        return 0.0
-    _, exponent = math.frexp(float(np.abs(array).max()))
-    try:
-        return math.ldexp(norm(np.ldexp(array, -exponent)), exponent)
-    except OverflowError:
-        return math.inf
+def row_norms(rows, norm=lambda rows: np.sqrt(np.vecdot(rows, rows))):
+    """``norm`` of each row of ``rows``, taken on the row scaled by the power
+    of two that brings its largest entry into [0.5, 1) and scaled back.
+    Both scalings are exact, so no norm overflows or underflows anywhere in
+    the float range; one past the largest float reads inf.  The default
+    gives each row the bits of ``np.linalg.norm(row)``;
+    ``np.linalg.norm(rows, axis=1)`` sums in another order and is not."""
+    _, exponents = np.frexp(np.abs(rows).max(axis=1))
+    with np.errstate(over="ignore"):
+        return np.ldexp(norm(np.ldexp(rows, -exponents[:, None])), exponents)
 
 
 def vector_norm(vector):
     """Euclidean norm of ``vector``: the bits of ``np.linalg.norm`` wherever
     that neither overflows nor underflows, and finite past there."""
-    return _prescaled(np.linalg.norm, np.asarray(vector, dtype=float))
+    return float(row_norms(np.asarray(vector, dtype=float)[None])[0])
 
 
-def _power_iteration(m):
-    gram = m.T @ m
-    d = m.shape[0]
-    starts = [np.ones(d)]
-    if d > 1:
-        alternating = np.ones(d)
-        alternating[1::2] = -1.0
-        starts.append(alternating)
-    best = 0.0
-    for start in starts:
-        v = start / np.linalg.norm(start)
-        estimate = 0.0
-        for _ in range(MAX_POWER_ITERATIONS):
-            w = gram @ v
-            weight = float(np.linalg.norm(w))
-            if weight == 0.0:
-                break
-            v = w / weight
-            previous, estimate = estimate, math.sqrt(max(float(v @ gram @ v), 0.0))
-            if abs(estimate - previous) <= 0.5 * NORM_RELATIVE_ACCURACY * max(estimate, 1e-300):
-                break
-        best = max(best, estimate)
-    return best
+def operator_norms(stack):
+    """Spectral norms (largest singular values) of a (k, d, d) stack of
+    finite matrices, as an array of k floats.
 
-
-def operator_norm(matrix):
-    """Spectral norm (largest singular value) of ``matrix``.
-
-    Power iteration on the Gram matrix ``M^T M`` from the all-ones start
+    Power iteration on each Gram matrix ``M^T M`` from the all-ones start
     vector, with an alternating-sign companion start for d >= 2 guarding
-    against a start orthogonal to the top singular subspace.  Deterministic,
-    converging to relative accuracy ~1e-9 within 10^4 iterations for
-    matrices with a reasonable spectral gap.  The zero matrix returns 0.
-    The iteration runs on the prescaled matrix, like :func:`vector_norm`,
-    so a norm past the largest float reads inf.
+    against a start orthogonal to the top singular subspace; the norm is
+    the larger estimate.  Each iteration stops on its own test, so every
+    matrix takes the steps it would take alone and its norm does not depend
+    on the rest of the stack.  Deterministic, converging to relative
+    accuracy ~1e-9 within 10^4 iterations for matrices with a reasonable
+    spectral gap.  The zero matrix has norm 0.  The iteration runs on each
+    matrix scaled like :func:`row_norms`, so a norm past the largest float
+    reads inf.
     """
-    return _prescaled(_power_iteration, np.asarray(matrix, dtype=float))
+    stack = np.asarray(stack, dtype=float)
+    count, d = len(stack), stack.shape[-1]
+    _, exponents = np.frexp(np.abs(stack).max(axis=(1, 2)))
+    scaled = np.ldexp(stack, -exponents[:, None, None])
+    starts = np.full((min(d, 2), d), 1.0 / math.sqrt(d))
+    starts[1:, 1::2] *= -1.0
+    # problem p iterates start p % len(starts) on matrix p // len(starts)
+    grams = np.repeat(scaled.transpose(0, 2, 1) @ scaled, len(starts), axis=0)
+    v = np.tile(starts, (count, 1))
+    estimates = np.zeros(len(v))
+    active, current = np.arange(len(v)), estimates.copy()
+    for _ in range(MAX_POWER_ITERATIONS):
+        w = (grams @ v[:, :, None])[:, :, 0]
+        weights = np.sqrt(np.vecdot(w, w))
+        vanished = weights == 0.0
+        v = w / np.where(vanished, 1.0, weights)[:, None]
+        previous, squares = current, np.vecdot((v[:, None, :] @ grams)[:, 0, :], v)
+        # a vanished iterate stops at its last estimate
+        current = np.where(vanished, previous, np.sqrt(np.where(squares > 0.0, squares, 0.0)))
+        done = np.abs(current - previous) <= 0.5 * NORM_RELATIVE_ACCURACY * np.maximum(
+            current, 1e-300)
+        if done.any():
+            estimates[active[done]] = current[done]
+            active, grams, v, current = (a[~done] for a in (active, grams, v, current))
+            if not active.size:
+                break
+    estimates[active] = current
+    with np.errstate(over="ignore"):
+        return np.ldexp(estimates.reshape(count, len(starts)).max(axis=1), exponents)
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,7 @@ def eventual_contraction_scan(linears, translations, base_point, max_word_length
 
     For each length L the scan forms all m^L affine words of the maps with
     stacked ``linears`` (m, d, d) and ``translations`` (m, d), and
-    records the worst ``operator_norm(linear part) ** (1/L)``; it stops at
+    records the worst ``operator_norms(linear parts) ** (1/L)``; it stops at
     the first L with every such value at most :data:`CONTRACTION_THRESHOLD`,
     or, certifying nothing, at the first L whose words are not all finite,
     recorded as inf.
@@ -165,33 +169,35 @@ def eventual_contraction_scan(linears, translations, base_point, max_word_length
     take the total formed past :data:`WORD_BUDGET`.
     """
     base_point = np.asarray(base_point, dtype=float)
-    maps = list(zip(linears, translations))
-    level = [(np.eye(base_point.size), np.zeros(base_point.size))]
+    d = base_point.size
+    lins, offs = np.eye(d)[None], np.zeros((1, d))
     values = []
     formed = 0
     farthest = 0.0
     for length in range(1, max_word_length + 1):
-        formed += len(maps) ** length
+        formed += len(linears) ** length
         if formed > WORD_BUDGET:
             raise CombinatorialBudget(
                 f"{formed} words up to length {length} exceed the {WORD_BUDGET:g} budget"
             )
+        # word w*m + k is word w followed by map k; one matvec per word, as
+        # a single gemm would sum the offsets in another order
         with np.errstate(over="ignore", invalid="ignore"):
-            level = [
-                (lin @ linear, lin @ translation + off)
-                for lin, off in level
-                for linear, translation in maps
-            ]
-        if not all(np.isfinite(lin).all() and np.isfinite(off).all() for lin, off in level):
+            offs = np.matmul(lins[:, None], translations[None, :, :, None])[..., 0] + offs[:, None]
+            lins = np.matmul(lins[:, None], linears[None])
+        lins, offs = lins.reshape(-1, d, d), offs.reshape(-1, d)
+        if not (np.isfinite(lins).all() and np.isfinite(offs).all()):
             # products past the float range cannot certify, nor can longer words
             values.append((length, math.inf))
             break
-        worst = max(operator_norm(lin) for lin, _ in level) ** (1.0 / length)
+        worst = 0.0
+        for start in range(0, len(lins), 2**16):  # bounds the norms' temporaries
+            chunk = slice(start, start + 2**16)
+            worst = max(worst, float(operator_norms(lins[chunk]).max()))
+            moved = lins[chunk] @ base_point + offs[chunk] - base_point
+            farthest = max(farthest, float(row_norms(moved).max()))
+        worst **= 1.0 / length
         values.append((length, worst))
-        farthest = max(
-            farthest,
-            max(vector_norm(lin @ base_point + off - base_point) for lin, off in level),
-        )
         if worst <= CONTRACTION_THRESHOLD:
             return ContractionScan(length, tuple(values), farthest / (1.0 - worst**length))
     return ContractionScan(None, tuple(values))

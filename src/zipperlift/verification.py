@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroTangent
-from .geometry import CONTRACTION_THRESHOLD, eventual_contraction_scan
+from .geometry import CONTRACTION_THRESHOLD, eventual_contraction_scan, row_norms
 from .parametrization import _matvec, eval_f_many
 from .smoothing import eval_g_many
 from .zipper import EVENTUAL_WORD_LENGTH
@@ -85,14 +85,6 @@ class VerificationReport:
         }
 
 
-def _row_norms(rows, norm=lambda rows: np.sqrt(np.vecdot(rows, rows))):
-    """``norm`` of each row, prescaled like :func:`geometry.vector_norm`, row
-    by row.  The default is bit-identical to ``np.linalg.norm(row)``;
-    ``np.linalg.norm(rows, axis=1)`` sums in another order and is not."""
-    _, exponents = np.frexp(np.abs(rows).max(axis=1))
-    return np.ldexp(norm(np.ldexp(rows, -exponents[:, None])), exponents)
-
-
 def _sample_count(name, count):
     """``count`` as an int, rejecting fewer than one sample by ``name``."""
     if int(count) < 1:
@@ -139,7 +131,7 @@ def parametrization_residual(zipper, line, samples=1000, seed=0):
         mapped_ts = line.forward(index, ts)
         lhs, _ = eval_f_many(mapped_ts, zipper, line, tol=RESIDUAL_TOL)
         rhs = f_values @ zipper.linears[index - 1].T + zipper.translations[index - 1]
-        errors = _row_norms(lhs - rhs, lambda rows: np.linalg.norm(rows, axis=1))
+        errors = row_norms(lhs - rhs, lambda rows: np.linalg.norm(rows, axis=1))
         np.maximum(worst_errors, errors, out=worst_errors)
     max_error = float(worst_errors.max())
     tolerance = 2.0 * RESIDUAL_TOL
@@ -171,7 +163,7 @@ def integral_residual(zipper, line, lift, samples=1000, seed=0):
             local_ts, local_g = ts, g_values
         rhs = (g_node + offsets[index - 1] * width * local_ts[:, None]
                + width * _matvec(linear_parts[index - 1], local_g))
-        np.maximum(worst_errors, _row_norms(lhs - rhs), out=worst_errors)
+        np.maximum(worst_errors, row_norms(lhs - rhs), out=worst_errors)
     max_error = float(worst_errors.max())
     tolerance = 2.0 * RESIDUAL_TOL
     return VerificationReport(
@@ -206,7 +198,7 @@ def quadrature_check(zipper, line, lift):
         rungs = np.split(values, np.cumsum(QUADRATURE_PANELS)[:-1])
         for row, (width, rung) in enumerate(zip(widths, rungs)):
             oracles[row, col] = width * rung.sum(axis=0)
-    errors = np.array([_row_norms(rung - direct) for rung in oracles])
+    errors = np.array([row_norms(rung - direct) for rung in oracles])
     envelope = QUADRATURE_COEFFICIENT * QUADRATURE_PANELS[-1] ** -QUADRATURE_EXPONENT
     tolerance = max(1e-6, envelope)
     max_error = _inflate_on_growth(float(errors[-1].max()), tolerance, errors.max(axis=1),
@@ -240,7 +232,7 @@ def derivative_check(zipper, line, lift, sample_count=100, seed=0):
         upper, _ = eval_g_many(ts + delta, zipper, line, lift, tol=DERIVATIVE_G_TOL)
         lower, _ = eval_g_many(ts - delta, zipper, line, lift, tol=DERIVATIVE_G_TOL)
         diff = (upper - lower) / (2.0 * delta)
-        errors[:, col] = _row_norms(diff - f_values)
+        errors[:, col] = row_norms(diff - f_values)
     tolerance = float(bounds[-1])
     max_error = _inflate_on_growth(float(errors[:, -1].max()), tolerance, errors,
                                    DERIVATIVE_NOISE_FLOOR * bounds, DERIVATIVE_SLACK)
@@ -268,7 +260,7 @@ def tangent_scan(zipper, line, sample_count):
     def max_increment(count):
         ts = np.linspace(TANGENT_T_MIN, 1.0, count)
         values, _ = eval_f_many(ts, zipper, line, tol=TANGENT_F_TOL)
-        magnitudes = _row_norms(values, lambda rows: np.linalg.norm(rows, axis=1))
+        magnitudes = row_norms(values, lambda rows: np.linalg.norm(rows, axis=1))
         vanished = magnitudes <= 1e-12
         if vanished.any():
             where = float(ts[vanished][0])

@@ -33,7 +33,7 @@ from .errors import (
     SignatureMismatch,
     ZipperViolation,
 )
-from .geometry import ContractionScan, eventual_contraction_scan, operator_norm, vector_norm
+from .geometry import ContractionScan, eventual_contraction_scan, operator_norms, row_norms
 
 #: Tolerance of the vertex conditions.
 VERTEX_TOLERANCE = 1e-9
@@ -124,9 +124,8 @@ class Zipper:
         distance between any two attractor points is at most twice this value.
         """
         z0 = self.vertices[0]
-        reach = max(vector_norm(linear @ z0 + translation - z0)
-                    for linear, translation in zip(self.linears, self.translations))
-        reach = max(reach, vector_norm(self.vertices[-1] - z0))
+        ends = np.concatenate([self.linears @ z0 + self.translations, self.vertices[-1:]])
+        reach = float(row_norms(ends - z0).max())
         lmax = max(self.linear_norms)
         if lmax < 1.0:
             return reach / (1.0 - lmax)
@@ -192,22 +191,22 @@ def inspect_zipper(linears, translations, vertices, signature):
             0, "finite-vertex", math.inf,
             f"vertex {k} is {vertices[k].tolist()}, not a finite point",
         ))
-    factors = tuple(operator_norm(linear) for linear in linears)
-    # the vertex axioms only mean something at finite vertices
-    for k in range(count if not violations else 0):
-        bit = signature[k]
-        for condition, end, source, expected in (
-            ("start-vertex", "first", vertices[0], vertices[k + bit]),
-            ("end-vertex", "last", vertices[-1], vertices[k + 1 - bit]),
-        ):
-            observed = linears[k] @ source + translations[k]
-            deviation = vector_norm(observed - expected)
-            if deviation > VERTEX_TOLERANCE:
-                violations.append(ConditionViolation(
-                    k + 1, condition, deviation,
-                    f"maps {end} vertex to {observed.tolist()}, "
-                    f"expected {expected.tolist()}",
-                ))
+    factors = tuple(operator_norms(linears).tolist())
+    # the vertex axioms only mean something at finite vertices; map k sends
+    # the first and the last vertex to vertices k + bit and k + 1 - bit
+    axioms = () if violations else (
+        ("start-vertex", "first", vertices[0], np.arange(count) + signature),
+        ("end-vertex", "last", vertices[-1], np.arange(1, count + 1) - signature),
+    )
+    for condition, end, source, targets in axioms:
+        observed = linears @ source + translations
+        deviations = row_norms(observed - vertices[targets])
+        violations += [ConditionViolation(
+            k + 1, condition, float(deviations[k]),
+            f"maps {end} vertex to {observed[k].tolist()}, "
+            f"expected {vertices[targets[k]].tolist()}",
+        ) for k in np.flatnonzero(deviations > VERTEX_TOLERANCE).tolist()]
+    violations.sort(key=lambda violation: violation.map_index)  # stable: map by map
 
     scan = None
     if not all(factor < 1.0 - CONTRACTION_MARGIN for factor in factors):
@@ -326,18 +325,18 @@ def similarity_decomposition(zipper):
     and :class:`ZipperViolation` if a linear part misses its chord.
     """
     vertices, bits = zipper.vertices, np.array(zipper.signature)
-    if vector_norm(vertices[0]) > VERTEX_TOLERANCE:
+    if row_norms(vertices[:1])[0] > VERTEX_TOLERANCE:
         raise NotNormalized(f"vertices[0] must be the origin, got {vertices[0].tolist()}")
     signs = np.where(bits == 1, -1.0, 1.0)
     linear_parts = signs[:, None, None] * zipper.linears
     offsets = vertices[np.arange(bits.size) + bits]
-    for k, chord in enumerate(np.diff(vertices, axis=0)):
-        deviation = vector_norm(linear_parts[k] @ vertices[-1] - chord)
-        if deviation > VERTEX_TOLERANCE:
-            raise ZipperViolation(message=(
-                f"map {k + 1}: decomposed linear part misses the vertex chord "
-                f"by {deviation:.3e}"
-            ))
+    deviations = row_norms(linear_parts @ vertices[-1] - np.diff(vertices, axis=0))
+    k = int(np.argmax(deviations > VERTEX_TOLERANCE))  # the first that misses, if any
+    if deviations[k] > VERTEX_TOLERANCE:
+        raise ZipperViolation(message=(
+            f"map {k + 1}: decomposed linear part misses the vertex chord "
+            f"by {deviations[k]:.3e}"
+        ))
     for array in (offsets, linear_parts, signs):
         array.setflags(write=False)
     return offsets, linear_parts, signs

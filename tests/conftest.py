@@ -1,5 +1,9 @@
+import functools
 import os
+import runpy
 import signal
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,6 +42,15 @@ def rotation_half():
 def uniform_dyadic(rng, count, bits=40):
     """Uniform parameters on a fine dyadic grid (exact halving images)."""
     return rng.integers(0, 2**bits, count).astype(float) * 2.0**-bits
+
+
+@functools.cache
+def workloads():
+    """``perfbench/workloads.py``, the benchmark's workloads and zipper
+    generator, as a namespace.  ``perfbench`` is not a package, so the file
+    runs by path, once; ``runpy`` writes no bytecode beside it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    return SimpleNamespace(**runpy.run_path(str(path)))
 
 
 @pytest.fixture

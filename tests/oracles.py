@@ -2,25 +2,29 @@
 
 None of this is package code, and the package never imports it: the
 Hausdorff invariance residual (the only user of scipy), the graph identity
-re-evaluation, the midpoint rule of ``f`` one rung at a time, and the
-scalar interval address that the batched descent replaced.
+re-evaluation, the midpoint rule of ``f`` one rung at a time, the scalar
+interval address that the batched descent replaced, and the one-matrix
+power iteration and word-list scan that the stacked ones replaced.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from zipperlift.errors import OutOfDomain
-from zipperlift.parametrization import eval_f_many
-from zipperlift.verification import (
-    QUADRATURE_F_TOL,
-    VerificationReport,
-    _row_norms,
-    _worst_offenders,
+from zipperlift.geometry import (
+    CONTRACTION_THRESHOLD,
+    MAX_POWER_ITERATIONS,
+    NORM_RELATIVE_ACCURACY,
+    ContractionScan,
+    row_norms,
 )
+from zipperlift.parametrization import eval_f_many
+from zipperlift.verification import QUADRATURE_F_TOL, VerificationReport, _worst_offenders
 
 
 def hausdorff_distance(a, b):
@@ -63,7 +67,7 @@ def graph_identity_check(polyline, evaluate, samples=1000, tol=1e-6):
     count = polyline.points.shape[0]
     take = np.linspace(0, count - 1, min(int(samples), count)).astype(int)
     expected = np.asarray(evaluate(polyline.params[take]), dtype=float)
-    errors = _row_norms(polyline.points[take, 1:] - expected)
+    errors = row_norms(polyline.points[take, 1:] - expected)
     max_error = float(errors.max())
     return VerificationReport(
         "graph-identity", max_error, take.size, tol,
@@ -148,3 +152,79 @@ def chaos_game_reference(zipper, count, seed, burn_in=64):
         if step >= burn_in:
             out[step - burn_in] = point
     return out
+
+
+def _prescaled(norm, array):
+    """``norm(array)`` on ``array`` scaled by the power of two that brings
+    its largest entry into [0.5, 1), scaled back; inf past the float range."""
+    if not array.any():
+        return 0.0
+    _, exponent = math.frexp(float(np.abs(array).max()))
+    try:
+        return math.ldexp(norm(np.ldexp(array, -exponent)), exponent)
+    except OverflowError:
+        return math.inf
+
+
+def vector_norm(vector):
+    """Prescaled ``np.linalg.norm`` of one vector."""
+    return _prescaled(np.linalg.norm, np.asarray(vector, dtype=float))
+
+
+def _power_iteration(m):
+    gram = m.T @ m
+    d = m.shape[0]
+    starts = [np.ones(d)]
+    if d > 1:
+        alternating = np.ones(d)
+        alternating[1::2] = -1.0
+        starts.append(alternating)
+    best = 0.0
+    for start in starts:
+        v = start / np.linalg.norm(start)
+        estimate = 0.0
+        for _ in range(MAX_POWER_ITERATIONS):
+            w = gram @ v
+            weight = float(np.linalg.norm(w))
+            if weight == 0.0:
+                break
+            v = w / weight
+            previous, estimate = estimate, math.sqrt(max(float(v @ gram @ v), 0.0))
+            if abs(estimate - previous) <= 0.5 * NORM_RELATIVE_ACCURACY * max(estimate, 1e-300):
+                break
+        best = max(best, estimate)
+    return best
+
+
+def operator_norm(matrix):
+    """Power-iteration spectral norm of one matrix, as
+    :func:`zipperlift.geometry.operator_norms` takes it for each matrix of
+    a stack: same starts, same stopping test, same prescaling."""
+    return _prescaled(_power_iteration, np.asarray(matrix, dtype=float))
+
+
+def contraction_scan_reference(linears, translations, base_point, max_word_length):
+    """:func:`zipperlift.geometry.eventual_contraction_scan` one word at a
+    time: each level a list of ``(linear, offset)`` pairs, one power
+    iteration and one vector norm per word (no word budget)."""
+    base_point = np.asarray(base_point, dtype=float)
+    maps = list(zip(linears, translations))
+    level = [(np.eye(base_point.size), np.zeros(base_point.size))]
+    values = []
+    farthest = 0.0
+    for length in range(1, max_word_length + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            level = [(lin @ linear, lin @ translation + off)
+                     for lin, off in level for linear, translation in maps]
+        if not all(np.isfinite(lin).all() and np.isfinite(off).all() for lin, off in level):
+            values.append((length, math.inf))
+            break
+        worst = max(operator_norm(lin) for lin, _ in level) ** (1.0 / length)
+        values.append((length, worst))
+        farthest = max(
+            farthest,
+            max(vector_norm(lin @ base_point + off - base_point) for lin, off in level),
+        )
+        if worst <= CONTRACTION_THRESHOLD:
+            return ContractionScan(length, tuple(values), farthest / (1.0 - worst**length))
+    return ContractionScan(None, tuple(values))

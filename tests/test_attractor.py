@@ -1,6 +1,3 @@
-import runpy
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -11,6 +8,7 @@ from zipperlift.errors import DepthCap
 from zipperlift.families import Example1Config, Example2Config, build_example1, build_example2
 from zipperlift.smoothing import build_lift, smooth_zipper
 from zipperlift.zipper import line_zipper, product_zipper, validate_zipper
+from conftest import workloads
 from oracles import chaos_game_reference, hausdorff_distance, hausdorff_residual
 
 
@@ -118,9 +116,7 @@ def _chaos_targets():
     """A preset product zipper and the lifts of the seed-1 generated zippers."""
     zipper, line = build_example2(Example2Config(h_param=0.5))
     yield product_zipper(zipper, line)
-    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    build_workload = runpy.run_path(str(workloads))["build_workload"]
-    for text in build_workload("generated-zippers", 1).configs.values():
+    for text in workloads().build_workload("generated-zippers", 1).configs.values():
         zipper, line = build_system(parse_config(text))
         yield smooth_zipper(zipper, line, build_lift(zipper, line))
 

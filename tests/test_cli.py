@@ -4,7 +4,6 @@ import json
 import math
 import os
 import re
-import runpy
 import subprocess
 import sys
 import warnings
@@ -15,6 +14,7 @@ import pytest
 
 from zipperlift.cli import main
 from zipperlift.config_io import build_system, parse_config
+from conftest import workloads
 
 
 def test_validate_preset(capsys):
@@ -455,7 +455,6 @@ def test_unusable_system_sources_exit_2(tmp_path, monkeypatch, capsys, argv, mes
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 #: A valid two-map interval zipper with one placeholder left to fill.
 FINITE_CHECK_CONFIG = (
@@ -524,9 +523,9 @@ def test_cli_import_loads_no_process_pool():
 def test_cli_commands_load_no_numpy_random(tmp_path):
     # the seeded draws are numpy's PCG64 streams computed by the package:
     # importing numpy.random would cost each process about 5 MB
-    build_workload = runpy.run_path(str(WORKLOADS))["build_workload"]
     config = tmp_path / "generated.json"
-    config.write_text(next(iter(build_workload("generated-zippers", 0).configs.values())))
+    generated = workloads().build_workload("generated-zippers", 0).configs.values()
+    config.write_text(next(iter(generated)))
     commands = [
         ["verify", "--example2", "h=0.5", "--suite", "all"],
         ["render", str(config), "--lifted", "--depth", "4", "--svg", str(tmp_path / "a.svg"),
@@ -636,7 +635,7 @@ def test_package_imports_only_numpy_and_the_standard_library():
 
 
 def test_declared_numpy_floor_has_vecdot():
-    # verification._row_norms calls np.vecdot, new in numpy 2.0; the
+    # geometry.row_norms calls np.vecdot, new in numpy 2.0; the
     # floor is read with a regex, as Python 3.10 has no tomllib
     text = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
     floor = re.search(r'"numpy>=(\d+)\.(\d+)', text)

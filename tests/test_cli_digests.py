@@ -25,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 from zipperlift.cli import main
+from conftest import workloads
 from test_cli import EVENTUAL_CONFIG
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,9 +55,8 @@ def systems():
     """{label: (source arguments, config text or None)} of the matrix."""
     # run_path compiles each file in memory and writes no bytecode beside it
     presets = runpy.run_path(str(ROOT / "tools" / "cli_snapshot.py"))["PRESETS"]
-    build_workload = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["build_workload"]
     found = {label: (source, None) for label, source in presets.items()}
-    workload = build_workload("generated-zippers", GENERATED_SEED)
+    workload = workloads().build_workload("generated-zippers", GENERATED_SEED)
     for name, text in workload.configs.items():
         found[f"seed{GENERATED_SEED}-{Path(name).stem}"] = (["zipper.json"], text)
     found["eventual"] = (["zipper.json"], json.dumps(EVENTUAL_CONFIG))

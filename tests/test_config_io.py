@@ -2,7 +2,6 @@ import json
 import math
 import os
 import re
-import runpy
 import signal
 import subprocess
 import sys
@@ -30,6 +29,7 @@ from zipperlift.errors import DimensionMismatch, DimensionUnsupported, ParseErro
 from zipperlift.families import Example1Config, build_example1
 from zipperlift.smoothing import build_lift, smooth_zipper
 from zipperlift.zipper import product_zipper
+from conftest import workloads
 
 INTERVAL_CONFIG = """
 {
@@ -55,10 +55,8 @@ def test_parse_interval_config():
 
 def test_generated_zippers_and_their_lifts_contract_per_map():
     # the benchmark's seeded generator, run from its source file
-    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    build_workload = runpy.run_path(str(workloads))["build_workload"]
     for seed in range(12):
-        for text in build_workload("generated-zippers", seed).configs.values():
+        for text in workloads().build_workload("generated-zippers", seed).configs.values():
             zipper, line = build_system(parse_config(text))
             lifted = smooth_zipper(zipper, line, build_lift(zipper, line))
             loaded, _ = build_system(parse_config(config_to_json(config_from_system(lifted, line))))

@@ -10,8 +10,6 @@ stays here as its bitwise reference.
 """
 
 import re
-import runpy
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,13 +19,13 @@ from zipperlift.errors import OutOfDomain
 from zipperlift.parametrization import eval_f, eval_f_many
 from zipperlift.smoothing import build_lift, eval_g, eval_g_many, smooth_zipper
 from zipperlift.zipper import line_zipper, similarity_decomposition, validate_zipper
+from conftest import workloads
 from oracles import address_of, interval_of, pull_back
 
 PRESETS = ("interval_03", "rotation_half")
 #: The generated-zippers configs at seed 0: m = 3..5 maps on R^2 and R^3,
 #: each with a reversed bit, over nodes on a 1/64 grid.
 GENERATED = ("generated-0", "generated-1", "generated-2")
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +52,8 @@ def spatial_3d():
 
 @pytest.fixture(scope="module")
 def generated():
-    build_workload = runpy.run_path(str(WORKLOADS))["build_workload"]
     systems = []
-    for text in build_workload("generated-zippers", 0).configs.values():
+    for text in workloads().build_workload("generated-zippers", 0).configs.values():
         zipper, line = build_system(parse_config(text))
         systems.append((zipper, line, build_lift(zipper, line)))
     return systems

@@ -3,13 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from zipperlift.config_io import build_system, parse_config
 from zipperlift.errors import CombinatorialBudget, SingularSystem
+from zipperlift.families import Example1Config, Example2Config, build_example1, build_example2
 from zipperlift.geometry import (
     eventual_contraction_scan,
-    operator_norm,
+    operator_norms,
+    row_norms,
     solve_linear,
     vector_norm,
 )
+from zipperlift.smoothing import build_lift, smooth_zipper
+from conftest import workloads
+from oracles import contraction_scan_reference
+from oracles import operator_norm as reference_operator_norm
+from oracles import vector_norm as reference_vector_norm
+
+
+def operator_norm(matrix):
+    """The norm of one matrix, as a stack of one."""
+    return float(operator_norms([matrix])[0])
 
 
 def test_solve_linear_scalar():
@@ -153,6 +166,77 @@ def test_operator_norm_scales_by_powers_of_two_exactly(rng):
 
 def test_operator_norm_past_the_float_range_is_inf():
     assert operator_norm(np.full((2, 2), 1e308)) == math.inf
+
+
+def _bits(values):
+    return [float(value).hex() for value in values]
+
+
+def test_row_norms_are_the_one_vector_norm_bit_for_bit(rng):
+    for n in (1, 2, 3, 4, 5, 8):
+        rows = rng.normal(size=(300, n)) * 10.0 ** rng.choice([-200, 0, 200], size=(300, 1))
+        expected = _bits(reference_vector_norm(row) for row in rows)
+        assert _bits(row_norms(rows)) == expected
+        assert _bits(vector_norm(row) for row in rows) == expected
+
+
+def _systems():
+    """(zipper, line) of three preset forms and the seed-1 generated configs."""
+    systems = [build_example1(Example1Config(p=0.3)),
+               build_example2(Example2Config(h_param=0.5)),
+               build_example2(Example2Config(h_param=0.8))]
+    generated = workloads().build_workload("generated-zippers", 1).configs.values()
+    return systems + [build_system(parse_config(text)) for text in generated]
+
+
+def test_operator_norms_are_the_one_matrix_iteration_bit_for_bit(rng):
+    # each matrix of a stack takes the steps and the stop it takes alone
+    stacks = []
+    for zipper, line in _systems():
+        stacks += [zipper.linears, smooth_zipper(zipper, line, build_lift(zipper, line)).linears]
+    # a start in the kernel, a slow stop, a shear and the zero matrix
+    stacks.append(np.array([[[1.0, -1.0], [1.0, -1.0]], [[0.5, 1.0], [0.0, 1.0]],
+                            [[0.6, 1.2], [0.0, 0.6]], np.zeros((2, 2))]))
+    stacks += [rng.normal(size=(50, n, n)) for n in range(1, 5)]
+    for stack in stacks:
+        assert _bits(operator_norms(stack)) == _bits(map(reference_operator_norm, stack))
+
+
+def _rotations(scale, count):
+    angles = 2.0 * np.pi * np.arange(1, count + 1) / (count + 1)
+    return scale * np.stack([np.cos(angles), -np.sin(angles), np.sin(angles),
+                             np.cos(angles)], axis=1).reshape(count, 2, 2)
+
+
+def _scan_family(name):
+    """(linears, translations, base point) of a family the scan certifies."""
+    if name == "shear-and-rotations":  # certifies at L = 6, 19,530 words
+        linears = np.concatenate([[[[0.5, 2.0], [0.0, 0.5]]], _rotations(0.3, 4)])
+        translations = np.column_stack([0.1 * np.arange(5), 0.05 * (np.arange(5) % 2)])
+        return linears, translations, np.zeros(2)
+    zipper, line = build_example2(Example2Config(h_param=0.5))
+    lifted = smooth_zipper(zipper, line, build_lift(zipper, line))  # certifies at L = 1
+    return lifted.linears, lifted.translations, lifted.vertices[0]
+
+
+@pytest.mark.parametrize("name", ["shear-and-rotations", "ex2-h0.5-lifted"])
+def test_stacked_scan_is_the_word_list_scan(name):
+    family = _scan_family(name)
+    scan = eventual_contraction_scan(*family, 8)
+    assert scan == contraction_scan_reference(*family, 8)
+    assert scan.word_length == (6 if name == "shear-and-rotations" else 1)
+
+
+def test_stacked_scan_is_the_word_list_scan_on_random_families(rng):
+    # one map stretched past norm 1 makes the scan walk words; a single gemm
+    # for the word offsets would move some of these reaches in their last bits
+    for _ in range(100):
+        m, d = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+        linears = rng.normal(size=(m, d, d))
+        linears *= 0.9 / np.linalg.norm(linears, 2, axis=(1, 2))[:, None, None]
+        linears[0] *= 1.3
+        family = linears, rng.normal(size=(m, d)), rng.normal(size=d)
+        assert eventual_contraction_scan(*family, 4) == contraction_scan_reference(*family, 4)
 
 
 def _linear_maps(mats):

@@ -6,10 +6,7 @@ Concatenated, its segments must reproduce ``refine`` exactly: every point,
 every parameter, and which copy of each junction row is kept.
 """
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,16 +18,7 @@ from zipperlift.errors import ZipperViolation
 from zipperlift.families import Example1Config, Example2Config, build_example1, build_example2
 from zipperlift.smoothing import build_lift, smooth_zipper
 from zipperlift.zipper import line_zipper, product_zipper, validate_zipper
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def _random_zipper_config():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module.random_zipper_config
+from conftest import workloads
 
 
 def _reversed_system():
@@ -45,10 +33,9 @@ def _systems():
         "example2": build_example2(Example2Config(h_param=0.5)),
         "reversed": _reversed_system(),
     }
-    random_zipper_config = _random_zipper_config()
     rng = np.random.default_rng(2015)
     for m in (2, 3, 4, 5):
-        config = random_zipper_config(rng, m, 2 + m % 2)
+        config = workloads().random_zipper_config(rng, m, 2 + m % 2)
         systems[f"generated-m{m}"] = build_system(parse_config(json.dumps(config)))
     return systems
 

@@ -1,6 +1,3 @@
-import runpy
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -28,6 +25,7 @@ from zipperlift.zipper import (
     similarity_decomposition,
     validate_zipper,
 )
+from conftest import workloads
 from oracles import quadrature_g
 
 
@@ -260,15 +258,13 @@ def _map_by_map_lift(zipper, line):
 def _normal_form_systems():
     """(zipper, line) over both presets, the general example-1 form, the
     seed-0 generated configs and a one-dimensional reversed-bit zipper."""
-    build_workload = runpy.run_path(
-        str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))["build_workload"]
     systems = [
         build_example1(Example1Config(p=0.3)),
         build_example1(Example1Config(q1=0.4, y1=0.3, y2=1.0)),
         build_example2(Example2Config(h_param=0.5)),
     ]
     systems += [build_system(parse_config(text))
-                for text in build_workload("generated-zippers", 0).configs.values()]
+                for text in workloads().build_workload("generated-zippers", 0).configs.values()]
     reversed_zipper = validate_zipper([[[-0.6]], [[0.4]]], [[0.6], [0.6]], [[0.0], [0.6], [1.0]],
                                       (1, 0))
     systems.append((reversed_zipper,

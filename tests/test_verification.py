@@ -1,6 +1,4 @@
 import json
-import runpy
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +12,7 @@ from zipperlift.families import (
     build_example1,
     build_example2,
 )
-from zipperlift.geometry import CONTRACTION_THRESHOLD, eventual_contraction_scan, operator_norm
+from zipperlift.geometry import CONTRACTION_THRESHOLD, eventual_contraction_scan, operator_norms
 from zipperlift.smoothing import build_lift, eval_g_many, smooth_zipper
 from zipperlift.verification import (
     derivative_check,
@@ -25,6 +23,7 @@ from zipperlift.verification import (
     tangent_scan,
 )
 from zipperlift.zipper import Zipper, line_zipper, product_zipper, validate_zipper
+from conftest import workloads
 from oracles import quadrature_g
 
 
@@ -205,9 +204,6 @@ def test_quadrature_vs_recursion_grid(interval_03, rotation_half):
         assert report.passed, report
 
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
 @pytest.fixture(scope="module")
 def quadrature_systems(interval_03, rotation_half):
     """(zipper, line, lift) by name: both presets, the interval family over
@@ -216,8 +212,7 @@ def quadrature_systems(interval_03, rotation_half):
     systems = {"ex1-p0.3": interval_03, "ex2-h0.5": rotation_half}
     zipper, line = build_example1(Example1Config(q1=0.4, y1=0.3, y2=1.0))
     systems["ex1-q1"] = (zipper, line, build_lift(zipper, line))
-    build_workload = runpy.run_path(str(WORKLOADS))["build_workload"]
-    for text in build_workload("generated-zippers", 0).configs.values():
+    for text in workloads().build_workload("generated-zippers", 0).configs.values():
         zipper, line = build_system(parse_config(text))
         if any(zipper.signature):
             systems["generated-reversed"] = (zipper, line, build_lift(zipper, line))
@@ -239,7 +234,7 @@ def test_quadrature_check_matches_the_rung_by_rung_oracle_bitwise(
         name, quadrature_systems, monkeypatch):
     zipper, line, lift = quadrature_systems[name]
     ts, differences = _rung_differences(zipper, line, lift)
-    errors = np.array([verification._row_norms(rung) for rung in differences])
+    errors = np.array([verification.row_norms(rung) for rung in differences])
     tolerance = max(1e-6, verification.QUADRATURE_COEFFICIENT
                     * verification.QUADRATURE_PANELS[-1] ** -verification.QUADRATURE_EXPONENT)
     max_error = verification._inflate_on_growth(
@@ -251,7 +246,7 @@ def test_quadrature_check_matches_the_rung_by_rung_oracle_bitwise(
     # every rung's differences, not only the ones the report keeps, and
     # the batch sizes, which set the check's peak memory
     compared, batches = [], []
-    row_norms, f_many = verification._row_norms, verification.eval_f_many
+    row_norms, f_many = verification.row_norms, verification.eval_f_many
 
     def recording_row_norms(rows, *args):
         compared.append(rows)
@@ -261,7 +256,7 @@ def test_quadrature_check_matches_the_rung_by_rung_oracle_bitwise(
         batches.append(ts.size)
         return f_many(ts, *args, **kwargs)
 
-    monkeypatch.setattr(verification, "_row_norms", recording_row_norms)
+    monkeypatch.setattr(verification, "row_norms", recording_row_norms)
     monkeypatch.setattr(verification, "eval_f_many", recording_f_many)
     report = quadrature_check(zipper, line, lift)
     assert np.array_equal(np.concatenate(compared), differences.reshape(-1, zipper.dimension))
@@ -320,7 +315,7 @@ def test_eventual_contraction_failing_report():
     # neither the first nor the last
     linears = np.array([[[0.0, 1.1], [-0.9, 1.1]], [[-0.5, -0.2], [0.8, -0.2]]])
     failing = Zipper(linears=linears, translations=np.zeros((2, 2)), vertices=np.zeros((3, 2)),
-                     signature=(0, 0), linear_norms=tuple(map(operator_norm, linears)))
+                     signature=(0, 0), linear_norms=tuple(operator_norms(linears).tolist()))
     assert failing.word_scan is None
     report = eventual_contraction_check(failing).as_dict()
     assert report["passed"] is False

@@ -1,6 +1,3 @@
-import runpy
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -16,7 +13,6 @@ from zipperlift.errors import (
     SignatureMismatch,
     ZipperViolation,
 )
-from zipperlift.geometry import operator_norm
 from zipperlift.families import Example1Config, Example2Config, build_example1, build_example2
 from zipperlift.smoothing import build_lift, smooth_zipper
 from zipperlift.zipper import (
@@ -29,7 +25,8 @@ from zipperlift.zipper import (
     similarity_decomposition,
     validate_zipper,
 )
-from oracles import pull_back
+from conftest import workloads
+from oracles import operator_norm, pull_back
 
 
 def interval_maps(p):
@@ -44,7 +41,8 @@ def test_validate_interval_family():
 
 
 def test_linear_norms_are_the_operator_norms_of_the_maps():
-    # validation computes the norms once and the zipper keeps them
+    # validation computes the norms once, on the stack, with the bits of the
+    # one-matrix power iteration, and the zipper keeps them
     for zipper, line in (build_example1(Example1Config(p=0.3)),
                          build_example2(Example2Config(h_param=0.5))):
         lifted = smooth_zipper(zipper, line, build_lift(zipper, line))
@@ -164,14 +162,12 @@ def test_line_zipper_single_interval_is_not_contracting():
 def _line_cases():
     """(line zipper, the nodes it was built from) over the presets, the
     seed-0 generated configs and a non-dyadic line with reversed bits."""
-    build_workload = runpy.run_path(
-        str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))["build_workload"]
     cases = [
         (build_example1(Example1Config(p=0.3))[1], [0.0, 0.5, 1.0]),
         (build_example1(Example1Config(q1=0.4, y1=0.3, y2=1.0))[1], [0.0, 0.4, 1.0]),
         (build_example2(Example2Config(h_param=0.5))[1], [0.0, 0.5, 1.0]),
     ]
-    for text in build_workload("generated-zippers", 0).configs.values():
+    for text in workloads().build_workload("generated-zippers", 0).configs.values():
         config = parse_config(text)
         cases.append((build_system(config)[1], config.line_nodes))
     handmade = [0.0, 0.1, 0.35, 0.4, 1.0]
