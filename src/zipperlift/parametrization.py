@@ -121,6 +121,14 @@ def _descend(ts, line, linears, local, gains, node_rows, reach, tol):
     return values, bounds, depths
 
 
+def _first_point(descent):
+    """A descent's first point as a :class:`ParamEvaluation`, read-only."""
+    values, bounds, depths = descent
+    value = values[0]
+    value.setflags(write=False)
+    return ParamEvaluation(value, float(bounds[0]), int(depths[0]))
+
+
 def _descend_f(ts, zipper, line, tol):
     check_pairing(zipper, line)
     norms = np.array(zipper.linear_norms)
@@ -150,7 +158,4 @@ def eval_f(t, zipper, line, tol=1e-9):
     value is the digit-map image of the first vertex and the bound, the
     contraction product times the reach bound, is at most ``tol``.
     """
-    values, bounds, depths = _descend_f([t], zipper, line, tol)
-    value = values[0]
-    value.setflags(write=False)
-    return ParamEvaluation(value, float(bounds[0]), int(depths[0]))
+    return _first_point(_descend_f([t], zipper, line, tol))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateInput
 from .geometry import solve_linear
-from .parametrization import ParamEvaluation, _descend
+from .parametrization import _descend, _first_point
 from .zipper import check_pairing, similarity_decomposition, validate_zipper
 
 
@@ -139,10 +139,7 @@ def eval_g(t, zipper, line, lift, tol=1e-9):
     rescaled by q_i A_i, so the bound is the product of the q_i |A_i| times
     a bound on sup |g|.  Node hits end exactly at the solved node integrals.
     """
-    values, bounds, depths = _descend_g([t], zipper, line, lift, tol)
-    value = values[0]
-    value.setflags(write=False)
-    return ParamEvaluation(value, float(bounds[0]), int(depths[0]))
+    return _first_point(_descend_g([t], zipper, line, lift, tol))
 
 
 def inverse_design(q1, q2, x1, g1, g2):

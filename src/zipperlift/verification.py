@@ -125,13 +125,14 @@ def parametrization_residual(zipper, line, samples=1000, seed=0):
     """
     from . import _pcg64  # at the first draw: see its docstring
     ts = _pcg64.integers(seed, 2**40, _sample_count("samples", samples)).astype(float) * 2.0**-40
-    f_values, _ = eval_f_many(ts, zipper, line, tol=RESIDUAL_TOL)
+    # each image under every interval map, with the bits of line.forward
+    images = line.translations[:, :1] + line.linears[:, 0] * ts
+    values, _ = eval_f_many(np.append(ts, images), zipper, line, tol=RESIDUAL_TOL)
+    f_values, *mapped = np.split(values, zipper.map_count + 1)
     worst_errors = np.zeros(ts.size)
-    for index in range(1, zipper.map_count + 1):
-        mapped_ts = line.forward(index, ts)
-        lhs, _ = eval_f_many(mapped_ts, zipper, line, tol=RESIDUAL_TOL)
-        rhs = f_values @ zipper.linears[index - 1].T + zipper.translations[index - 1]
-        errors = row_norms(lhs - rhs, lambda rows: np.linalg.norm(rows, axis=1))
+    for linear, translation, lhs in zip(zipper.linears, zipper.translations, mapped):
+        errors = row_norms(lhs - (f_values @ linear.T + translation),
+                           lambda rows: np.linalg.norm(rows, axis=1))
         np.maximum(worst_errors, errors, out=worst_errors)
     max_error = float(worst_errors.max())
     tolerance = 2.0 * RESIDUAL_TOL
@@ -150,19 +151,19 @@ def integral_residual(zipper, line, lift, samples=1000, seed=0):
     """
     from . import _pcg64  # at the first draw: see its docstring
     ts = _pcg64.uniform(seed, 0.0, 1.0, _sample_count("samples", samples))
+    images = line.translations[:, :1] + line.linears[:, 0] * ts
+    values, _ = eval_g_many(np.append(ts, images), zipper, line, lift, tol=RESIDUAL_TOL)
+    g_values, *mapped = np.split(values, zipper.map_count + 1)
     worst_errors = np.zeros(ts.size)
-    g_values, _ = eval_g_many(ts, zipper, line, lift, tol=RESIDUAL_TOL)
     offsets, linear_parts, _ = lift.normal_form
-    for index in range(1, zipper.map_count + 1):
-        width = line.ratios[index - 1]
-        g_node = lift.node_integrals[index - 1]
-        lhs, _ = eval_g_many(line.forward(index, ts), zipper, line, lift, tol=RESIDUAL_TOL)
-        if zipper.signature[index - 1]:
+    for k, lhs in enumerate(mapped):
+        width = line.ratios[k]
+        if zipper.signature[k]:
             local_ts, local_g = 1.0 - ts, g_values - lift.h
         else:
             local_ts, local_g = ts, g_values
-        rhs = (g_node + offsets[index - 1] * width * local_ts[:, None]
-               + width * _matvec(linear_parts[index - 1], local_g))
+        rhs = (lift.node_integrals[k] + offsets[k] * width * local_ts[:, None]
+               + width * _matvec(linear_parts[k], local_g))
         np.maximum(worst_errors, row_norms(lhs - rhs), out=worst_errors)
     max_error = float(worst_errors.max())
     tolerance = 2.0 * RESIDUAL_TOL
@@ -227,12 +228,12 @@ def derivative_check(zipper, line, lift, sample_count=100, seed=0):
                         _sample_count("sample_count", sample_count))
     f_values, _ = eval_f_many(ts, zipper, line, tol=DERIVATIVE_F_TOL)
     bounds = np.array([10.0 * d**DERIVATIVE_EXPONENT for d in deltas])
-    errors = np.zeros((ts.size, len(deltas)))
-    for col, delta in enumerate(deltas):
-        upper, _ = eval_g_many(ts + delta, zipper, line, lift, tol=DERIVATIVE_G_TOL)
-        lower, _ = eval_g_many(ts - delta, zipper, line, lift, tol=DERIVATIVE_G_TOL)
-        diff = (upper - lower) / (2.0 * delta)
-        errors[:, col] = row_norms(diff - f_values)
+    steps = np.array(deltas)[:, None]
+    values, _ = eval_g_many(np.append(ts + steps, ts - steps), zipper, line, lift,
+                            tol=DERIVATIVE_G_TOL)
+    upper, lower = values.reshape(2, len(deltas), ts.size, -1)
+    errors = np.column_stack([row_norms(diff - f_values)
+                              for diff in (upper - lower) / (2.0 * steps[:, :, None])])
     tolerance = float(bounds[-1])
     max_error = _inflate_on_growth(float(errors[:, -1].max()), tolerance, errors,
                                    DERIVATIVE_NOISE_FLOOR * bounds, DERIVATIVE_SLACK)
@@ -256,21 +257,18 @@ def tangent_scan(zipper, line, sample_count):
     """
     if int(sample_count) < 16:
         raise ValueError("sample_count must be at least 16")
-
-    def max_increment(count):
-        ts = np.linspace(TANGENT_T_MIN, 1.0, count)
-        values, _ = eval_f_many(ts, zipper, line, tol=TANGENT_F_TOL)
-        magnitudes = row_norms(values, lambda rows: np.linalg.norm(rows, axis=1))
-        vanished = magnitudes <= 1e-12
-        if vanished.any():
-            where = float(ts[vanished][0])
-            raise ZeroTangent(f"tangent magnitude <= 1e-12 at t = {where!r}")
-        units = values / magnitudes[:, None]
-        cosines = np.clip(np.einsum("pi,pi->p", units[:-1], units[1:]), -1.0, 1.0)
-        return float(np.arccos(cosines).max())
-
-    coarse = max_increment(int(sample_count))
-    fine = max_increment(2 * int(sample_count))
+    counts = (int(sample_count), 2 * int(sample_count))
+    ts = np.concatenate([np.linspace(TANGENT_T_MIN, 1.0, count) for count in counts])
+    values, _ = eval_f_many(ts, zipper, line, tol=TANGENT_F_TOL)
+    magnitudes = row_norms(values, lambda rows: np.linalg.norm(rows, axis=1))
+    vanished = magnitudes <= 1e-12
+    if vanished.any():
+        where = float(ts[vanished][0])
+        raise ZeroTangent(f"tangent magnitude <= 1e-12 at t = {where!r}")
+    # the largest angle between consecutive samples, coarse grid then fine
+    coarse, fine = (
+        float(np.arccos(np.clip(np.einsum("pi,pi->p", units[:-1], units[1:]), -1.0, 1.0)).max())
+        for units in np.split(values / magnitudes[:, None], counts[:1]))
     tolerance = 1.0 / TANGENT_DOUBLING
     max_error = fine / coarse if coarse > 0.0 else 0.0
     return VerificationReport(

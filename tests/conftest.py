@@ -16,6 +16,7 @@ from zipperlift.families import (
     build_example2,
 )
 from zipperlift.smoothing import build_lift
+from zipperlift.zipper import line_zipper, validate_zipper
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +38,15 @@ def rotation_half():
     """Rotation family at apex height 0.5."""
     zipper, line = build_example2(Example2Config(h_param=0.5))
     return zipper, line, build_lift(zipper, line)
+
+
+@pytest.fixture(scope="session")
+def reversed_system():
+    """Two maps on the line, the first reversing: S1(x) = 0.6 - 0.6x and
+    S2(x) = 0.6 + 0.4x over vertices (0, 0.6, 1): (zipper, line)."""
+    zipper = validate_zipper([[[-0.6]], [[0.4]]], [[0.6], [0.6]], [[0.0], [0.6], [1.0]], (1, 0))
+    line = line_zipper((0.0, 0.5, 1.0), (1, 0))
+    return zipper, line
 
 
 def uniform_dyadic(rng, count, bits=40):

@@ -3,8 +3,10 @@
 None of this is package code, and the package never imports it: the
 Hausdorff invariance residual (the only user of scipy), the graph identity
 re-evaluation, the midpoint rule of ``f`` one rung at a time, the scalar
-interval address that the batched descent replaced, and the one-matrix
-power iteration and word-list scan that the stacked ones replaced.
+interval address that the batched descent replaced, the one-matrix
+power iteration and word-list scan that the stacked ones replaced, and
+the four oracles that evaluated one batch per interval map, step size or
+grid before each took one batch per curve.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from zipperlift.errors import OutOfDomain
+from zipperlift import _pcg64
+from zipperlift.errors import OutOfDomain, ZeroTangent
 from zipperlift.geometry import (
     CONTRACTION_THRESHOLD,
     MAX_POWER_ITERATIONS,
@@ -23,8 +26,24 @@ from zipperlift.geometry import (
     ContractionScan,
     row_norms,
 )
-from zipperlift.parametrization import eval_f_many
-from zipperlift.verification import QUADRATURE_F_TOL, VerificationReport, _worst_offenders
+from zipperlift.parametrization import _matvec, eval_f_many
+from zipperlift.smoothing import eval_g_many
+from zipperlift.verification import (
+    DERIVATIVE_DELTAS,
+    DERIVATIVE_EXPONENT,
+    DERIVATIVE_F_TOL,
+    DERIVATIVE_G_TOL,
+    DERIVATIVE_NOISE_FLOOR,
+    DERIVATIVE_SLACK,
+    QUADRATURE_F_TOL,
+    RESIDUAL_TOL,
+    TANGENT_DOUBLING,
+    TANGENT_F_TOL,
+    TANGENT_T_MIN,
+    VerificationReport,
+    _inflate_on_growth,
+    _worst_offenders,
+)
 
 
 def hausdorff_distance(a, b):
@@ -228,3 +247,90 @@ def contraction_scan_reference(linears, translations, base_point, max_word_lengt
         if worst <= CONTRACTION_THRESHOLD:
             return ContractionScan(length, tuple(values), farthest / (1.0 - worst**length))
     return ContractionScan(None, tuple(values))
+
+
+def parametrization_residual_reference(zipper, line, samples=1000, seed=0):
+    """:func:`zipperlift.verification.parametrization_residual` with one
+    ``eval_f_many`` call for the samples and one per interval map, each map's
+    images through ``line.forward``."""
+    ts = _pcg64.integers(seed, 2**40, samples).astype(float) * 2.0**-40
+    f_values, _ = eval_f_many(ts, zipper, line, tol=RESIDUAL_TOL)
+    worst_errors = np.zeros(ts.size)
+    for index in range(1, zipper.map_count + 1):
+        lhs, _ = eval_f_many(line.forward(index, ts), zipper, line, tol=RESIDUAL_TOL)
+        rhs = f_values @ zipper.linears[index - 1].T + zipper.translations[index - 1]
+        errors = row_norms(lhs - rhs, lambda rows: np.linalg.norm(rows, axis=1))
+        np.maximum(worst_errors, errors, out=worst_errors)
+    return VerificationReport(
+        "parametrization-residual", float(worst_errors.max()), ts.size, 2.0 * RESIDUAL_TOL,
+        _worst_offenders(ts, worst_errors),
+    )
+
+
+def integral_residual_reference(zipper, line, lift, samples=1000, seed=0):
+    """:func:`zipperlift.verification.integral_residual` with one
+    ``eval_g_many`` call for the samples and one per interval map."""
+    ts = _pcg64.uniform(seed, 0.0, 1.0, samples)
+    worst_errors = np.zeros(ts.size)
+    g_values, _ = eval_g_many(ts, zipper, line, lift, tol=RESIDUAL_TOL)
+    offsets, linear_parts, _ = lift.normal_form
+    for index in range(1, zipper.map_count + 1):
+        width = line.ratios[index - 1]
+        lhs, _ = eval_g_many(line.forward(index, ts), zipper, line, lift, tol=RESIDUAL_TOL)
+        if zipper.signature[index - 1]:
+            local_ts, local_g = 1.0 - ts, g_values - lift.h
+        else:
+            local_ts, local_g = ts, g_values
+        rhs = (lift.node_integrals[index - 1] + offsets[index - 1] * width * local_ts[:, None]
+               + width * _matvec(linear_parts[index - 1], local_g))
+        np.maximum(worst_errors, row_norms(lhs - rhs), out=worst_errors)
+    return VerificationReport(
+        "integral-residual", float(worst_errors.max()), ts.size, 2.0 * RESIDUAL_TOL,
+        _worst_offenders(ts, worst_errors),
+    )
+
+
+def derivative_check_reference(zipper, line, lift, sample_count=100, seed=0):
+    """:func:`zipperlift.verification.derivative_check` with two
+    ``eval_g_many`` calls, ``t + delta`` and ``t - delta``, per step."""
+    deltas = DERIVATIVE_DELTAS
+    ts = _pcg64.uniform(seed, deltas[0], 1.0 - deltas[0], sample_count)
+    f_values, _ = eval_f_many(ts, zipper, line, tol=DERIVATIVE_F_TOL)
+    bounds = np.array([10.0 * d**DERIVATIVE_EXPONENT for d in deltas])
+    errors = np.zeros((ts.size, len(deltas)))
+    for col, delta in enumerate(deltas):
+        upper, _ = eval_g_many(ts + delta, zipper, line, lift, tol=DERIVATIVE_G_TOL)
+        lower, _ = eval_g_many(ts - delta, zipper, line, lift, tol=DERIVATIVE_G_TOL)
+        errors[:, col] = row_norms((upper - lower) / (2.0 * delta) - f_values)
+    tolerance = float(bounds[-1])
+    max_error = _inflate_on_growth(float(errors[:, -1].max()), tolerance, errors,
+                                   DERIVATIVE_NOISE_FLOOR * bounds, DERIVATIVE_SLACK)
+    return VerificationReport(
+        "derivative-check", max_error, ts.size, tolerance,
+        _worst_offenders(ts, errors[:, -1]),
+    )
+
+
+def tangent_scan_reference(zipper, line, sample_count):
+    """:func:`zipperlift.verification.tangent_scan` with one ``eval_f_many``
+    call per grid, the coarse grid first."""
+
+    def max_increment(count):
+        ts = np.linspace(TANGENT_T_MIN, 1.0, count)
+        values, _ = eval_f_many(ts, zipper, line, tol=TANGENT_F_TOL)
+        magnitudes = row_norms(values, lambda rows: np.linalg.norm(rows, axis=1))
+        vanished = magnitudes <= 1e-12
+        if vanished.any():
+            where = float(ts[vanished][0])
+            raise ZeroTangent(f"tangent magnitude <= 1e-12 at t = {where!r}")
+        units = values / magnitudes[:, None]
+        cosines = np.clip(np.einsum("pi,pi->p", units[:-1], units[1:]), -1.0, 1.0)
+        return float(np.arccos(cosines).max())
+
+    coarse = max_increment(sample_count)
+    fine = max_increment(2 * sample_count)
+    return VerificationReport(
+        "tangent-scan", fine / coarse if coarse > 0.0 else 0.0, 3 * sample_count,
+        1.0 / TANGENT_DOUBLING,
+        ((float(sample_count), coarse), (float(2 * sample_count), fine)),
+    )

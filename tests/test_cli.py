@@ -417,6 +417,33 @@ def test_verify_validates_the_lift_only_for_the_contraction_check(monkeypatch, s
     assert len(lifts) == calls
 
 
+@pytest.mark.parametrize("source", ["ex2-h0.5", "seed0-zipper2"])
+def test_verify_descends_each_curve_once_per_oracle(tmp_path, monkeypatch, capsys, source):
+    # only the quadrature oracle loops, one batch per grid parameter, which
+    # bounds its memory; the other oracles evaluate each curve in one batch
+    from zipperlift import parametrization, smoothing
+
+    batches = []
+    descend = parametrization._descend
+
+    def recording(ts, *args):
+        batches.append(len(ts))
+        return descend(ts, *args)
+
+    monkeypatch.setattr(parametrization, "_descend", recording)
+    monkeypatch.setattr(smoothing, "_descend", recording)
+    if source == "ex2-h0.5":
+        argv, maps = ["--example2", "h=0.5"], 2
+    else:
+        config = tmp_path / "zipper2.json"
+        config.write_text(workloads().build_workload("generated-zippers", 0).configs[config.name])
+        argv, maps = [str(config)], 5
+    main(["verify", *argv, "--suite", "all"])
+    capsys.readouterr()
+    # feq f and g, quad g and 11 f, deriv f and g, tangent f: 17 descents
+    assert batches == [400 * (maps + 1)] * 2 + [11] + [5376] * 11 + [48, 48 * 6, 256 * 3]
+
+
 def test_inverse_design_output(capsys):
     code = main([
         "inverse-design", "--q1", "0.5", "--x1", "0.5", "--g1", "0.045", "--g2", "0.3",

@@ -24,15 +24,8 @@ from zipperlift.verification import (
     integral_residual,
     parametrization_residual,
 )
-from zipperlift.zipper import line_zipper, product_zipper, validate_zipper
+from zipperlift.zipper import product_zipper
 from oracles import graph_identity_check, hausdorff_residual, quadrature_g
-
-
-@pytest.fixture(scope="module")
-def reversed_system():
-    zipper = validate_zipper([[[-0.6]], [[0.4]]], [[0.6], [0.6]], [[0.0], [0.6], [1.0]], (1, 0))
-    line = line_zipper((0.0, 0.5, 1.0), (1, 0))
-    return zipper, line
 
 
 def test_parametrization_hand_value(reversed_system):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zipperlift import verification
 from zipperlift.config_io import build_system, parse_config
@@ -24,7 +25,13 @@ from zipperlift.verification import (
 )
 from zipperlift.zipper import Zipper, line_zipper, product_zipper, validate_zipper
 from conftest import workloads
-from oracles import quadrature_g
+from oracles import (
+    derivative_check_reference,
+    integral_residual_reference,
+    parametrization_residual_reference,
+    quadrature_g,
+    tangent_scan_reference,
+)
 
 
 def test_report_dict_is_strict_json():
@@ -125,8 +132,11 @@ def test_tangent_scan_zero_tangent_path():
         linears.append([[dx, -dy], [dy, dx]])
     zipper = validate_zipper(linears, vertices[:4], vertices, (0, 0, 0, 0))
     line = line_zipper((0.0, 0.25, 0.5, 0.75, 1.0), (0, 0, 0, 0))
-    with pytest.raises(ZeroTangent):
+    with pytest.raises(ZeroTangent) as batched:
         tangent_scan(zipper, line, 64)
+    with pytest.raises(ZeroTangent) as looped:
+        tangent_scan_reference(zipper, line, 64)
+    assert str(batched.value) == str(looped.value)
 
 
 def test_tangent_scan_rotation_family_no_zero_tangent():
@@ -323,3 +333,46 @@ def test_eventual_contraction_failing_report():
     lengths, values = zip(*report["details"])
     assert lengths == tuple(float(length) for length in range(1, 9))
     assert report["maxError"] == min(values) == values[5] < values[-1]
+
+
+def assert_oracles_match_their_references(zipper, line, lift):
+    """Each oracle that evaluates one batch per curve reports exactly what
+    its loop of one batch per interval map, step or grid reported, at the
+    sample counts ``verify`` runs by default."""
+    assert parametrization_residual(zipper, line, 400) == \
+        parametrization_residual_reference(zipper, line, 400)
+    assert integral_residual(zipper, line, lift, 400) == \
+        integral_residual_reference(zipper, line, lift, 400)
+    assert derivative_check(zipper, line, lift, 48) == \
+        derivative_check_reference(zipper, line, lift, 48)
+    assert tangent_scan(zipper, line, 256) == tangent_scan_reference(zipper, line, 256)
+
+
+#: The generated-zippers configs at seeds 0-2 by name: m = 3..5 maps on R^2
+#: and R^3, each with a reversed bit.
+GENERATED_CONFIGS = {
+    f"seed{seed}-{name}": text for seed in range(3)
+    for name, text in workloads().build_workload("generated-zippers", seed).configs.items()
+}
+
+
+@pytest.mark.parametrize("name", ["ex1-p0.3", "ex2-h0.5", "reversed", *GENERATED_CONFIGS])
+def test_batched_oracles_equal_their_looped_references(name, interval_03, rotation_half,
+                                                       reversed_system):
+    if name == "ex1-p0.3":
+        system = interval_03
+    elif name == "ex2-h0.5":
+        system = rotation_half
+    else:
+        zipper, line = (reversed_system if name == "reversed"
+                        else build_system(parse_config(GENERATED_CONFIGS[name])))
+        system = zipper, line, build_lift(zipper, line)
+    assert_oracles_match_their_references(*system)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), map_count=st.integers(2, 5), dimension=st.integers(2, 3))
+def test_batched_oracles_equal_their_references_on_random_zippers(seed, map_count, dimension):
+    config = workloads().random_zipper_config(np.random.default_rng(seed), map_count, dimension)
+    zipper, line = build_system(parse_config(json.dumps(config)))
+    assert_oracles_match_their_references(zipper, line, build_lift(zipper, line))

@@ -1,6 +1,7 @@
 """Record what the CLI prints and writes over a fixed matrix of commands.
 
     python tools/cli_snapshot.py OUTDIR [CONFIG...]
+    python tools/cli_snapshot.py --compare OLD NEW
 
 Runs ``python -m zipperlift`` from this checkout's ``src`` on four preset
 forms, the generated configs of ``perfbench/workloads.py`` (seeds 0-3) and
@@ -9,11 +10,23 @@ holds its config, every file the commands write (by relative name) and one
 ``NN-command.txt`` per command with its exit code, stdout and stderr.
 ``diff -r`` of two OUTDIRs made from two checkouts shows every change in
 CLI behaviour over the matrix.
+
+``--compare`` says how far each change went.  It prints one JSON line per
+file that differs between the two OUTDIRs (or exists in only one): the
+exit code and stderr of a command record when they change, verbatim; each
+``"passed"`` verdict that flipped; for the number tokens that pair up
+between the two texts, how many changed and the largest move in ulps and
+relative; and every other differing line, verbatim.  It exits 1 when any
+file differs, like ``diff``.
 """
 
+import difflib
+import json
 import os
+import re
 import runpy
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -84,7 +97,100 @@ def main(outdir, *extra):
         print(f"{label}: {len(MATRIX)} commands", flush=True)
 
 
+RECORD = re.compile(r"(\$ .*\n)exit (-?\d+)\n(--- stdout\n.*?)--- stderr\n(.*)\Z", re.DOTALL)
+NUMBER = re.compile(r"-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?")
+VERDICT = re.compile(r'"check": "([^"]*)"[^{}]*?"passed": (true|false)')
+
+
+def _ordinal(value):
+    """Position of a float on the number line, counted in ulps."""
+    bits = struct.unpack("<q", struct.pack("<d", value))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _skeleton(line):
+    """``line`` with its verdicts and number tokens blanked."""
+    return NUMBER.sub("#", re.sub(r'"passed": (true|false)', '"passed": ?', line))
+
+
+def _common(a, b):
+    """Length of the common head of two lists."""
+    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+def compare_texts(old, new):
+    """The report fields for two versions of one text."""
+    report = {}
+    flips = [{"check": name, "old": was == "true", "new": now == "true"}
+             for (name, was), (new_name, now) in zip(VERDICT.findall(old), VERDICT.findall(new))
+             if name == new_name and was != now]
+    if flips:
+        report["flipped"] = flips
+    old_lines, new_lines = old.splitlines(keepends=True), new.splitlines(keepends=True)
+    old_keys, new_keys = ([_skeleton(line) for line in lines] for lines in (old_lines, new_lines))
+    # lines whose skeletons match pair up number by number; the matcher only
+    # sees what lies between the common head and tail, since it is quadratic
+    # in repeated lines such as a CSV's
+    head = _common(old_keys, new_keys)
+    tail = _common(old_keys[head:][::-1], new_keys[head:][::-1])
+    same = list(zip(old_lines[:head], new_lines[:head]))
+    same += zip(old_lines[len(old_lines) - tail:], new_lines[len(new_lines) - tail:])
+    text = []
+    matcher = difflib.SequenceMatcher(None, old_keys[head:len(old_keys) - tail],
+                                      new_keys[head:len(new_keys) - tail])
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        was, now = old_lines[head + i1:head + i2], new_lines[head + j1:head + j2]
+        if tag == "equal":
+            same += zip(was, now)
+        else:
+            text.append({"old": was, "new": now})
+    pairs = [pair for was, now in same for pair in zip(NUMBER.findall(was), NUMBER.findall(now))]
+    moved = [(float(a), float(b)) for a, b in pairs if a != b]
+    if moved:
+        report["numbers"] = {
+            "paired": len(pairs), "moved": len(moved),
+            "maxUlps": max(abs(_ordinal(a) - _ordinal(b)) for a, b in moved),
+            "maxRelative": max(abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+                               for a, b in moved),
+        }
+    if text:
+        report["text"] = text
+    return report
+
+
+def compare(old_dir, new_dir):
+    """Print one JSON line per file that differs; return 1 if any does."""
+    old_dir, new_dir = Path(old_dir), Path(new_dir)
+    names = sorted({path.relative_to(root).as_posix() for root in (old_dir, new_dir)
+                    for path in root.rglob("*") if path.is_file()})
+    changed = 0
+    for name in names:
+        old_path, new_path = old_dir / name, new_dir / name
+        if not (old_path.is_file() and new_path.is_file()):
+            line = {"file": name, "onlyIn": "old" if old_path.is_file() else "new"}
+        elif old_path.read_bytes() == new_path.read_bytes():
+            continue
+        else:
+            old, new = old_path.read_text(encoding="utf-8"), new_path.read_text(encoding="utf-8")
+            line = {"file": name}
+            records = RECORD.match(old), RECORD.match(new)
+            if all(records):
+                (head, code, out, err), (new_head, new_code, new_out, new_err) = (
+                    record.groups() for record in records)
+                if code != new_code:
+                    line["exit"] = [int(code), int(new_code)]
+                if err != new_err:
+                    line["stderr"] = [err, new_err]
+                old, new = head + out, new_head + new_out
+            line.update(compare_texts(old, new))
+        print(json.dumps(line))
+        changed = 1
+    return changed
+
+
 if __name__ == "__main__":
-    if len(sys.argv) < 2:
+    if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
+        sys.exit(compare(*sys.argv[2:]))
+    if len(sys.argv) < 2 or sys.argv[1].startswith("--"):
         sys.exit(__doc__)
     main(*sys.argv[1:])
