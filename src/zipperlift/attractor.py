@@ -52,12 +52,6 @@ class Polyline:
             raise ValueError("a graph polyline's first coordinates must be non-decreasing")
         object.__setattr__(self, "points", points)
 
-    @property
-    def params(self):
-        """A graph polyline's parameters, a read-only view of its first
-        coordinates, and None for any other polyline."""
-        return self.points[:, 0] if self.graph else None
-
 
 def _check_depth(depth):
     depth = int(depth)

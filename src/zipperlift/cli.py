@@ -158,7 +158,10 @@ def _cmd_render(args):
         target = smooth_zipper(zipper, line, build_lift(zipper, line))
     else:
         target = product_zipper(zipper, line)
-    projection = tuple(map(int, args.project.split(","))) if args.project else None
+    try:
+        projection = tuple(map(int, args.project.split(","))) if args.project else None
+    except ValueError:
+        raise InvalidConfig(f"--project takes comma-separated axis indices, got {args.project!r}")
     spec = RenderSpec(
         width=args.width, height=args.height,
         stroke_width=args.stroke_width, projection=projection,

@@ -84,9 +84,9 @@ class ParseError(ZipperLiftError):
 class ShapeError(ZipperLiftError):
     """A config field has the wrong shape or type."""
 
-    def __init__(self, field, message=None):
+    def __init__(self, field, message):
         self.field = field
-        super().__init__(message or f"field {field!r} has the wrong shape")
+        super().__init__(message)
 
 
 class DimensionUnsupported(ZipperLiftError):

@@ -58,8 +58,8 @@ def solve_linear(matrix, rhs):
             f"smallest singular value {smallest:.3e} below {SINGULAR_VALUE_FLOOR:g}"
         )
     x = np.linalg.solve(matrix, rhs)
-    budget = SOLVE_RESIDUAL_BOUND * (1.0 + vector_norm(rhs))
-    residual = vector_norm(rhs - matrix @ x)
+    size, residual = row_norms(np.stack([rhs, rhs - matrix @ x])).tolist()
+    budget = SOLVE_RESIDUAL_BOUND * (1.0 + size)
     if residual > budget:
         raise SingularSystem(
             f"residual {residual:.3e} exceeds contract {budget:.3e}; "
@@ -79,12 +79,6 @@ def row_norms(rows, norm=lambda rows: np.sqrt(np.vecdot(rows, rows))):
     _, exponents = np.frexp(np.abs(rows).max(axis=1))
     with np.errstate(over="ignore"):
         return np.ldexp(norm(np.ldexp(rows, -exponents[:, None])), exponents)
-
-
-def vector_norm(vector):
-    """Euclidean norm of ``vector``: the bits of ``np.linalg.norm`` wherever
-    that neither overflows nor underflows, and finite past there."""
-    return float(row_norms(np.asarray(vector, dtype=float)[None])[0])
 
 
 def operator_norms(stack):

@@ -125,7 +125,7 @@ def parametrization_residual(zipper, line, samples=1000, seed=0):
     """
     from . import _pcg64  # at the first draw: see its docstring
     ts = _pcg64.integers(seed, 2**40, _sample_count("samples", samples)).astype(float) * 2.0**-40
-    # each image under every interval map, with the bits of line.forward
+    # each t's image under every interval map t -> translation + linear * t
     images = line.translations[:, :1] + line.linears[:, 0] * ts
     values, _ = eval_f_many(np.append(ts, images), zipper, line, tol=RESIDUAL_TOL)
     f_values, *mapped = np.split(values, zipper.map_count + 1)

@@ -45,12 +45,12 @@ CONTRACTION_MARGIN = 1e-12
 EVENTUAL_WORD_LENGTH = 8
 
 
-def as_signature(bits, count=None):
-    """Validate a sequence of orientation bits, returning a tuple of ints."""
+def as_signature(bits, count):
+    """Validate ``count`` orientation bits, returning a tuple of ints."""
     signature = tuple(int(b) for b in bits)
     if any(b not in (0, 1) for b in signature):
         raise ValueError(f"signature entries must be 0 or 1, got {bits!r}")
-    if count is not None and len(signature) != count:
+    if len(signature) != count:
         raise ValueError(f"expected signature of length {count}, got {len(signature)}")
     return signature
 
@@ -143,10 +143,6 @@ class Zipper:
         ratios = np.diff(self.nodes)
         ratios.setflags(write=False)
         return ratios
-
-    def forward(self, index, t):
-        """Image of ``t`` under map ``index`` (1-based) of a line zipper.  Vectorized."""
-        return self.translations[index - 1, 0] + self.linears[index - 1, 0, 0] * t
 
 
 def inspect_zipper(linears, translations, vertices, signature):

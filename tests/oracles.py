@@ -76,21 +76,23 @@ def hausdorff_residual(polyline, zipper):
 def graph_identity_check(polyline, evaluate, samples=1000, tol=1e-6):
     """Re-evaluate sampled graph points through a batched curve evaluator.
 
-    ``polyline`` must carry parameters; ``evaluate`` maps an array of
-    parameters to the (N, n) array of expected remaining coordinates, as
+    ``polyline`` must be a graph, whose first coordinates are its
+    parameters; ``evaluate`` maps an array of parameters to the (N, n)
+    array of expected remaining coordinates, as
     ``lambda ts: eval_f_many(ts, zipper, line)[0]`` does.  Subsamples evenly
     when the polyline has more points than ``samples``.
     """
-    if polyline.params is None:
+    if not polyline.graph:
         raise ValueError("polyline carries no parameters")
     count = polyline.points.shape[0]
     take = np.linspace(0, count - 1, min(int(samples), count)).astype(int)
-    expected = np.asarray(evaluate(polyline.params[take]), dtype=float)
+    params = polyline.points[take, 0]
+    expected = np.asarray(evaluate(params), dtype=float)
     errors = row_norms(polyline.points[take, 1:] - expected)
     max_error = float(errors.max())
     return VerificationReport(
         "graph-identity", max_error, take.size, tol,
-        _worst_offenders(polyline.params[take], errors),
+        _worst_offenders(params, errors),
     )
 
 
@@ -251,13 +253,13 @@ def contraction_scan_reference(linears, translations, base_point, max_word_lengt
 
 def parametrization_residual_reference(zipper, line, samples=1000, seed=0):
     """:func:`zipperlift.verification.parametrization_residual` with one
-    ``eval_f_many`` call for the samples and one per interval map, each map's
-    images through ``line.forward``."""
+    ``eval_f_many`` call for the samples and one per interval map."""
     ts = _pcg64.integers(seed, 2**40, samples).astype(float) * 2.0**-40
     f_values, _ = eval_f_many(ts, zipper, line, tol=RESIDUAL_TOL)
     worst_errors = np.zeros(ts.size)
     for index in range(1, zipper.map_count + 1):
-        lhs, _ = eval_f_many(line.forward(index, ts), zipper, line, tol=RESIDUAL_TOL)
+        images = line.translations[index - 1, 0] + line.linears[index - 1, 0, 0] * ts
+        lhs, _ = eval_f_many(images, zipper, line, tol=RESIDUAL_TOL)
         rhs = f_values @ zipper.linears[index - 1].T + zipper.translations[index - 1]
         errors = row_norms(lhs - rhs, lambda rows: np.linalg.norm(rows, axis=1))
         np.maximum(worst_errors, errors, out=worst_errors)
@@ -276,7 +278,8 @@ def integral_residual_reference(zipper, line, lift, samples=1000, seed=0):
     offsets, linear_parts, _ = lift.normal_form
     for index in range(1, zipper.map_count + 1):
         width = line.ratios[index - 1]
-        lhs, _ = eval_g_many(line.forward(index, ts), zipper, line, lift, tol=RESIDUAL_TOL)
+        images = line.translations[index - 1, 0] + line.linears[index - 1, 0, 0] * ts
+        lhs, _ = eval_g_many(images, zipper, line, lift, tol=RESIDUAL_TOL)
         if zipper.signature[index - 1]:
             local_ts, local_g = 1.0 - ts, g_values - lift.h
         else:

@@ -22,7 +22,7 @@ def test_refine_depth_zero_is_vertices(graph_zipper):
     product, line = graph_zipper
     polyline = refine(product, 0, line=line)
     assert np.array_equal(polyline.points, product.vertices)
-    assert np.array_equal(polyline.params, line.nodes)
+    assert np.array_equal(polyline.points[:, 0], line.nodes)
 
 
 def test_refine_depth_one_contains_endpoint_images(graph_zipper):
@@ -31,7 +31,7 @@ def test_refine_depth_one_contains_endpoint_images(graph_zipper):
     product, line = graph_zipper
     polyline = refine(product, 1, line=line)
     for t, point in ((0.0, (0.0, 0.0)), (0.5, (0.5, 0.3)), (1.0, (1.0, 1.0))):
-        where = np.flatnonzero(polyline.params == t)
+        where = np.flatnonzero(polyline.points[:, 0] == t)
         assert where.size == 1
         assert np.allclose(polyline.points[where[0]], point, atol=1e-15)
 
@@ -39,9 +39,9 @@ def test_refine_depth_one_contains_endpoint_images(graph_zipper):
 def test_refine_orientation_keeps_params_monotone():
     line = line_zipper((0.0, 0.5, 1.0), (1, 0))
     polyline = refine(line, 1, line=line)  # a line zipper is a graph over itself
-    assert np.all(np.diff(polyline.params) >= 0)
+    assert np.all(np.diff(polyline.points[:, 0]) >= 0)
     for t in (0.0, 0.5, 1.0):
-        assert t in polyline.params
+        assert t in polyline.points[:, 0]
 
 
 def test_refine_point_count_and_params_interleave(graph_zipper):
@@ -50,15 +50,7 @@ def test_refine_point_count_and_params_interleave(graph_zipper):
         polyline = refine(product, depth, line=line)
         assert polyline.points.shape[0] == 2 ** (depth + 1) + 1
         # graph property: sorting by parameter never reorders points
-        assert np.all(np.diff(polyline.params) >= 0)
-        assert np.array_equal(polyline.params, polyline.points[:, 0])
-
-
-def test_refine_params_are_a_view_of_the_first_coordinate(graph_zipper):
-    product, line = graph_zipper
-    polyline = refine(product, 6, line=line)
-    assert np.shares_memory(polyline.params, polyline.points)
-    assert not polyline.params.flags.writeable
+        assert np.all(np.diff(polyline.points[:, 0]) >= 0)
 
 
 def test_refine_mesh_bound_shrinks_geometrically(graph_zipper):
@@ -175,22 +167,13 @@ def test_polyline_keeps_read_only_arrays_and_copies_writeable_ones(graph_zipper)
     refined = refine(product, 6, line=line)
     rewrapped = Polyline(points=refined.points, mesh_bound=0.0, graph=True)
     assert np.shares_memory(rewrapped.points, refined.points)
-    assert np.shares_memory(rewrapped.params, refined.params)
 
     points = np.array(refined.points)
     polyline = Polyline(points=points, mesh_bound=0.0, graph=True)
     assert not np.shares_memory(polyline.points, points)
     points[0, 0] = 99.0
     assert polyline.points[0, 0] == refined.points[0, 0]
-    assert polyline.params[0] == refined.params[0]
-    assert not polyline.points.flags.writeable and not polyline.params.flags.writeable
-
-
-def test_polyline_params_are_the_first_coordinates_of_a_graph_only():
-    points = np.array([[0.0, 1.0], [0.5, -1.0], [1.0, 2.0]])
-    assert Polyline(points=points, mesh_bound=0.0).params is None
-    params = Polyline(points=points, mesh_bound=0.0, graph=True).params
-    assert params.tolist() == [0.0, 0.5, 1.0] and not params.flags.writeable
+    assert not polyline.points.flags.writeable
 
 
 @pytest.mark.parametrize("points, graph, match", [

@@ -53,11 +53,15 @@ def test_usage_errors(capsys, tmp_path):
     assert capsys.readouterr().err == "error: --example1: parameter 'p' given twice\n"
     # the product of example 1 lives in R^2: axes 0 and 1, once each
     svg, csv = tmp_path / "out.svg", tmp_path / "out.csv"
-    for axes in ("0,5", "0,-1", "0,0", "1,1", "0,1,1"):
+    for axes in ("0,5", "0,-1", "0,0", "1,1", "0,1,1", "a,b", "0,"):
         argv = ["render", "--example1", "p=0.3", "--svg", str(svg), "--csv", str(csv),
                 "--project", axes]
         assert main(argv) == 2
-        assert "does not select two axes of R^2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if axes in ("a,b", "0,"):
+            assert err == f"error: --project takes comma-separated axis indices, got {axes!r}\n"
+        else:
+            assert "does not select two axes of R^2" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -79,3 +79,26 @@ def test_identical_snapshots_compare_empty(tmp_path):
     old = write_snapshot(tmp_path / "old", H, "true", 0, "", "0")
     new = write_snapshot(tmp_path / "new", H, "true", 0, "", "0")
     assert runpy.run_path(str(TOOL))["compare"](old, new) == 0
+
+
+def test_swapped_offenders_pair_by_location(tmp_path):
+    # the two worst offenders swap rank as each error moves by 1 ulp
+    worst = 1.5e-10
+    below = math.nextafter(worst, 0.0)
+    for root, details in ((tmp_path / "old", [[0.25, worst], [0.75, below]]),
+                          (tmp_path / "new", [[0.75, worst], [0.25, below]])):
+        report = {"check": "parametrization-residual", "maxError": worst, "samples": 400,
+                  "passed": True, "tolerance": 2e-09, "details": details}
+        (root / "ex1").mkdir(parents=True)
+        (root / "ex1" / "03-verify.txt").write_text(
+            record("verify --suite feq", 0, json.dumps([report], indent=2) + "\n"))
+    result = subprocess.run([sys.executable, str(TOOL), "--compare", str(tmp_path / "old"),
+                             str(tmp_path / "new")], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1
+    assert [json.loads(line) for line in result.stdout.splitlines()] == [
+        {"file": "ex1/03-verify.txt",
+         "offenders": [{"check": "parametrization-residual", "old": [0.25, 0.75],
+                        "new": [0.75, 0.25]}],
+         "numbers": {"paired": 7, "moved": 2, "maxUlps": 1,
+                     "maxRelative": (worst - below) / worst}},
+    ]

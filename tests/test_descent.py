@@ -148,7 +148,7 @@ def test_points_on_nodes_end_within_one_level(name, request):
     zipper, line, lift = system
     # the nodes end at depth 0; on these dyadic nodes their images under
     # each interval map pull back exactly and end at depth 1
-    images = np.unique([line.forward(index, line.nodes) for index in range(1, line.map_count + 1)])
+    images = np.unique(line.translations[:, :1] + line.linears[:, 0] * line.nodes)
     images = images[~np.isin(images, line.nodes)]
     for ts, depth in ((line.nodes, 0), (images, 1)):
         _assert_matches_scalar_loop(system, ts)

@@ -11,7 +11,6 @@ from zipperlift.geometry import (
     operator_norms,
     row_norms,
     solve_linear,
-    vector_norm,
 )
 from zipperlift.smoothing import build_lift, smooth_zipper
 from conftest import workloads
@@ -91,18 +90,19 @@ def test_solve_linear_rejects_non_finite_entries(matrix, rhs):
         solve_linear(matrix, rhs)
 
 
-def test_vector_norm_is_numpys_where_nothing_overflows(rng):
+def test_row_norms_are_numpys_where_nothing_overflows(rng):
     for _ in range(20_000):
         size = int(rng.integers(1, 9))
         vector = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-150, 150, size)
-        assert vector_norm(vector) == float(np.linalg.norm(vector))
-    assert vector_norm(np.zeros(3)) == 0.0
+        assert row_norms(vector[None])[0] == np.linalg.norm(vector)
+    assert row_norms(np.zeros((1, 3))).tolist() == [0.0]
 
 
-def test_vector_norm_across_the_float_range():
-    for e in range(-300, 301, 20):
-        assert vector_norm([3 * 10.0**e, 4 * 10.0**e]) == pytest.approx(5 * 10.0**e, rel=1e-15)
-    assert vector_norm([1e308, 1e308, 1e308, 1e308]) == math.inf
+def test_row_norms_across_the_float_range():
+    rows = [[3 * 10.0**e, 4 * 10.0**e] for e in range(-300, 301, 20)]
+    expected = [5 * 10.0**e for e in range(-300, 301, 20)]
+    assert row_norms(np.array(rows)).tolist() == pytest.approx(expected, rel=1e-15)
+    assert row_norms(np.full((1, 4), 1e308)).tolist() == [math.inf]
 
 
 def test_operator_norm_identity():
@@ -177,7 +177,6 @@ def test_row_norms_are_the_one_vector_norm_bit_for_bit(rng):
         rows = rng.normal(size=(300, n)) * 10.0 ** rng.choice([-200, 0, 200], size=(300, 1))
         expected = _bits(reference_vector_norm(row) for row in rows)
         assert _bits(row_norms(rows)) == expected
-        assert _bits(vector_norm(row) for row in rows) == expected
 
 
 def _systems():

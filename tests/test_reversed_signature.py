@@ -87,7 +87,7 @@ def test_lifted_zipper_reversed(reversed_system):
     assert lifted.signature == (1, 0)
     assert eventual_contraction_check(lifted).passed
     polyline = refine(lifted, 10, line=line)
-    assert np.all(np.diff(polyline.params) >= 0)
+    assert np.all(np.diff(polyline.points[:, 0]) >= 0)
     assert hausdorff_residual(polyline, lifted) <= 2.0 * polyline.mesh_bound
     identity = graph_identity_check(
         polyline, lambda ts: eval_g_many(ts, zipper, line, lift, tol=1e-9)[0],
@@ -100,7 +100,7 @@ def test_product_zipper_reversed(reversed_system):
     zipper, line = reversed_system
     product = product_zipper(zipper, line)
     polyline = refine(product, 10, line=line)
-    assert np.all(np.diff(polyline.params) >= 0)
+    assert np.all(np.diff(polyline.points[:, 0]) >= 0)
     identity = graph_identity_check(
         polyline, lambda ts: eval_f_many(ts, zipper, line, tol=1e-9)[0],
         samples=400, tol=1e-6,

@@ -70,7 +70,6 @@ def test_segments_concatenate_to_refine_bitwise(name, kind):
         reference = refine(target, depth, line=line)
         points = np.concatenate(parts)
         assert np.array_equal(_bits(points), _bits(reference.points)), depth
-        assert np.array_equal(_bits(points[:, 0]), _bits(reference.params)), depth
 
 
 def test_segment_level_is_the_deepest_level_that_fits():

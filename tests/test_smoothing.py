@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from zipperlift.families import (
     build_example2,
 )
 from zipperlift.geometry import solve_linear
+from zipperlift.parametrization import eval_f_many
 from zipperlift.smoothing import (
     build_lift,
     eval_g,
@@ -97,6 +100,24 @@ def test_eval_g_parabola(interval_half):
     for t in (0.25, 0.3, 0.9):
         value = eval_g(t, zipper, line, lift, tol=1e-12).value[0]
         assert value == pytest.approx(t * t / 2.0, abs=1e-11)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-11, 1e-13])
+def test_parabola_radii_cover_the_exact_values(interval_half, rng, tol):
+    # f(t) = t and g(t) = t^2/2, compared in exact rationals, which share no
+    # float code with the descent; radii at 1e-15 and below count no rounding
+    zipper, line, lift = interval_half
+    nodes = [0.0, 0.5, 1.0]
+    near = [np.nextafter(node, toward) for node in nodes for toward in (-1.0, 2.0)]
+    bits = rng.integers(30, 53, 200)
+    deep = [int(rng.integers(0, 2**int(b) + 1)) / 2.0**int(b) for b in bits]
+    ts = np.array(nodes + [t for t in near if 0.0 <= t <= 1.0] + deep)
+    f_values, f_bounds = eval_f_many(ts, zipper, line, tol=tol)
+    g_values, g_bounds = eval_g_many(ts, zipper, line, lift, tol=tol)
+    for t, f, f_bound, g, g_bound in zip(ts.tolist(), f_values[:, 0].tolist(), f_bounds.tolist(),
+                                         g_values[:, 0].tolist(), g_bounds.tolist()):
+        assert abs(Fraction(f) - Fraction(t)) <= Fraction(f_bound), t
+        assert abs(Fraction(g) - Fraction(t) ** 2 / 2) <= Fraction(g_bound), t
 
 
 def test_eval_g_one_level(interval_03):

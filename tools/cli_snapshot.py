@@ -16,8 +16,11 @@ file that differs between the two OUTDIRs (or exists in only one): the
 exit code and stderr of a command record when they change, verbatim; each
 ``"passed"`` verdict that flipped; for the number tokens that pair up
 between the two texts, how many changed and the largest move in ulps and
-relative; and every other differing line, verbatim.  It exits 1 when any
-file differs, like ``diff``.
+relative; and every other differing line, verbatim.  A ``verify`` report's
+offenders (its ``details``) pair by location, not by rank: each check
+whose offender locations changed rank or membership gets both location
+lists under ``"offenders"``, and only errors at one location pair up as
+numbers.  It exits 1 when any file differs, like ``diff``.
 """
 
 import difflib
@@ -97,7 +100,7 @@ def main(outdir, *extra):
         print(f"{label}: {len(MATRIX)} commands", flush=True)
 
 
-RECORD = re.compile(r"(\$ .*\n)exit (-?\d+)\n(--- stdout\n.*?)--- stderr\n(.*)\Z", re.DOTALL)
+RECORD = re.compile(r"(\$ .*\n)exit (-?\d+)\n--- stdout\n(.*?)--- stderr\n(.*)\Z", re.DOTALL)
 NUMBER = re.compile(r"-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?")
 VERDICT = re.compile(r'"check": "([^"]*)"[^{}]*?"passed": (true|false)')
 
@@ -158,6 +161,37 @@ def compare_texts(old, new):
     return report
 
 
+def _offenders_apart(old_out, new_out):
+    """Two ``verify`` reports' stdouts with their offenders taken apart.
+
+    Returns both reports with every ``details`` list emptied, each followed
+    by one line per offender location that both list, in the old rank
+    order, so that an error pairs with the error at its own location; and,
+    for each check whose offender locations differ in rank or in
+    membership, both location lists.  Returns None unless both stdouts are
+    reports of the same checks."""
+    try:
+        old, new = json.loads(old_out), json.loads(new_out)
+        if [was["check"] for was in old] != [now["check"] for now in new]:
+            return None
+        lines, offenders = ([], []), []
+        for was, now in zip(old, new):
+            errors = {json.dumps(location): error for location, error in now["details"]}
+            for location, error in was["details"]:
+                key = json.dumps(location)
+                if key in errors:
+                    for text, value in zip(lines, (error, errors[key])):
+                        text.append(f"{was['check']} at {key}: {json.dumps(value)}\n")
+            places = [[location for location, _ in report["details"]] for report in (was, now)]
+            if places[0] != places[1]:
+                offenders.append({"check": was["check"], "old": places[0], "new": places[1]})
+    except (ValueError, TypeError, KeyError):
+        return None
+    texts = (json.dumps([{**report, "details": []} for report in reports], indent=2) + "\n"
+             + "".join(text) for reports, text in zip((old, new), lines))
+    return *texts, offenders
+
+
 def compare(old_dir, new_dir):
     """Print one JSON line per file that differs; return 1 if any does."""
     old_dir, new_dir = Path(old_dir), Path(new_dir)
@@ -181,6 +215,11 @@ def compare(old_dir, new_dir):
                     line["exit"] = [int(code), int(new_code)]
                 if err != new_err:
                     line["stderr"] = [err, new_err]
+                apart = _offenders_apart(out, new_out)
+                if apart:
+                    out, new_out, offenders = apart
+                    if offenders:
+                        line["offenders"] = offenders
                 old, new = head + out, new_head + new_out
             line.update(compare_texts(old, new))
         print(json.dumps(line))
