@@ -87,8 +87,8 @@ class Example2Config:
     """Planar rotation family parameters.
 
     ``h_param`` is the apex height in (0, sqrt(3)/2); the derived scale is
-    p = sqrt(h^2 + 1/4) and the rotation angle alpha = arctan(2h).  The
-    identity p cos(alpha) = 1/2 holds exactly and is asserted numerically.
+    p = sqrt(h^2 + 1/4) and the rotation angle alpha = arctan(2h), so that
+    p cos(alpha) = 1/2.
     """
 
     h_param: float
@@ -98,8 +98,6 @@ class Example2Config:
             raise InvalidConfig(
                 f"apex height must lie in (0, sqrt(3)/2), got {self.h_param}"
             )
-        if abs(self.p * math.cos(self.alpha) - 0.5) > 1e-12:
-            raise InvalidConfig("derived scale and angle lost the half identity")
 
     @property
     def p(self):

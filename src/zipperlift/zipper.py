@@ -33,13 +33,16 @@ from .errors import (
     SignatureMismatch,
     ZipperViolation,
 )
-from .geometry import ContractionScan, eventual_contraction_scan, operator_norms, row_norms
+from .geometry import (
+    CONTRACTION_THRESHOLD,
+    ContractionScan,
+    eventual_contraction_scan,
+    operator_norms,
+    row_norms,
+)
 
 #: Tolerance of the vertex conditions.
 VERTEX_TOLERANCE = 1e-9
-
-#: Per-map contraction requires operator norm below 1 minus this margin.
-CONTRACTION_MARGIN = 1e-12
 
 #: Longest word an eventual-contraction certificate may need.
 EVENTUAL_WORD_LENGTH = 8
@@ -102,7 +105,7 @@ class Zipper:
     vertices: np.ndarray  # (m+1, n), read-only
     signature: tuple[int, ...]
     linear_norms: tuple[float, ...]  # operator norms of the linear parts
-    word_scan: ContractionScan | None = None  # the certificate of eventual mode
+    word_scan: ContractionScan  # the passed contraction certificate
 
     @property
     def dimension(self):
@@ -110,7 +113,7 @@ class Zipper:
 
     @property
     def contraction_mode(self):
-        return "per-map" if self.word_scan is None else "eventual"
+        return "per-map" if self.word_scan.word_length == 1 else "eventual"
 
     @property
     def map_count(self):
@@ -154,11 +157,11 @@ def inspect_zipper(linears, translations, vertices, signature):
     map or non-finite map entries and :class:`DimensionMismatch` for
     ragged, non-square or mismatched shapes.
 
-    Vertex conditions hold to :data:`VERTEX_TOLERANCE`.  The contraction
-    mode is ``"per-map"`` when every linear part has operator norm below
-    ``1 - CONTRACTION_MARGIN``.  Otherwise it is ``"eventual"``, and the
-    family must pass the word scan: its length-L products contract for some
-    L <= :data:`EVENTUAL_WORD_LENGTH`.
+    Vertex conditions hold to :data:`VERTEX_TOLERANCE`.  The zipper keeps
+    the word scan that certifies its contraction: the length-1 scan read off
+    the norms when each is at most ``CONTRACTION_THRESHOLD`` (mode
+    ``"per-map"``), else the scan of words up to length
+    :data:`EVENTUAL_WORD_LENGTH` (``"eventual"``).
     """
     if len(linears) == 0:
         raise ValueError("a zipper needs at least one map")
@@ -204,8 +207,9 @@ def inspect_zipper(linears, translations, vertices, signature):
         ) for k in np.flatnonzero(deviations > VERTEX_TOLERANCE).tolist()]
     violations.sort(key=lambda violation: violation.map_index)  # stable: map by map
 
-    scan = None
-    if not all(factor < 1.0 - CONTRACTION_MARGIN for factor in factors):
+    if max(factors) <= CONTRACTION_THRESHOLD:  # what the scan records at length 1
+        scan = ContractionScan(1, ((1, max(factors)),))
+    else:
         scan = eventual_contraction_scan(linears, translations, vertices[0], EVENTUAL_WORD_LENGTH)
         if not scan.passed:
             worst = min(value for _, value in scan.values)

@@ -150,6 +150,7 @@ def test_refine_junction_agreement_is_checked(graph_zipper):
     # refine on a structurally broken zipper (built unvalidated) must fail
     from zipperlift.zipper import Zipper
     from zipperlift.errors import ZipperViolation
+    from zipperlift.geometry import ContractionScan
 
     broken = Zipper(
         linears=np.array([[[0.5, 0.0], [0.0, 0.3]], [[0.5, 0.0], [0.0, 0.7]]]),
@@ -157,6 +158,7 @@ def test_refine_junction_agreement_is_checked(graph_zipper):
         vertices=np.array([[0.0, 0.0], [0.5, 0.3], [1.0, 1.1]]),
         signature=(0, 0),
         linear_norms=(0.5, 0.7),
+        word_scan=ContractionScan(1, ((1, 0.7),)),
     )
     with pytest.raises(ZipperViolation):
         refine(broken, 2)

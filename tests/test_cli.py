@@ -720,7 +720,30 @@ def test_eventual_contraction_is_derived_by_validation():
 def test_verify_reports_the_scan_validation_stored(tmp_path, monkeypatch):
     # validation scans the eventual source and its eventual lift once each;
     # the contraction check reports the lift's stored scan
+    scans = count_word_scans(monkeypatch)
+    config = tmp_path / "eventual.json"
+    config.write_text(json.dumps(EVENTUAL_CONFIG))
+    assert main(["verify", str(config), "--suite", "contraction"]) == 0
+    assert len(scans) == 2
+
+
+def test_verify_reports_a_per_map_certificate_without_scanning(monkeypatch, capsys):
+    # ex2 h=0.5 and its lift contract per map: their certificates are read
+    # off the norms, and the contraction check scans nothing either
     from zipperlift import verification
+
+    scans = count_word_scans(monkeypatch)
+    assert main(["verify", "--example2", "h=0.5", "--suite", "contraction"]) == 0
+    [report] = json.loads(capsys.readouterr().out)
+    assert report["passed"] and report["samples"] == 2
+    assert scans == []
+    assert not hasattr(verification, "eventual_contraction_scan")
+
+
+def count_word_scans(monkeypatch):
+    """The argument tuples of every word scan run from now on through
+    validation's name or the defining module's."""
+    from zipperlift import geometry
     from zipperlift import zipper as zipper_module
     from zipperlift.geometry import eventual_contraction_scan
 
@@ -730,12 +753,9 @@ def test_verify_reports_the_scan_validation_stored(tmp_path, monkeypatch):
         scans.append(args)
         return eventual_contraction_scan(*args)
 
-    monkeypatch.setattr(zipper_module, "eventual_contraction_scan", counted)
-    monkeypatch.setattr(verification, "eventual_contraction_scan", counted)
-    config = tmp_path / "eventual.json"
-    config.write_text(json.dumps(EVENTUAL_CONFIG))
-    assert main(["verify", str(config), "--suite", "contraction"]) == 0
-    assert len(scans) == 2
+    for module in (geometry, zipper_module):
+        monkeypatch.setattr(module, "eventual_contraction_scan", counted)
+    return scans
 
 
 def test_contraction_check_equals_a_fresh_scan():

@@ -75,6 +75,16 @@ def test_compare_reports_each_changed_file(tmp_path):
     ]
 
 
+def test_recorder_writes_what_compare_parses(tmp_path):
+    # --compare reads each record through RECORD; run must write that format
+    tool = runpy.run_path(str(TOOL))
+    text = tool["run"](tmp_path, ["validate", "--example1", "p=0.3"])
+    head, code, stdout, stderr = tool["RECORD"].match(text).groups()
+    assert head == "$ zipperlift validate --example1 p=0.3\n"
+    assert (code, stderr) == ("0", "")
+    assert stdout == "valid zipper (per-map contraction; factors 0.3, 0.7)\n"
+
+
 def test_identical_snapshots_compare_empty(tmp_path):
     old = write_snapshot(tmp_path / "old", H, "true", 0, "", "0")
     new = write_snapshot(tmp_path / "new", H, "true", 0, "", "0")

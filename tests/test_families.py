@@ -18,6 +18,14 @@ from zipperlift.verification import (
 from zipperlift.zipper import inspect_zipper
 
 
+def test_rotation_family_keeps_the_half_identity():
+    # p cos(alpha) = 1/2 within 4 ulps of 1/2 over the whole range of h
+    hs = np.linspace(0.0, np.sqrt(3.0) / 2.0, 20_001)[1:-1]
+    deviations = [abs(config.p * np.cos(config.alpha) - 0.5)
+                  for config in map(Example2Config, hs.tolist())]
+    assert max(deviations) <= 4 * np.spacing(0.5)
+
+
 def test_interval_family_basic():
     zipper, line = build_example1(Example1Config(p=0.3))
     assert eval_f(0.5, zipper, line).value[0] == pytest.approx(0.3, abs=1e-15)

@@ -5,7 +5,7 @@ import pytest
 
 from zipperlift import smoothing
 from zipperlift.config_io import build_system, parse_config
-from zipperlift.errors import DegenerateInput, NotNormalized
+from zipperlift.errors import DegenerateInput, NotNormalized, ZipperViolation
 from zipperlift.families import (
     Example1Config,
     Example2Config,
@@ -179,6 +179,24 @@ def test_smooth_zipper_vertex_conditions(interval_03):
     assert np.allclose(w(1, [1.0, 0.3]), [0.5, 0.045], atol=1e-12)
     assert np.allclose(w(2, [0.0, 0.0]), [0.5, 0.045], atol=1e-12)
     assert np.allclose(w(2, [1.0, 0.3]), [1.0, 0.3], atol=1e-12)
+
+
+@pytest.mark.parametrize("system", ["ex1-p0.3", "ex2-h0.5", "seed0-zipper0"])
+def test_smooth_zipper_catches_a_total_integral_off_by_1e_7(system, monkeypatch):
+    # the lifted end-vertex axiom is the check that sees a wrong h: the node
+    # integrals rebuilt from h * (1 + 1e-7) no longer end at h
+    if system == "ex1-p0.3":
+        zipper, line = build_example1(Example1Config(p=0.3))
+    elif system == "ex2-h0.5":
+        zipper, line = build_example2(Example2Config(h_param=0.5))
+    else:
+        text = workloads().build_workload("generated-zippers", 0).configs["zipper0.json"]
+        zipper, line = build_system(parse_config(text))
+    monkeypatch.setattr(smoothing, "solve_linear",
+                        lambda matrix, rhs: solve_linear(matrix, rhs) * (1.0 + 1e-7))
+    with pytest.raises(ZipperViolation) as caught:
+        smooth_zipper(zipper, line, build_lift(zipper, line))
+    assert "end-vertex" in {violation.condition for violation in caught.value.report.violations}
 
 
 def test_inverse_design_recovers_interval_family():

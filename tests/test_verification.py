@@ -23,7 +23,13 @@ from zipperlift.verification import (
     quadrature_check,
     tangent_scan,
 )
-from zipperlift.zipper import Zipper, line_zipper, product_zipper, validate_zipper
+from zipperlift.zipper import (
+    EVENTUAL_WORD_LENGTH,
+    inspect_zipper,
+    line_zipper,
+    product_zipper,
+    validate_zipper,
+)
 from conftest import workloads
 from oracles import (
     derivative_check_reference,
@@ -187,22 +193,23 @@ def test_eventual_contraction_budget():
     # certified at length 1, so the 2^21 longer words are never formed
     stacks = (zipper.linears, zipper.translations)
     assert eventual_contraction_scan(*stacks, zipper.vertices[0], 21).passed
-    # identities never certify; length 2 would form 1001^2 more words
-    never = Zipper(linears=np.ones((1001, 1, 1)), translations=np.zeros((1001, 1)),
-                   vertices=np.zeros((1002, 1)), signature=(0,) * 1001,
-                   linear_norms=(1.0,) * 1001)
+    # identities never certify, so validation scans them; length 2 would
+    # form 1001^2 more words
     with pytest.raises(CombinatorialBudget):
-        eventual_contraction_check(never)
+        validate_zipper(np.ones((1001, 1, 1)), np.zeros((1001, 1)), np.zeros((1002, 1)),
+                        (0,) * 1001)
 
 
 def test_eventual_contraction_certifies_at_the_threshold():
-    # a normalized norm equal to the threshold certifies, and the check's
-    # verdict is max_error <= tolerance like every other report's
+    # a normalized norm equal to the threshold certifies, per map, with the
+    # values the scan records at length 1; the check's verdict is
+    # max_error <= tolerance like every other report's
     at = (np.full((1, 1, 1), CONTRACTION_THRESHOLD), np.zeros((1, 1)))
     scan = eventual_contraction_scan(*at, np.zeros(1), 1)
     assert scan.word_length == 1 and scan.values == ((1, CONTRACTION_THRESHOLD),)
-    zipper = Zipper(*at, vertices=np.zeros((2, 1)), signature=(0,),
-                    linear_norms=(CONTRACTION_THRESHOLD,))
+    zipper = validate_zipper(*at, np.zeros((2, 1)), (0,))
+    assert zipper.contraction_mode == "per-map"
+    assert (zipper.word_scan.word_length, zipper.word_scan.values) == (1, scan.values)
     report = eventual_contraction_check(zipper)
     assert report.passed and report.max_error == report.tolerance
 
@@ -322,17 +329,21 @@ def test_checks_fail_when_errors_grow_past_the_slack(check, slack_name, interval
 def test_eventual_contraction_failing_report():
     # no word length up to EVENTUAL_WORD_LENGTH = 8 certifies, and the
     # normalized norms dip at L = 6 and rise again, so the smallest is
-    # neither the first nor the last
+    # neither the first nor the last; validation reports that smallest, and
+    # a zipper that fails it never reaches the contraction check
     linears = np.array([[[0.0, 1.1], [-0.9, 1.1]], [[-0.5, -0.2], [0.8, -0.2]]])
-    failing = Zipper(linears=linears, translations=np.zeros((2, 2)), vertices=np.zeros((3, 2)),
-                     signature=(0, 0), linear_norms=tuple(operator_norms(linears).tolist()))
-    assert failing.word_scan is None
-    report = eventual_contraction_check(failing).as_dict()
-    assert report["passed"] is False
-    assert report["samples"] == sum(2**length for length in range(1, 9)) == 510
-    lengths, values = zip(*report["details"])
-    assert lengths == tuple(float(length) for length in range(1, 9))
-    assert report["maxError"] == min(values) == values[5] < values[-1]
+    family = (linears, np.zeros((2, 2)), np.zeros((3, 2)), (0, 0))
+    scan = eventual_contraction_scan(*family[:2], np.zeros(2), EVENTUAL_WORD_LENGTH)
+    assert not scan.passed and EVENTUAL_WORD_LENGTH == 8
+    lengths, values = zip(*scan.values)
+    assert lengths == tuple(range(1, 9))
+    assert min(values) == values[5] < values[-1]
+    assert max(operator_norms(linears)) > CONTRACTION_THRESHOLD
+    report = inspect_zipper(*family)
+    assert not report.valid
+    [violation] = report.violations
+    assert (violation.map_index, violation.condition) == (0, "contraction")
+    assert violation.deviation == values[5]
 
 
 def assert_oracles_match_their_references(zipper, line, lift):

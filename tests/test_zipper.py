@@ -159,6 +159,17 @@ def test_line_zipper_single_interval_is_not_contracting():
         line_zipper((0.0, 1.0), (0,))
 
 
+def test_a_norm_just_below_one_needs_the_word_scan():
+    # a = 1 - 5e-10 lies above the scan's threshold 1 - 1e-9, so a per-map
+    # certificate cannot be read off the norms, and every word a^L keeps
+    # its normalized norm a: no length certifies
+    a = 1.0 - 5e-10
+    report = inspect_zipper([[[a]], [[1.0 - a]]], [[0.0], [a]], [[0.0], [a], [1.0]], (0, 0))
+    assert not report.valid
+    assert [violation.condition for violation in report.violations] == ["contraction"]
+    assert report.violations[0].deviation == pytest.approx(a, abs=1e-15)
+
+
 def _line_cases():
     """(line zipper, the nodes it was built from) over the presets, the
     seed-0 generated configs and a non-dyadic line with reversed bits."""
